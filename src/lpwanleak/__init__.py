@@ -17,22 +17,21 @@ Entry points: :mod:`lpwanleak.traffic` (generation), :mod:`lpwanleak.attacker`
 
 __version__ = "0.1.0"
 
-from .attacker import (DegenerateMetricError, DetectorConfig, DispersionStat,
-                       RunVerdicts, Verdict, bin_timestamps, chi_square_threshold,
-                       class_posteriors, dispersion, ensemble_dispersion,
-                       guess_run, guessing_error, guessing_error_se,
-                       h1_dispersion_quantiles, h1_flag_rate, load_h1_cache,
-                       observable_class, run_dispersion, run_observable_class,
-                       save_h1_cache, test_interval, test_run)
+from .attacker import (DegenerateMetricError, DetectorConfig, RunVerdicts,
+                       bin_timestamps, chi_square_threshold, class_posteriors,
+                       ensemble_dispersion, guess_run, guessing_error,
+                       guessing_error_se, run_dispersion, run_observable_class,
+                       test_run)
 from .experiment import (COST_CSV_HEADER, SWEEP_CSV_HEADER, CostPoint,
                          MetricsReport, SweepSpec, binary_entropy_bits,
                          cost_curves, cost_curves_to_csv, feasible_region,
-                         realized_cost, run_cell, run_sweep, sweep_to_csv)
+                         realized_cost, run_cell, run_sweep, simulate_run,
+                         sweep_to_csv)
 from .obfuscator import (DENOMINATOR_MODES, CostModel, InfeasibleTargetError,
                          KnowledgeModel, Strategy, anomaly_dispersion,
                          apply_strategy, costs, epsilon_of,
                          expected_dispersion_fake, expected_dispersion_waterfill,
-                         posterior_ratios, power_cost, power_ok, solve_fake_rate,
+                         power_cost, power_ok, solve_fake_rate,
                          solve_strategy, solve_waterfill_rate, strategy_json)
 from .traces import (AnomalyCountDistance, CardinalityDistance, Event, EventSet,
                      FillToMechanism, Fixture, IdentityMechanism,
@@ -42,8 +41,7 @@ from .traces import (AnomalyCountDistance, CardinalityDistance, Event, EventSet,
                      enumerate_observables, load_fixture, optimal_guess,
                      posterior, posterior_table)
 from .traffic import (ACTIONS, OBF_FAKE, OBF_NONE, OBF_WATERFILL,
-                      RUN_CSV_HEADER, IntervalModel, IntervalObservation, Run,
-                      as_rng, gen_interval, gen_run, run_from_csv, run_to_csv,
-                      to_timestamps)
+                      RUN_CSV_HEADER, IntervalModel, Run, as_rng, gen_run,
+                      run_from_csv, run_to_csv, to_timestamps)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,82 +11,48 @@ detector modes exist:
   chi-square in the large-count limit and takes lattice values, so at small
   counts the size falls below alpha (0.0476 at 10 slots, lambda = 1).
 * ``idealized``: the deterministic classifier the strategy algebra assumes;
-  the observable class bit is supplied by the simulation harness, never
-  derived from counts. Useful wherever the closed-form class probabilities
+  the observable class bit comes from the run's construction labels
+  (:func:`run_observable_class`), never from counts. Useful wherever the closed-form class probabilities
   are the object of study.
 
 Verdicts carry a posterior anomaly probability computed from the prior
 anomaly rate and the class-conditional flag rates the attacker is assumed
-to know.
+to know. :func:`class_posteriors` is the one copy of that algebra; the
+obfuscator scores its strategies with the same function.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2
 
-from .traffic import OBF_FAKE, OBF_WATERFILL, IntervalObservation, Run, as_rng
+from .traffic import Run, as_rng
 
 __all__ = [
     "DegenerateMetricError",
-    "DispersionStat",
-    "dispersion",
     "run_dispersion",
     "ensemble_dispersion",
     "chi_square_threshold",
     "DetectorConfig",
     "class_posteriors",
-    "Verdict",
-    "test_interval",
-    "observable_class",
     "run_observable_class",
     "RunVerdicts",
     "test_run",
     "guess_run",
     "guessing_error",
     "guessing_error_se",
-    "h1_dispersion_quantiles",
-    "h1_flag_rate",
-    "save_h1_cache",
-    "load_h1_cache",
-    "H1_CACHE_HEADER",
     "bin_timestamps",
 ]
-
-H1_CACHE_HEADER = "S,lambda,intensity,quantile_p,value"
 
 
 class DegenerateMetricError(ValueError):
     """A metric is undefined on this input (e.g. no anomalous intervals)."""
 
 
-@dataclass(frozen=True)
-class DispersionStat:
-    """Sample mean/variance of one interval's slot counts and their ratio."""
-
-    mean: float
-    variance: float
-    dispersion: float  # variance / mean; nan when degenerate
-    degenerate: bool   # all slots zero: the ratio is undefined
-
-
-def dispersion(counts) -> DispersionStat:
-    """Index of dispersion of one interval (Bessel-corrected variance)."""
-    c = np.asarray(counts, dtype=float)
-    if c.ndim != 1 or c.size < 2:
-        raise ValueError("counts must be a 1-D sequence of at least 2 slots")
-    mu = float(c.mean())
-    s2 = float(c.var(ddof=1))
-    if mu == 0.0:
-        return DispersionStat(mu, s2, float("nan"), True)
-    return DispersionStat(mu, s2, s2 / mu, False)
-
-
 def run_dispersion(counts_2d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized per-interval (mean, variance, dispersion) columns.
+    """Per-interval (mean, Bessel-corrected variance, dispersion) columns.
 
     Dispersion is nan for degenerate (all-zero) intervals.
     """
@@ -177,70 +143,45 @@ class DetectorConfig:
         return cls("idealized", anomaly_rate, flag_rate_anomaly=fa, flag_rate_baseline=fb)
 
 
-def class_posteriors(cfg: DetectorConfig) -> tuple[float, float]:
-    """(P(anomaly | flagged), P(anomaly | not flagged)) under cfg's rates.
+def class_posteriors(anomaly_rate: float, hidden, flagged_baseline):
+    """(P(anomaly | flagged), P(anomaly | not flagged), epsilon) of the
+    attacker's two observable classes; numpy-broadcast over the rates.
 
-    A class of probability zero never occurs; its posterior is reported as
-    the prior by convention.
+    ``hidden`` is P(not flagged | anomaly), ``flagged_baseline`` is
+    P(flagged | baseline); under an obfuscation strategy they are
+    tpr * p_waterfill and tnr * p_fake. A class of probability zero never
+    occurs; its posterior is reported as the prior by convention.
+
+    epsilon = P(anomaly | flagged) / P(anomaly | not flagged) - 1 is the
+    signed relative bias between the two posteriors; zero means the class
+    is independent of the truth. When flagging has probability 0 or 1 the
+    single occurring class carries the prior, so epsilon is 0. A zero
+    unflagged posterior against a positive flagged one yields +inf. nan
+    rates give nan throughout.
     """
-    rp, rn = cfg.anomaly_rate, 1.0 - cfg.anomaly_rate
-    fa, fb = cfg.flag_rate_anomaly, cfg.flag_rate_baseline
-    if np.isnan(fa) or np.isnan(fb):
-        return float("nan"), float("nan")
-    num_f = rp * fa
-    den_f = rp * fa + rn * fb
-    p_flagged = num_f / den_f if den_f > 0 else rp
-    num_u = rp * (1.0 - fa)
-    den_u = rp * (1.0 - fa) + rn * (1.0 - fb)
-    p_unflagged = num_u / den_u if den_u > 0 else rp
-    return p_flagged, p_unflagged
+    rp = anomaly_rate
+    x = np.asarray(hidden, dtype=float)
+    y = np.asarray(flagged_baseline, dtype=float)
+    num_f = rp * (1.0 - x)
+    den_f = num_f + (1.0 - rp) * y  # P(flagged)
+    num_u = rp * x
+    den_u = num_u + (1.0 - rp) * (1.0 - y)
+    with np.errstate(all="ignore"):
+        p_flagged = np.where(den_f <= 0, rp, num_f / den_f)
+        p_unflagged = np.where(den_u <= 0, rp, num_u / den_u)
+        eps = np.where(p_unflagged <= 0, np.where(p_flagged > 0, np.inf, 0.0),
+                       p_flagged / p_unflagged - 1.0)
+    eps = np.where((den_f <= 0) | (den_f >= 1), 0.0, eps)
+    return p_flagged, p_unflagged, eps
 
 
-@dataclass(frozen=True)
-class Verdict:
-    flagged: bool
-    statistic: float      # (slots-1) * dispersion; nan in idealized mode
-    threshold: float      # chi-square critical value; nan in idealized mode
-    posterior_anomaly: float
-
-
-def test_interval(counts, cfg: DetectorConfig, looks_anomalous: bool | None = None) -> Verdict:
-    """Classify one interval from its summed slot counts.
-
-    The signature is the attacker boundary: no truth labels, no dummy
-    shares. In idealized mode the observable class bit must be supplied by
-    the harness (see :func:`observable_class`); chi-square mode ignores it.
-    Degenerate (all-zero) intervals are never flagged.
-    """
-    p_flag, p_unflag = class_posteriors(cfg)
-    if cfg.mode == "idealized":
-        if looks_anomalous is None:
-            raise ValueError("idealized mode needs the observable class bit")
-        flagged = bool(looks_anomalous)
-        return Verdict(flagged, float("nan"), float("nan"),
-                       p_flag if flagged else p_unflag)
-    stat_src = dispersion(counts)
-    s = len(np.asarray(counts))
-    thr = chi_square_threshold(s, cfg.alpha)
-    stat = (s - 1) * stat_src.dispersion
-    flagged = bool(not stat_src.degenerate and stat > thr)
-    return Verdict(flagged, float(stat), thr, p_flag if flagged else p_unflag)
-
-
-def observable_class(obs: IntervalObservation) -> bool:
-    """True when the interval looks anomalous to the deterministic classifier.
+def run_observable_class(run: Run) -> np.ndarray:
+    """True where an interval looks anomalous to the deterministic classifier.
 
     Simulation-side construction: a real anomaly looks anomalous unless it
     was waterfilled; a baseline interval looks anomalous exactly when it
     received a fake anomaly. Detectors never call this; the harness does.
     """
-    if obs.is_anomaly:
-        return obs.obf_action != OBF_WATERFILL
-    return obs.obf_action == OBF_FAKE
-
-
-def run_observable_class(run: Run) -> np.ndarray:
-    """Vectorized :func:`observable_class` over a run."""
     waterfilled = run.action == 1  # ACTIONS index of "waterfilled"
     faked = run.action == 2        # ACTIONS index of "fake-anomaly"
     return np.where(run.is_anomaly, ~waterfilled, faked)
@@ -262,7 +203,8 @@ def test_run(run: Run, cfg: DetectorConfig) -> RunVerdicts:
     by construction classes rather than by a statistic.
     """
     n = len(run)
-    p_flag, p_unflag = class_posteriors(cfg)
+    p_flag, p_unflag, _ = class_posteriors(cfg.anomaly_rate, 1.0 - cfg.flag_rate_anomaly,
+                                           cfg.flag_rate_baseline)
     if cfg.mode == "idealized":
         flagged = run_observable_class(run)
         stats = np.full(n, np.nan)
@@ -311,67 +253,6 @@ def guessing_error_se(err: float, n_anomalies: int) -> float:
     if n_anomalies <= 0:
         raise DegenerateMetricError("no anomalous intervals")
     return float(np.sqrt(max(err * (1.0 - err), 0.0) / n_anomalies))
-
-
-# -- empirical H1 dispersion distribution ------------------------------------
-
-_H1_PS = np.round(np.arange(1, 1000) / 1000.0, 3)  # 0.001 .. 0.999
-
-
-def h1_dispersion_quantiles(slots: int, base_rate: float, intensity: float,
-                            n_intervals: int = 100_000, seed=0
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo quantiles of the statistic over anomalous intervals.
-
-    Returns (quantile_p, value) arrays for (slots-1) * dispersion of
-    unobfuscated anomalous intervals. The boosted slot's position does not
-    affect the statistic, so it is fixed for speed.
-    """
-    rng = as_rng(seed)
-    c = rng.poisson(base_rate, (n_intervals, slots)).astype(float)
-    c[:, 0] = rng.poisson(intensity * base_rate, n_intervals)
-    _, _, d = run_dispersion(c)
-    stat = (slots - 1) * d[~np.isnan(d)]
-    return _H1_PS.copy(), np.quantile(stat, _H1_PS)
-
-
-def h1_flag_rate(quantile_p: np.ndarray, values: np.ndarray, threshold: float) -> float:
-    """P(statistic > threshold) from a quantile grid, by interpolation."""
-    q = np.asarray(quantile_p, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if q.shape != v.shape or q.ndim != 1 or q.size < 2:
-        raise ValueError("quantile grid malformed")
-    cdf = float(np.interp(threshold, v, q, left=0.0, right=1.0))
-    return 1.0 - cdf
-
-
-def save_h1_cache(path, entries: dict, comment: str | None = None) -> None:
-    """Write {(slots, base_rate, intensity): (ps, values)} to CSV."""
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write("# " + comment.strip() + "\n")
-        fh.write(H1_CACHE_HEADER + "\n")
-        w = csv.writer(fh, lineterminator="\n")
-        for (s, lam, inten) in sorted(entries):
-            ps, vals = entries[(s, lam, inten)]
-            for p, v in zip(ps, vals):
-                w.writerow([int(s), repr(float(lam)), repr(float(inten)),
-                            repr(float(p)), repr(float(v))])
-
-
-def load_h1_cache(path) -> dict:
-    """Read a cache written by :func:`save_h1_cache`."""
-    out: dict = {}
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows or ",".join(rows[0]) != H1_CACHE_HEADER:
-        raise ValueError("not an H1 cache CSV: bad or missing header")
-    for r in rows[1:]:
-        key = (int(r[0]), float(r[1]), float(r[2]))
-        out.setdefault(key, ([], []))
-        out[key][0].append(float(r[3]))
-        out[key][1].append(float(r[4]))
-    return {k: (np.asarray(p), np.asarray(v)) for k, (p, v) in out.items()}
 
 
 def bin_timestamps(timestamps, slot_width: float, slots: int,

@@ -32,11 +32,10 @@ import numpy as np
 from . import __version__
 from .attacker import bin_timestamps, chi_square_threshold, run_dispersion
 from .experiment import (MetricsReport, SweepSpec, cost_curves,
-                         cost_curves_to_csv, run_sweep, sweep_to_csv)
-from .obfuscator import (KnowledgeModel, apply_strategy, costs,
-                         solve_strategy, strategy_json)
+                         cost_curves_to_csv, run_sweep, simulate_run, sweep_to_csv)
+from .obfuscator import KnowledgeModel, costs, solve_strategy, strategy_json
 from .traces import InconsistentObservationError, enumerate_observables, load_fixture, posterior_table
-from .traffic import IntervalModel, gen_run, run_to_csv
+from .traffic import IntervalModel, run_to_csv
 
 __all__ = [
     "ConfigError",
@@ -447,19 +446,16 @@ def _run_sweep_command(args, cfg: Config, single_cell: bool) -> int:
     if single_cell:
         dump = cfg.get("simulate", "dump_run", None)
         if dump is not None:
-            _dump_single_run(cfg, spec, str(dump), _provenance(cfg, seed))
+            _dump_single_run(spec, str(dump), _provenance(cfg, seed))
     return 0
 
 
-def _dump_single_run(cfg: Config, spec: SweepSpec, path: str, provenance: str) -> None:
-    # reproduce the cell's exact run (same derived seeds as run_cell in run_sweep)
+def _dump_single_run(spec: SweepSpec, path: str, provenance: str) -> None:
+    # the run that run_sweep scores for its cell (0, 0), seed (spec.seed, 0, 0)
     model = IntervalModel(spec.slots, spec.base_rate, spec.intensities[0],
                           spec.anomaly_rates[0])
-    cm = costs(model, spec.cost_denominator)
-    strat = solve_strategy(model, spec.knowledge, spec.budget, cm)
-    base = (spec.seed, 0, 0)
-    run = gen_run(model, spec.n_intervals, base + (0,))
-    obf = apply_strategy(run, strat, spec.knowledge, cm, base + (1,))
+    _, _, obf = simulate_run(model, spec.knowledge, spec.budget, spec.n_intervals,
+                             (spec.seed, 0, 0), cost_denominator=spec.cost_denominator)
     run_to_csv(obf, path, comment=provenance)
 
 

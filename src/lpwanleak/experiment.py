@@ -28,6 +28,7 @@ __all__ = [
     "COST_CSV_HEADER",
     "binary_entropy_bits",
     "MetricsReport",
+    "simulate_run",
     "run_cell",
     "SweepSpec",
     "run_sweep",
@@ -138,6 +139,24 @@ def _empirical_ce_bits(truth: np.ndarray, cls: np.ndarray) -> tuple[float, float
     return ce, se
 
 
+def simulate_run(model: IntervalModel, knowledge: KnowledgeModel, budget: float,
+                 n_intervals: int, seed, strategy: Strategy | None = None,
+                 cost_denominator: str = "base-plus-anomaly"
+                 ) -> tuple[Strategy, CostModel, Run]:
+    """Solve (unless ``strategy`` is given), generate and obfuscate one cell.
+
+    Returns the strategy, the cost model and the obfuscated run. Streams of
+    the cell seed tuple ``base``: base + (0,) generates, base + (1,)
+    obfuscates; :func:`run_cell` guesses on base + (2,) and calibrates the
+    chi-square detector on base + (3,) and base + (4,).
+    """
+    base = _seed_tuple(seed)
+    cm = costs(model, cost_denominator)
+    strat = strategy if strategy is not None else solve_strategy(model, knowledge, budget, cm)
+    run = gen_run(model, n_intervals, base + (0,))
+    return strat, cm, apply_strategy(run, strat, knowledge, cm, base + (1,))
+
+
 def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
              budget: float = 1.0, detector_mode: str = "idealized",
              alpha: float = 0.05, n_intervals: int = 100_000, seed=0,
@@ -157,11 +176,8 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
     """
     knowledge = knowledge or KnowledgeModel.complete()
     base = _seed_tuple(seed)
-    cm = costs(model, cost_denominator)
-    strat = strategy if strategy is not None else solve_strategy(model, knowledge, budget, cm)
-
-    run = gen_run(model, n_intervals, base + (0,))
-    obf = apply_strategy(run, strat, knowledge, cm, base + (1,))
+    strat, cm, obf = simulate_run(model, knowledge, budget, n_intervals, base,
+                                  strategy, cost_denominator)
 
     if detector_mode == "idealized":
         cfg = DetectorConfig.idealized(model.anomaly_rate, strat.p_waterfill,

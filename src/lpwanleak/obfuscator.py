@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attacker import class_posteriors
 from .traffic import IntervalModel, Run, as_rng
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "DENOMINATOR_MODES",
     "KnowledgeModel",
     "Strategy",
-    "posterior_ratios",
     "epsilon_of",
     "power_cost",
     "power_ok",
@@ -236,47 +236,11 @@ class Strategy:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
-def posterior_ratios(anomaly_rate: float, p_waterfill: float, p_fake: float,
-                     tpr: float = 1.0, tnr: float = 1.0) -> tuple[float, float]:
-    """(P(anomaly | flagged), P(anomaly | not flagged)) for the
-    deterministic classifier, from strategy parameters.
-
-    An anomaly escapes flagging with probability tpr * p_waterfill; a
-    baseline is flagged with probability tnr * p_fake. A zero-probability
-    class posterior is reported as the prior (it never occurs).
-    """
-    rp = anomaly_rate
-    rn = 1.0 - rp
-    x = tpr * p_waterfill   # P(hidden | anomaly)
-    y = tnr * p_fake        # P(flagged | baseline)
-    den_f = rp * (1.0 - x) + rn * y
-    p_flagged = rp * (1.0 - x) / den_f if den_f > 0 else rp
-    den_u = rp * x + rn * (1.0 - y)
-    p_unflagged = rp * x / den_u if den_u > 0 else rp
-    return p_flagged, p_unflagged
-
-
 def epsilon_of(anomaly_rate: float, p_waterfill: float, p_fake: float,
                tpr: float = 1.0, tnr: float = 1.0) -> float:
-    """Signed relative bias between the two class posteriors.
-
-    epsilon = P(anomaly | flagged) / P(anomaly | not flagged) - 1. Zero
-    means the class is independent of the truth. When the observable
-    partition is degenerate (flagging has probability 0 or 1) the single
-    occurring class carries the prior, so epsilon is 0. A zero unflagged
-    posterior against a positive flagged one yields +inf.
-    """
-    rp = anomaly_rate
-    rn = 1.0 - rp
-    x = tpr * p_waterfill
-    y = tnr * p_fake
-    p_flag_total = rp * (1.0 - x) + rn * y
-    if p_flag_total <= 0.0 or p_flag_total >= 1.0:
-        return 0.0
-    p_flagged, p_unflagged = posterior_ratios(anomaly_rate, p_waterfill, p_fake, tpr, tnr)
-    if p_unflagged == 0.0:
-        return math.inf if p_flagged > 0.0 else 0.0
-    return p_flagged / p_unflagged - 1.0
+    """Signed relative bias between the attacker's two class posteriors
+    under a strategy; see :func:`lpwanleak.attacker.class_posteriors`."""
+    return float(class_posteriors(anomaly_rate, tpr * p_waterfill, tnr * p_fake)[2])
 
 
 def power_cost(p_waterfill: float, p_fake: float, cost_model: CostModel,
@@ -291,26 +255,6 @@ def power_ok(strategy: Strategy, cost_model: CostModel, anomaly_rate: float,
              budget: float = 1.0) -> bool:
     """True when the strategy's expected cost is within budget (boundary counts)."""
     return power_cost(strategy.p_waterfill, strategy.p_fake, cost_model, anomaly_rate) <= budget
-
-
-def _epsilon_grid(rp: float, pw: np.ndarray, pf: np.ndarray,
-                  tpr: float, tnr: float) -> np.ndarray:
-    """Vectorized :func:`epsilon_of` over broadcast p_waterfill/p_fake grids."""
-    rn = 1.0 - rp
-    x = tpr * pw
-    y = tnr * pf
-    fa = 1.0 - x
-    p_total = rp * fa + rn * y
-    num_f = rp * fa
-    den_f = rp * fa + rn * y
-    num_u = rp * x
-    den_u = rp * x + rn * (1.0 - y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_flagged = np.where(den_f > 0, num_f / np.where(den_f > 0, den_f, 1.0), rp)
-        p_unflagged = np.where(den_u > 0, num_u / np.where(den_u > 0, den_u, 1.0), rp)
-        eps = np.where(p_unflagged > 0, p_flagged / np.where(p_unflagged > 0, p_unflagged, 1.0) - 1.0,
-                       np.where(p_flagged > 0, np.inf, 0.0))
-    return np.where((p_total <= 0.0) | (p_total >= 1.0), 0.0, eps)
 
 
 def _refine_1d(f, lo: float, hi: float, iters: int = 48) -> tuple[float, float]:
@@ -378,7 +322,7 @@ def solve_strategy(model: IntervalModel, knowledge: KnowledgeModel | None = None
     pf = g[None, :]
     cost = rp * pw * cm.waterfill_cost + (1.0 - rp) * pf * cm.fake_cost
     feasible = cost <= budget
-    eps = _epsilon_grid(rp, pw, pf, tpr, tnr)
+    eps = class_posteriors(rp, tpr * pw, tnr * pf)[2]
     score = np.where(feasible, np.abs(eps), np.inf)
     flat = score.ravel()
     ties = np.flatnonzero(flat == flat.min())

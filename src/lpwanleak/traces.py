@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .attacker import chi_square_threshold, dispersion
+from .attacker import chi_square_threshold, run_dispersion
 from .traffic import as_rng
 
 __all__ = [
@@ -337,16 +337,13 @@ class AnomalyCountDistance:
         if ts in self._cache:
             return self._cache[ts]
         total_slots = self.n_intervals * self.slots
-        counts = np.zeros(total_slots, dtype=np.int64)
-        for t in ts:
-            idx = int((t - self.window[0]) // self.slot_width)
-            if 0 <= idx < total_slots:  # messages past the last full interval are ignored
-                counts[idx] += 1
-        flags = 0
-        for i in range(self.n_intervals):
-            stat = dispersion(counts[i * self.slots:(i + 1) * self.slots])
-            if not stat.degenerate and (self.slots - 1) * stat.dispersion > self.threshold:
-                flags += 1
+        idx = np.floor_divide(np.asarray(ts, dtype=float) - self.window[0],
+                              self.slot_width).astype(np.int64)
+        # messages past the last full interval are ignored
+        idx = idx[(idx >= 0) & (idx < total_slots)]
+        counts = np.bincount(idx, minlength=total_slots).reshape(self.n_intervals, self.slots)
+        _, _, d = run_dispersion(counts)
+        flags = int(np.count_nonzero((self.slots - 1) * d > self.threshold))  # nan: never flagged
         self._cache[ts] = flags
         return flags
 

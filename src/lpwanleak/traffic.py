@@ -6,18 +6,15 @@ anomalous interval has exactly one slot (uniformly placed) whose rate is
 boosted by the anomaly intensity; anomalies occur independently per
 interval with probability ``anomaly_rate``.
 
-A :class:`Run` stores a batch of intervals column-wise (numpy arrays) and
-behaves as an immutable sequence of :class:`IntervalObservation`. Counts
-always include dummy messages added by an obfuscator; ``dummy_counts``
-records the dummy share so that honest accounting stays possible while an
-attacker is only ever handed the summed counts.
+A :class:`Run` stores an immutable batch of intervals column-wise (numpy
+arrays). Counts always include dummy messages added by an obfuscator;
+``dummy_counts`` records the dummy share so that honest accounting stays
+possible while an attacker is only ever handed the summed counts.
 """
 
 from __future__ import annotations
 
 import csv
-import io
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +25,8 @@ __all__ = [
     "OBF_FAKE",
     "ACTIONS",
     "IntervalModel",
-    "IntervalObservation",
     "Run",
     "as_rng",
-    "gen_interval",
     "gen_run",
     "run_to_csv",
     "run_from_csv",
@@ -91,43 +86,13 @@ class IntervalModel:
         return self.intensity * self.base_rate
 
 
-@dataclass(frozen=True)
-class IntervalObservation:
-    """One interval: slot counts plus ground-truth bookkeeping.
-
-    ``counts`` include any dummies; ``dummy_counts`` is the dummy share per
-    slot. ``anomaly_slot`` is None for baseline intervals. The truth fields
-    exist for simulation accounting and must never feed a detector.
-    """
-
-    counts: tuple[int, ...]
-    is_anomaly: bool
-    anomaly_slot: int | None = None
-    obf_action: str = OBF_NONE
-    dummy_counts: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if not self.dummy_counts:
-            object.__setattr__(self, "dummy_counts", (0,) * len(self.counts))
-        if len(self.dummy_counts) != len(self.counts):
-            raise ValueError("dummy_counts length must match counts")
-        if any(d > c or d < 0 for d, c in zip(self.dummy_counts, self.counts)):
-            raise ValueError("dummy_counts must satisfy 0 <= dummy <= count per slot")
-        if self.is_anomaly != (self.anomaly_slot is not None):
-            raise ValueError("anomaly_slot must be set exactly for anomalous intervals")
-        if self.anomaly_slot is not None and not 0 <= self.anomaly_slot < len(self.counts):
-            raise ValueError("anomaly_slot out of range")
-        if self.obf_action not in _ACTION_CODE:
-            raise ValueError(f"unknown obf_action {self.obf_action!r}")
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
 
 
-class Run(Sequence):
+class Run:
     """Immutable batch of intervals, stored column-wise.
 
     counts, dummy_counts: (n, slots) int arrays.
@@ -168,19 +133,11 @@ class Run(Sequence):
     def __len__(self) -> int:
         return self.counts.shape[0]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Run(self.counts[i], self.dummy_counts[i], self.is_anomaly[i],
-                       self.anomaly_slot[i], self.action[i])
-        i = int(i)
-        slot = int(self.anomaly_slot[i])
-        return IntervalObservation(
-            counts=tuple(int(c) for c in self.counts[i]),
-            is_anomaly=bool(self.is_anomaly[i]),
-            anomaly_slot=slot if slot >= 0 else None,
-            obf_action=ACTIONS[int(self.action[i])],
-            dummy_counts=tuple(int(d) for d in self.dummy_counts[i]),
-        )
+    def __getitem__(self, i: slice) -> "Run":
+        if not isinstance(i, slice):
+            raise TypeError("a Run supports slicing only")
+        return Run(self.counts[i], self.dummy_counts[i], self.is_anomaly[i],
+                   self.anomaly_slot[i], self.action[i])
 
     def __eq__(self, other):
         if not isinstance(other, Run):
@@ -194,34 +151,13 @@ class Run(Sequence):
     __hash__ = None
 
 
-def gen_interval(model: IntervalModel, seed) -> IntervalObservation:
-    """Draw one interval.
-
-    ``seed`` may be an int, a Generator, or a derived-seed tuple such as
-    ``(base_seed, interval_index)``; the tuple form makes parallel
-    per-interval generation order-independent.
-    """
-    rng = as_rng(seed)
-    anomalous = bool(rng.random() < model.anomaly_rate)
-    counts = rng.poisson(model.base_rate, model.slots)
-    slot = None
-    if anomalous:
-        slot = int(rng.integers(model.slots))
-        counts[slot] = rng.poisson(model.anomaly_slot_rate)
-    return IntervalObservation(
-        counts=tuple(int(c) for c in counts),
-        is_anomaly=anomalous,
-        anomaly_slot=slot,
-    )
-
-
 def gen_run(model: IntervalModel, n_intervals: int, seed) -> Run:
     """Draw ``n_intervals`` independent intervals as one vectorized batch.
 
     Deterministic given ``seed``. The batch consumes a single generator in
     a fixed order (anomaly coins, baseline matrix, slot choices, anomalous
-    counts), so it is not bit-compatible with composing gen_interval, which
-    exists for order-independent parallel generation.
+    counts), so ``is_anomaly`` depends on the seed and the anomaly rate only,
+    never on the slot rates.
     """
     if n_intervals < 0:
         raise ValueError("n_intervals must be >= 0")
@@ -263,7 +199,11 @@ def run_to_csv(run: Run, file, comment: str | None = None) -> None:
 
 
 def run_from_csv(file) -> Run:
-    """Read a run written by :func:`run_to_csv`. Comment lines are skipped."""
+    """Read a run written by :func:`run_to_csv`. Comment lines are skipped.
+
+    Every (interval, slot) cell must appear exactly once and all rows of an
+    interval must carry the same labels; anything else raises ValueError.
+    """
     own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
     fh = open(file, "r", newline="") if own else file
     try:
@@ -276,23 +216,31 @@ def run_from_csv(file) -> Run:
     body = rows[1:]
     if not body:
         raise ValueError("run CSV has no data rows")
-    n = int(body[-1][0]) + 1
-    s = int(body[-1][1]) + 1
-    if len(body) != n * s:
-        raise ValueError("run CSV row count does not form a full (interval, slot) grid")
-    counts = np.zeros((n, s), dtype=np.int64)
-    dummy = np.zeros((n, s), dtype=np.int64)
-    flags = np.zeros(n, dtype=bool)
-    aslot = np.full(n, -1, dtype=np.int64)
-    act = np.zeros(n, dtype=np.int8)
-    for r in body:
-        i, j = int(r[0]), int(r[1])
-        counts[i, j] = int(r[2])
-        dummy[i, j] = int(r[3])
-        flags[i] = bool(int(r[4]))
-        aslot[i] = int(r[5]) if r[5] != "" else -1
-        act[i] = _ACTION_CODE[r[6]]
-    return Run(counts, dummy, flags, aslot, act)
+    if any(len(r) != 7 for r in body):
+        raise ValueError("run CSV rows must have 7 fields")
+    try:
+        cols = np.array([[int(r[0]), int(r[1]), int(r[2]), int(r[3]), int(r[4]),
+                          int(r[5]) if r[5] != "" else -1, _ACTION_CODE[r[6]]]
+                         for r in body], dtype=np.int64)
+    except KeyError as exc:
+        raise ValueError(f"unknown obf_action {exc.args[0]!r}") from None
+    i, j = cols[:, 0], cols[:, 1]
+    if i.min() < 0 or j.min() < 0:
+        raise ValueError("run CSV has a negative interval or slot index")
+    n, s = int(i.max()) + 1, int(j.max()) + 1
+    if np.any(np.bincount(i * s + j, minlength=n * s) != 1):
+        raise ValueError("run CSV must hold every (interval, slot) cell exactly once")
+    if np.any((cols[:, 4] != 0) & (cols[:, 4] != 1)):
+        raise ValueError("is_anomaly must be 0 or 1")
+    counts = np.empty((n, s), dtype=np.int64)
+    dummy = np.empty((n, s), dtype=np.int64)
+    counts[i, j] = cols[:, 2]
+    dummy[i, j] = cols[:, 3]
+    labels = np.empty((n, 3), dtype=np.int64)  # is_anomaly, anomaly_slot, action
+    labels[i] = cols[:, 4:]
+    if np.any(labels[i] != cols[:, 4:]):
+        raise ValueError("rows of one interval disagree on its labels")
+    return Run(counts, dummy, labels[:, 0].astype(bool), labels[:, 1], labels[:, 2])
 
 
 def to_timestamps(run: Run, slot_width: float = 1.0, start: float = 0.0) -> np.ndarray:

@@ -7,6 +7,7 @@ or in the captured output of a failure). All statistical checks run at
 fixed seeds; 3-sigma bands use the estimator standard errors.
 """
 
+import io
 import math
 import subprocess
 import sys
@@ -43,10 +44,11 @@ from lpwanleak import (
     posterior_table,
     run_dispersion,
     run_sweep,
+    sweep_to_csv,
     test_run as classify_run,
 )
 
-from conftest import FIXTURE_PATHS
+from conftest import FIXTURE_PATHS, ROOT
 from exact_size import dispersion_test_size
 
 SEED = 20260819
@@ -346,3 +348,14 @@ def test_criterion_8_figure_config_byte_determinism(tmp_path, repo_root):
     ok = payloads[0] == payloads[1] and payloads[0].startswith(b"# lpwanleak ")
     _verdict(8, ok, f"{len(payloads[0])} bytes per file")
     assert ok
+
+
+def test_figure_csvs_match_golden(complete_sweep, incomplete_sweep):
+    # The two sweep fixtures run the grids, seed and knowledge of
+    # configs/figure_repro*.cfg. Their CSV bodies must equal the committed
+    # golden files byte for byte, so any change to a figure column is seen.
+    for (records, _), name in ((complete_sweep, "figure_repro.csv"),
+                               (incomplete_sweep, "figure_repro_incomplete.csv")):
+        buf = io.StringIO()
+        sweep_to_csv(records, buf)
+        assert buf.getvalue() == (ROOT / "tests" / "golden" / name).read_bytes().decode()

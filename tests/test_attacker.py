@@ -7,61 +7,37 @@ from scipy.stats import chi2
 from lpwanleak import (
     DegenerateMetricError,
     DetectorConfig,
-    IntervalModel,
     bin_timestamps,
     chi_square_threshold,
     class_posteriors,
-    dispersion,
     ensemble_dispersion,
-    gen_run,
     guess_run,
     guessing_error,
     guessing_error_se,
-    h1_dispersion_quantiles,
-    h1_flag_rate,
-    load_h1_cache,
-    observable_class,
     run_dispersion,
     run_observable_class,
-    save_h1_cache,
-    test_interval as classify_interval,
     test_run as classify_run,
 )
-from lpwanleak.traffic import IntervalObservation, Run
-
-MODEL = IntervalModel(10, 1.0, 40.0, 0.2)
+from lpwanleak.traffic import Run
 
 
 def test_dispersion_matches_numpy():
     rng = np.random.default_rng(0)
-    c = rng.poisson(3.0, 12)
-    d = dispersion(c)
-    assert d.mean == pytest.approx(c.mean())
-    assert d.variance == pytest.approx(c.var(ddof=1))
-    assert d.dispersion == pytest.approx(c.var(ddof=1) / c.mean())
-    assert not d.degenerate
+    c = rng.poisson(3.0, (5, 12))
+    mu, s2, d = run_dispersion(c)
+    assert mu == pytest.approx(c.mean(axis=1))
+    assert s2 == pytest.approx(c.var(axis=1, ddof=1))
+    assert d == pytest.approx(c.var(axis=1, ddof=1) / c.mean(axis=1))
 
 
 def test_dispersion_degenerate_and_errors():
-    d = dispersion([0, 0, 0])
-    assert d.degenerate and np.isnan(d.dispersion)
+    mu, _, d = run_dispersion([[0, 0, 0], [1, 2, 3]])
+    assert mu[0] == 0.0 and np.isnan(d[0])
+    assert d[1] == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        dispersion([3])
+        run_dispersion([[3], [4]])
     with pytest.raises(ValueError):
-        dispersion([[1, 2], [3, 4]])
-
-
-def test_run_dispersion_matches_scalar():
-    run = gen_run(MODEL, 100, 3)
-    mu, s2, d = run_dispersion(run.counts)
-    for i in (0, 17, 99):
-        one = dispersion(run.counts[i])
-        assert mu[i] == pytest.approx(one.mean)
-        assert s2[i] == pytest.approx(one.variance)
-        if one.degenerate:
-            assert np.isnan(d[i])
-        else:
-            assert d[i] == pytest.approx(one.dispersion)
+        run_dispersion([1, 2, 3])
 
 
 def test_ensemble_dispersion_pools_moments():
@@ -100,76 +76,59 @@ def test_idealized_flag_rates():
 
 
 def test_class_posteriors_bayes():
-    cfg = DetectorConfig.chi_square(0.2, flag_rate_anomaly=0.9, flag_rate_baseline=0.05)
-    p_f, p_u = class_posteriors(cfg)
+    # a chi-square detector's flag rates: hidden = 1 - flag_rate_anomaly
+    p_f, p_u, _ = class_posteriors(0.2, 1.0 - 0.9, 0.05)
     assert p_f == pytest.approx(0.2 * 0.9 / (0.2 * 0.9 + 0.8 * 0.05))
     assert p_u == pytest.approx(0.2 * 0.1 / (0.2 * 0.1 + 0.8 * 0.95))
     # zero-probability class reports the prior
-    cfg0 = DetectorConfig.chi_square(0.2, flag_rate_anomaly=0.0, flag_rate_baseline=0.0)
-    p_f, p_u = class_posteriors(cfg0)
+    p_f, p_u, _ = class_posteriors(0.2, 1.0, 0.0)
     assert p_f == pytest.approx(0.2)
     # unknown rates propagate as nan
-    nan_cfg = DetectorConfig.chi_square(0.2)
-    assert all(np.isnan(v) for v in class_posteriors(nan_cfg))
+    assert all(np.isnan(v) for v in class_posteriors(0.2, np.nan, np.nan))
+    # broadcasting over a rate grid matches the pointwise values
+    grid = class_posteriors(0.2, np.array([[0.1], [0.5]]), np.array([[0.05, 0.3]]))
+    for k in range(3):
+        assert grid[k].shape == (2, 2)
+        assert grid[k][1, 0] == class_posteriors(0.2, 0.5, 0.05)[k]
 
 
-def test_test_interval_chi_square():
+def test_test_run_chi_square():
     cfg = DetectorConfig.chi_square(0.2, alpha=0.05,
                                     flag_rate_anomaly=0.9, flag_rate_baseline=0.05)
-    flat = [2] * 10
-    v = classify_interval(flat, cfg)
-    assert not v.flagged and v.statistic == 0.0
-    burst = [0] * 9 + [30]
-    v = classify_interval(burst, cfg)
-    assert v.flagged
-    assert v.statistic == pytest.approx(9 * dispersion(burst).dispersion)
+    flat, burst, zero = [2] * 10, [0] * 9 + [30], [0] * 10
+    counts = np.array([flat, burst, zero])
+    run = Run(counts, np.zeros_like(counts), np.zeros(3, dtype=bool),
+              np.full(3, -1), np.zeros(3, dtype=int))
+    v = classify_run(run, cfg)
+    assert v.statistic[0] == 0.0
+    assert v.statistic[1] == pytest.approx(9 * np.var(burst, ddof=1) / np.mean(burst))
     assert v.threshold == pytest.approx(chi_square_threshold(10, 0.05))
     # all-zero intervals are never flagged
-    assert not classify_interval([0] * 10, cfg).flagged
+    assert v.flagged.tolist() == [False, True, False]
+    p_f, p_u, _ = class_posteriors(0.2, 1.0 - 0.9, 0.05)
+    assert v.posterior_anomaly.tolist() == [p_u, p_f, p_u]
 
 
-def test_test_interval_idealized_needs_class_bit():
+def test_test_run_idealized_posteriors():
     cfg = DetectorConfig.idealized(0.2, 0.5, 0.1)
-    with pytest.raises(ValueError):
-        classify_interval([1] * 10, cfg)
-    v = classify_interval([1] * 10, cfg, looks_anomalous=True)
-    assert v.flagged and np.isnan(v.statistic)
-    p_f, p_u = class_posteriors(cfg)
-    assert v.posterior_anomaly == pytest.approx(p_f)
-    assert classify_interval([1] * 10, cfg, looks_anomalous=False).posterior_anomaly \
-        == pytest.approx(p_u)
+    counts = np.ones((2, 10), dtype=int)
+    run = Run(counts, np.zeros_like(counts), np.array([True, False]),
+              np.array([3, -1]), np.zeros(2, dtype=int))
+    v = classify_run(run, cfg)
+    assert v.flagged.tolist() == [True, False]
+    assert np.all(np.isnan(v.statistic)) and np.isnan(v.threshold)
+    p_f, p_u, _ = class_posteriors(0.2, 0.5, 0.1)
+    assert v.posterior_anomaly == pytest.approx([p_f, p_u], rel=1e-15)
 
 
 def test_observable_class_cases():
-    anom = dict(counts=(5, 0), is_anomaly=True, anomaly_slot=0)
-    base = dict(counts=(1, 1), is_anomaly=False)
-    assert observable_class(IntervalObservation(**anom))
-    assert not observable_class(IntervalObservation(**anom, obf_action="waterfilled"))
-    assert not observable_class(IntervalObservation(**base))
-    assert observable_class(IntervalObservation(**base, obf_action="fake-anomaly"))
-
-
-def test_run_observable_class_matches_scalar():
+    # anomaly, waterfilled anomaly, baseline, faked baseline
     counts = np.ones((4, 3), dtype=int) * 2
     run = Run(counts, np.zeros_like(counts),
               np.array([True, True, False, False]),
               np.array([0, 1, -1, -1]),
               np.array([0, 1, 0, 2]))
-    got = run_observable_class(run)
-    want = [observable_class(run[i]) for i in range(4)]
-    assert got.tolist() == want
-
-
-def test_test_run_chi_square_matches_interval():
-    run = gen_run(MODEL, 300, 8)
-    cfg = DetectorConfig.chi_square(MODEL.anomaly_rate, alpha=0.05,
-                                    flag_rate_anomaly=0.8, flag_rate_baseline=0.05)
-    verdicts = classify_run(run, cfg)
-    for i in (0, 50, 299):
-        one = classify_interval(run.counts[i], cfg)
-        assert verdicts.flagged[i] == one.flagged
-        if not np.isnan(one.statistic):
-            assert verdicts.statistic[i] == pytest.approx(one.statistic)
+    assert run_observable_class(run).tolist() == [True, False, False, True]
 
 
 def test_guess_run_rules():
@@ -199,35 +158,6 @@ def test_guessing_error():
     assert guessing_error_se(0.5, 100) == pytest.approx(0.05)
     with pytest.raises(DegenerateMetricError):
         guessing_error_se(0.5, 0)
-
-
-def test_h1_quantiles_and_flag_rate():
-    ps, vals = h1_dispersion_quantiles(10, 1.0, 40.0, n_intervals=5000, seed=3)
-    assert ps.shape == vals.shape
-    assert np.all(np.diff(vals) >= 0)
-    # statistic for I=40 sits far above the alpha=0.05 threshold
-    thr = chi_square_threshold(10, 0.05)
-    assert h1_flag_rate(ps, vals, thr) > 0.99
-    assert h1_flag_rate(ps, vals, vals[-1] + 1000.0) == 0.0
-    lo = h1_flag_rate(ps, vals, float(np.median(vals)))
-    assert 0.4 < lo < 0.6
-
-
-def test_h1_cache_roundtrip(tmp_path):
-    entries = {
-        (10, 1.0, 40.0): h1_dispersion_quantiles(10, 1.0, 40.0, 2000, seed=1),
-        (20, 5.0, 10.0): h1_dispersion_quantiles(20, 5.0, 10.0, 2000, seed=2),
-    }
-    path = tmp_path / "h1.csv"
-    save_h1_cache(path, entries, comment="cache test")
-    back = load_h1_cache(path)
-    assert set(back) == set(entries)
-    for key in entries:
-        assert np.allclose(back[key][0], entries[key][0])
-        assert np.allclose(back[key][1], entries[key][1])
-    (tmp_path / "bad.csv").write_text("x,y\n1,2\n")
-    with pytest.raises(ValueError):
-        load_h1_cache(tmp_path / "bad.csv")
 
 
 def test_bin_timestamps():

@@ -8,13 +8,17 @@ import pytest
 from lpwanleak import (
     SWEEP_CSV_HEADER,
     COST_CSV_HEADER,
+    DetectorConfig,
     IntervalModel,
     bin_timestamps,
     chi_square_threshold,
     cost_curves,
     gen_run,
+    guess_run,
+    guessing_error,
     run_dispersion,
     run_from_csv,
+    test_run as classify_run,
     to_timestamps,
 )
 from lpwanleak.cli import (
@@ -258,10 +262,11 @@ n_intervals = 1000
 
 def test_simulate_command_with_dump(tmp_path):
     dump = tmp_path / "run.csv"
+    # a search-path cell, so both action arms are mixed
     cfg = _write(tmp_path, "sim.cfg", f"""\
 [sweep]
-anomaly_rates = 0.5
-intensities = 10
+anomaly_rates = 0.2
+intensities = 40
 n_intervals = 1000
 [simulate]
 dump_run = "{dump}"
@@ -270,10 +275,19 @@ seed = 11
 """)
     out = tmp_path / "cell.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    assert out.read_text().splitlines()[1] == SWEEP_CSV_HEADER
+    lines = out.read_text().splitlines()
+    assert lines[1] == SWEEP_CSV_HEADER
     run = run_from_csv(str(dump))
     assert len(run) == 1000
     assert dump.read_text().startswith("# lpwanleak ")
+    # the dump is the run the row scored: its idealized flags, the row's
+    # posteriors and guess stream (seed, 0, 0, 2) rebuild guess_err exactly
+    row = dict(zip(SWEEP_CSV_HEADER.split(","), lines[2].split(",")))
+    assert row["feasible_optimal"] == "0"
+    cfg = DetectorConfig.idealized(*(float(row[k]) for k in ("R_p", "P_wf", "P_f",
+                                                            "P_tp", "P_tn")))
+    guesses = guess_run(classify_run(run, cfg).posterior_anomaly, (11, 0, 0, 2))
+    assert repr(guessing_error(guesses, run.is_anomaly)) == row["guess_err"]
     # simulate insists on a single cell
     multi = _write(tmp_path, "sim2.cfg", """\
 [sweep]

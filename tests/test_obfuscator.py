@@ -12,16 +12,17 @@ from lpwanleak import (
     InfeasibleTargetError,
     IntervalModel,
     KnowledgeModel,
+    Run,
     Strategy,
     anomaly_dispersion,
     apply_strategy,
+    class_posteriors,
     costs,
     ensemble_dispersion,
     epsilon_of,
     expected_dispersion_fake,
     expected_dispersion_waterfill,
     gen_run,
-    posterior_ratios,
     power_cost,
     power_ok,
     solve_fake_rate,
@@ -133,10 +134,12 @@ def test_strategy_validation():
 
 
 def test_posterior_ratios_hand_value():
-    p_f, p_u = posterior_ratios(0.2, 0.5, 0.1)
+    # strategy (p_waterfill 0.5, p_fake 0.1) under complete knowledge
+    p_f, p_u, eps = class_posteriors(0.2, 0.5, 0.1)
     assert p_f == pytest.approx(5.0 / 9.0, rel=1e-12)
     assert p_u == pytest.approx(5.0 / 41.0, rel=1e-12)
-    assert epsilon_of(0.2, 0.5, 0.1) == pytest.approx(32.0 / 9.0, rel=1e-12)
+    assert eps == pytest.approx(32.0 / 9.0, rel=1e-12)
+    assert epsilon_of(0.2, 0.5, 0.1) == eps
 
 
 def test_epsilon_degenerate_partition_is_zero():
@@ -337,8 +340,65 @@ def test_complete_zero_bias_family(rp, pf):
     tnr=st.floats(0.0, 1.0),
 )
 def test_posteriors_bounded(rp, pw, pf, tpr, tnr):
-    p_f, p_u = posterior_ratios(rp, pw, pf, tpr, tnr)
+    p_f, p_u, _ = class_posteriors(rp, tpr * pw, tnr * pf)
     assert 0.0 <= p_f <= 1.0
     assert 0.0 <= p_u <= 1.0
     eps = epsilon_of(rp, pw, pf, tpr, tnr)
     assert eps >= -1.0 or eps == math.inf
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    anomaly_slots=st.lists(st.integers(-1, 3), min_size=1, max_size=30),
+    scale=st.integers(2, 5),
+    pw=st.floats(0.0, 1.0),
+    pf=st.floats(0.0, 1.0),
+    tpr=st.floats(0.0, 1.0),
+    tnr=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_strategy_masks_ignore_counts(anomaly_slots, scale, pw, pf, tpr, tnr, seed):
+    # the prediction and action coins come first in the stream, so neither
+    # mask moves with the counts; with both arms always taken the action
+    # column is the prediction mask itself
+    slots = np.array(anomaly_slots)
+    flags = slots >= 0
+    counts = np.random.default_rng(seed).poisson(1.0, (slots.size, 4))
+    runs = [Run(c, np.zeros_like(c), flags, slots, np.zeros(slots.size, dtype=int))
+            for c in (counts, counts * scale + 1)]
+    knowledge = KnowledgeModel(tpr, tnr)
+    cm = costs(M10)
+    strat = Strategy(pw, pf, 0.0, 0.0, False)
+    both = Strategy(1.0, 1.0, 0.0, 0.0, False)
+    acted = [apply_strategy(r, strat, knowledge, cm, seed).action for r in runs]
+    predicted = [apply_strategy(r, both, knowledge, cm, seed).action for r in runs]
+    assert np.array_equal(acted[0], acted[1])
+    assert np.array_equal(predicted[0], predicted[1])
+    assert np.all(predicted[0] != 0)
+    # the strategy only decides whether a predicted arm acts
+    assert np.all((acted[0] == 0) | (acted[0] == predicted[0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    slots=st.integers(2, 6),
+    lam=st.sampled_from([0.5, 1.0, 3.0]),
+    intensity=st.floats(1.0, 50.0),
+    rp=st.floats(0.0, 1.0),
+    n=st.integers(0, 40),
+    pw=st.floats(0.0, 1.0),
+    pf=st.floats(0.0, 1.0),
+    tpr=st.floats(0.0, 1.0),
+    tnr=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_strategy_superset_invariant(slots, lam, intensity, rp, n, pw, pf,
+                                           tpr, tnr, seed):
+    model = IntervalModel(slots, lam, intensity, rp)
+    run = gen_run(model, n, seed)
+    obf = apply_strategy(run, Strategy(pw, pf, 0.0, 0.0, False),
+                         KnowledgeModel(tpr, tnr), costs(model), (seed, 1))
+    assert np.array_equal(obf.counts - obf.dummy_counts, run.counts)
+    assert np.all(obf.dummy_counts >= 0)
+    assert np.array_equal(obf.is_anomaly, run.is_anomaly)
+    assert np.array_equal(obf.anomaly_slot, run.anomaly_slot)

@@ -25,13 +25,13 @@ from lpwanleak import (
     chi_square_threshold,
     conditional_entropy,
     conditional_entropy_mc,
-    dispersion,
     distance,
     enumerate_observables,
     load_fixture,
     optimal_guess,
     posterior,
     posterior_table,
+    run_dispersion,
 )
 
 WINDOW = (0.0, 3.0)
@@ -147,7 +147,7 @@ def test_anomaly_count_distance():
     # cross-check the flag decision against the dispersion test itself
     counts = [0] * 10
     counts[2] = 12
-    stat = 9 * dispersion(counts).dispersion
+    stat = 9 * run_dispersion([counts])[2][0]
     assert stat > chi_square_threshold(10, 0.05)
     assert d(burst, ()) == 1.0
     assert d(burst, burst) == 0.0
@@ -155,6 +155,24 @@ def test_anomaly_count_distance():
     via_factory = distance("anomaly-count-difference", window=window,
                            slot_width=1.0, slots=10)
     assert via_factory(burst, ()) == 1.0
+    # two full intervals; messages before the window or past the last full
+    # interval are ignored
+    two = AnomalyCountDistance((0.0, 25.0), slot_width=1.0, slots=10, alpha=0.05)
+    late = tuple(12.0 + 0.05 * k for k in range(12))
+    outside = tuple(t + 10.0 for t in late) + tuple(t - 5.0 for t in burst)
+    assert two(burst + late, ()) == 2.0
+    assert two(burst + late + outside, burst) == 1.0
+    # random bursty traces: the binned flag count equals a per-interval loop
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        noise = rng.uniform(-2.0, 27.0, rng.integers(0, 40))
+        spike = rng.integers(0, 20) + rng.uniform(0.0, 1.0, rng.integers(0, 15))
+        ts = tuple(np.unique(np.concatenate([noise, spike])))
+        want = 0
+        for start in (0.0, 10.0):
+            c = np.array([sum(start + j <= t < start + j + 1 for t in ts) for j in range(10)])
+            want += bool(c.sum()) and 9 * c.var(ddof=1) / c.mean() > two.threshold
+        assert two(ts, ()) == want
     with pytest.raises(ValueError):
         AnomalyCountDistance((0.0, 5.0), slot_width=1.0, slots=10)
 

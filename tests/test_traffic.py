@@ -11,10 +11,8 @@ from lpwanleak import (
     ACTIONS,
     RUN_CSV_HEADER,
     IntervalModel,
-    IntervalObservation,
     Run,
     bin_timestamps,
-    gen_interval,
     gen_run,
     run_from_csv,
     run_to_csv,
@@ -40,41 +38,6 @@ def test_model_rejects_bad_parameters(kwargs):
 def test_anomaly_slot_rate():
     assert MODEL.anomaly_slot_rate == 40.0
     assert IntervalModel(10, 2.5, 4.0, 0.0).anomaly_slot_rate == 10.0
-
-
-def test_observation_validation():
-    ok = IntervalObservation(counts=(1, 2, 0), is_anomaly=True, anomaly_slot=1)
-    assert ok.dummy_counts == (0, 0, 0)
-    with pytest.raises(ValueError):
-        IntervalObservation(counts=(1, 2), is_anomaly=True)  # anomaly needs a slot
-    with pytest.raises(ValueError):
-        IntervalObservation(counts=(1, 2), is_anomaly=False, anomaly_slot=0)
-    with pytest.raises(ValueError):
-        IntervalObservation(counts=(1, 2), is_anomaly=True, anomaly_slot=5)
-    with pytest.raises(ValueError):
-        IntervalObservation(counts=(1, 2), is_anomaly=False, dummy_counts=(2, 0))
-    with pytest.raises(ValueError):
-        IntervalObservation(counts=(1, 2), is_anomaly=False, dummy_counts=(0,))
-    with pytest.raises(ValueError):
-        IntervalObservation(counts=(1, 2), is_anomaly=False, obf_action="zap")
-
-
-def test_gen_interval_deterministic():
-    a = gen_interval(MODEL, 7)
-    b = gen_interval(MODEL, 7)
-    assert a == b
-    # derived-seed tuples give independent, reproducible streams
-    c = gen_interval(MODEL, (7, 0))
-    d = gen_interval(MODEL, (7, 0))
-    assert c == d
-
-
-def test_gen_interval_respects_model():
-    for i in range(50):
-        obs = gen_interval(MODEL, (3, i))
-        assert len(obs.counts) == MODEL.slots
-        assert all(c >= 0 for c in obs.counts)
-        assert obs.is_anomaly == (obs.anomaly_slot is not None)
 
 
 def test_gen_run_reproducible():
@@ -108,10 +71,8 @@ def test_gen_run_anomaly_statistics():
 
 def test_run_indexing_and_slicing():
     run = gen_run(MODEL, 50, 5)
-    obs = run[3]
-    assert isinstance(obs, IntervalObservation)
-    assert obs.counts == tuple(int(c) for c in run.counts[3])
-    assert obs.is_anomaly == bool(run.is_anomaly[3])
+    with pytest.raises(TypeError):
+        run[3]  # single intervals are read from the columns
     sub = run[10:20]
     assert isinstance(sub, Run)
     assert len(sub) == 10
@@ -139,6 +100,16 @@ def test_run_validation():
     with pytest.raises(ValueError):
         Run(counts, np.zeros((3, 4), dtype=int), np.zeros(3, dtype=bool),
             np.full(3, -1), np.full(3, 9))  # unknown action code
+    flags = np.array([True, False, False])
+    with pytest.raises(ValueError):
+        Run(counts, np.zeros((3, 4), dtype=int), flags,
+            np.array([4, -1, -1]), np.zeros(3, dtype=int))  # anomaly slot out of range
+    with pytest.raises(ValueError):
+        Run(counts, np.zeros((3, 4), dtype=int), flags,
+            np.array([-1, -1, -1]), np.zeros(3, dtype=int))  # anomaly needs a slot
+    with pytest.raises(ValueError):
+        Run(counts, np.zeros((3, 3), dtype=int), np.zeros(3, dtype=bool),
+            np.full(3, -1), np.zeros(3, dtype=int))  # dummy shape differs from counts
 
 
 def test_csv_roundtrip():
@@ -160,8 +131,7 @@ def test_csv_roundtrip_with_dummies_and_actions():
     run_to_csv(run, buf)
     back = run_from_csv(io.StringIO(buf.getvalue()))
     assert back == run
-    assert back[0].obf_action == ACTIONS[1]
-    assert back[1].obf_action == ACTIONS[2]
+    assert [ACTIONS[a] for a in back.action] == [ACTIONS[1], ACTIONS[2]]
 
 
 def test_csv_rejects_malformed_input():
@@ -173,6 +143,58 @@ def test_csv_rejects_malformed_input():
     partial = RUN_CSV_HEADER + "\n0,0,1,0,0,,none\n1,1,1,0,0,,none\n"
     with pytest.raises(ValueError):
         run_from_csv(io.StringIO(partial))
+    # a duplicated cell standing in for a missing one
+    dup = RUN_CSV_HEADER + "\n0,0,5,0,0,,none\n0,0,7,0,0,,none\n1,0,1,0,0,,none\n1,1,1,0,0,,none\n"
+    with pytest.raises(ValueError):
+        run_from_csv(io.StringIO(dup))
+    # the second row of interval 0 contradicts its anomaly label
+    conflict = RUN_CSV_HEADER + "\n0,0,9,0,1,0,none\n0,1,1,0,0,,none\n"
+    with pytest.raises(ValueError):
+        run_from_csv(io.StringIO(conflict))
+    with pytest.raises(ValueError):
+        run_from_csv(io.StringIO(RUN_CSV_HEADER + "\n0,0,1,0,0,,zap\n0,1,1,0,0,,zap\n"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    slots=st.integers(2, 4),
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["duplicate", "drop", "extra", "action", "truth",
+                          "unknown-action", "number", "fields"]),
+    data=st.data(),
+)
+def test_csv_rejects_corrupted_dump(slots, n, seed, kind, data):
+    run = gen_run(IntervalModel(slots, 1.0, 10.0, 0.5), n, seed)
+    buf = io.StringIO()
+    run_to_csv(run, buf)
+    header, *rows = buf.getvalue().splitlines()
+    # a dump cut after a whole interval still reads as a shorter run, so the
+    # last row is never the one dropped
+    last = len(rows) - 2 if kind == "drop" else len(rows) - 1
+    k = data.draw(st.integers(0, last), label="row")
+    fields = rows[k].split(",")
+    if kind == "duplicate":  # another cell's row replaces this one
+        m = data.draw(st.integers(0, len(rows) - 1).filter(lambda m: m != k), label="copy")
+        rows[k] = rows[m]
+    elif kind == "drop":
+        del rows[k]
+    elif kind == "extra":
+        rows.append(rows[k])
+    else:
+        if kind == "action":  # disagrees with the other rows of its interval
+            fields[6] = ACTIONS[(ACTIONS.index(fields[6]) + 1) % len(ACTIONS)]
+        elif kind == "truth":
+            fields[4:6] = ["0", ""] if fields[4] == "1" else ["1", "0"]
+        elif kind == "unknown-action":
+            fields[6] = "zap"
+        elif kind == "number":
+            fields[2] = "1.5"
+        else:
+            fields.append("0")
+        rows[k] = ",".join(fields)
+    with pytest.raises(ValueError):
+        run_from_csv(io.StringIO("\n".join([header] + rows) + "\n"))
 
 
 def test_to_timestamps_bins_back_to_counts():
@@ -190,6 +212,23 @@ def test_to_timestamps_ordering_and_bounds():
     assert np.all(np.diff(ts) >= 0)
     assert ts[0] >= 100.0
     assert ts[-1] <= 100.0 + 20 * 10
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    slots=st.integers(2, 6),
+    rp=st.floats(0.0, 1.0),
+    rates=st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=2, max_size=2),
+    intensities=st.lists(st.floats(1.0, 50.0), min_size=2, max_size=2),
+    n=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gen_run_labels_ignore_slot_rates(slots, rp, rates, intensities, n, seed):
+    # the anomaly coins are the first draws of the stream: the labels a
+    # cell scores against do not move with the base rate or the intensity
+    a = gen_run(IntervalModel(slots, rates[0], intensities[0], rp), n, seed)
+    b = gen_run(IntervalModel(slots, rates[1], intensities[1], rp), n, seed)
+    assert np.array_equal(a.is_anomaly, b.is_anomaly)
 
 
 @settings(max_examples=30, deadline=None)
