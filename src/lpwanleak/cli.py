@@ -2,7 +2,10 @@
 
 Subcommands: solve, sweep, simulate, analyze, posterior, costs. Common
 flags: --config, --seed, --out, --format. Exit codes: 0 ok, 2 config
-error, 3 data error, 4 internal error.
+error, 3 data error, 4 internal error. A sweep or simulate cell that fails
+with a domain error still writes its output, with the cell's row of nan
+metrics and a ``# error`` line after the CSV rows (the ``error`` field in
+JSON); the error also goes to stderr and the exit code is 3.
 
 The config file is a small TOML-like format: `[section]` headers, one
 `key = value` per line, full-line # comments. Values are ints, floats,
@@ -443,11 +446,14 @@ def _run_sweep_command(args, cfg: Config, single_cell: bool) -> int:
     else:
         doc = {"meta": _meta(cfg, seed), "rows": [_report_dict(r) for r in records]}
         _emit(json.dumps(doc, indent=2) + "\n", out)
-    if single_cell:
+    failed = [r for r in records if r.error]
+    for r in failed:
+        print(f"lpwanleak: error R_p={r.r_p!r} I={r.intensity!r}: {r.error}", file=sys.stderr)
+    if single_cell and not failed:
         dump = cfg.get("simulate", "dump_run", None)
         if dump is not None:
             _dump_single_run(spec, str(dump), _provenance(cfg, seed))
-    return 0
+    return 3 if failed else 0
 
 
 def _dump_single_run(spec: SweepSpec, path: str, provenance: str) -> None:

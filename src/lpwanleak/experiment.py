@@ -248,12 +248,15 @@ class SweepSpec:
 
 
 def run_sweep(spec: SweepSpec) -> list[MetricsReport]:
-    """Run every (intensity, anomaly rate) cell; never aborts mid-sweep.
+    """Run every (intensity, anomaly rate) cell.
 
     Rows are ordered intensity-major, anomaly rate minor. Each cell gets the
     derived seed (spec.seed, rate index, intensity index), so any single
-    cell can be re-run in isolation. A cell that raises is recorded with nan
-    metrics and the exception text in ``error``.
+    cell can be re-run in isolation. A cell that fails with a domain error
+    (``ValueError``: model or strategy validation, an infeasible target, a
+    degenerate metric; ``ArithmeticError`` from the waterfill solve) is
+    recorded with nan metrics and the exception text in ``error``, and the
+    sweep goes on. Any other exception is a bug and propagates.
     """
     records = []
     for j, intensity in enumerate(spec.intensities):
@@ -264,7 +267,7 @@ def run_sweep(spec: SweepSpec) -> list[MetricsReport]:
                 rec = run_cell(model, spec.knowledge, spec.budget,
                                spec.detector_mode, spec.alpha, spec.n_intervals,
                                cell_seed, cost_denominator=spec.cost_denominator)
-            except Exception as exc:
+            except (ValueError, ArithmeticError) as exc:
                 rec = MetricsReport(
                     r_p=float(rp), intensity=float(intensity), slots=spec.slots,
                     base_rate=spec.base_rate, tpr=spec.knowledge.tpr,
@@ -302,7 +305,11 @@ def _write_comment(fh, comment) -> None:
 
 
 def sweep_to_csv(records: Sequence[MetricsReport], file, comment=None) -> None:
-    """Write sweep records in the pinned column order (see SWEEP_CSV_HEADER)."""
+    """Write sweep records in the pinned column order (see SWEEP_CSV_HEADER).
+
+    A failed cell keeps its row of nan metrics; its error text follows the
+    rows as a ``# error R_p=... I=...: <text>`` comment line.
+    """
     fh, close = _open_text(file)
     try:
         _write_comment(fh, comment)
@@ -315,6 +322,10 @@ def sweep_to_csv(records: Sequence[MetricsReport], file, comment=None) -> None:
                    _fmt(r.ce_bits), _fmt(r.ce_bits_se), _fmt(r.ideal_guess_err),
                    _fmt(r.ideal_ce_bits)]
             fh.write(",".join(row) + "\n")
+        for r in records:
+            if r.error:
+                text = " ".join(r.error.split())  # one line, whatever the message
+                fh.write(f"# error R_p={_fmt(r.r_p)} I={_fmt(r.intensity)}: {text}\n")
     finally:
         if close:
             fh.close()

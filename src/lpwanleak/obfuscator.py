@@ -10,8 +10,8 @@ messages never removed):
 
 Rates are solved in closed form against expected-dispersion targets, costs
 are expressed relative to real traffic, and a (p_waterfill, p_fake)
-strategy is chosen under a power budget. The strategy quality measure is
-epsilon, the signed relative bias between the attacker's two
+strategy is solved exactly under a power budget. The strategy quality
+measure is epsilon, the signed relative bias between the attacker's two
 class-conditional posteriors; epsilon = 0 means the observable class
 carries no information beyond the prior anomaly rate.
 """
@@ -257,22 +257,42 @@ def power_ok(strategy: Strategy, cost_model: CostModel, anomaly_rate: float,
     return power_cost(strategy.p_waterfill, strategy.p_fake, cost_model, anomaly_rate) <= budget
 
 
-def _refine_1d(f, lo: float, hi: float, iters: int = 48) -> tuple[float, float]:
-    """Deterministic ternary search for a local minimum of f on [lo, hi]."""
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f(m1) <= f(m2):
-            hi = m2
-        else:
-            lo = m1
-    x = (lo + hi) / 2.0
-    return x, f(x)
+def _frontier_candidates(rp: float, tpr: float, tnr: float, cm: CostModel,
+                         budget: float) -> list[tuple[float, float]]:
+    """The corner (1, 1) if affordable, else the ends of the budget line
+    clipped to the unit square and the stationary points of epsilon between
+    them. Along the line x = tpr * p_waterfill and F = P(flagged) are linear
+    in t, epsilon + 1 = odds(1 - x) / odds(F), and its stationary points
+    solve the quadratic x' F (1 - F) + F' x (1 - x) = 0."""
+    a = rp * cm.waterfill_cost
+    b = (1.0 - rp) * cm.fake_cost
+    if a + b <= budget:
+        return [(1.0, 1.0)]
+    # the ends with the most waterfilling (t = 1) and with the most faking (t = 0)
+    p1 = min(1.0, budget / a) if a > 0 else 1.0
+    q1 = max(0.0, (budget - a * p1) / b) if b > 0 else 1.0
+    q2 = min(1.0, budget / b) if b > 0 else 1.0
+    p2 = max(0.0, (budget - b * q2) / a) if a > 0 else 1.0
+    x0, x1, y0 = tpr * p2, tpr * (p1 - p2), tnr * q2
+    f0 = rp * (1.0 - x0) + (1.0 - rp) * y0       # F at t = 0
+    u0 = rp * x0 + (1.0 - rp) * (1.0 - y0)       # 1 - F at t = 0
+    f1 = (1.0 - rp) * tnr * (q1 - q2) - rp * x1  # F'
+    c = (x1 * f0 * u0 + f1 * x0 * (1.0 - x0),
+         2.0 * x1 * f1 * (1.0 - rp) * (1.0 - x0 - y0),
+         -x1 * f1 * (x1 + f1))
+    scale = max(map(abs, c)) or 1.0  # keeps the discriminant from underflowing
+    c0, c1, c2 = (v / scale for v in c)
+    disc = c1 * c1 - 4.0 * c2 * c0
+    ends = [(p1, q1), (p2, q2)]
+    if disc < 0:
+        return ends
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))  # accurate as c2 -> 0
+    roots = [n / d for n, d in ((c0, q), (q, c2)) if d != 0]
+    return ends + [(p2 + t * (p1 - p2), q2 + t * (q1 - q2)) for t in roots if 0 < t < 1]
 
 
 def solve_strategy(model: IntervalModel, knowledge: KnowledgeModel | None = None,
-                   budget: float = 1.0, cost_model: CostModel | None = None,
-                   grid_step: float = 1e-3) -> Strategy:
+                   budget: float = 1.0, cost_model: CostModel | None = None) -> Strategy:
     """Pick (p_waterfill, p_fake) under the power budget.
 
     Degenerate anomaly rates (0 or 1) need no obfuscation: the prior already
@@ -282,11 +302,13 @@ def solve_strategy(model: IntervalModel, knowledge: KnowledgeModel | None = None
     Otherwise the epsilon = 0 family is tpr * p_waterfill + tnr * p_fake = 1
     with both probabilities in [0, 1]; cost is linear along it, so only its
     endpoints can be cheapest. If an endpoint fits the budget the cheapest
-    one is returned as feasible-optimal. If none fits (or the family is
-    empty, tpr + tnr < 1), |epsilon| is minimized over the feasible
-    rectangle by a dense grid (step ``grid_step``) with deterministic tie
-    breaking (lower cost, then lower p_waterfill, then lower p_fake),
-    polished by local coordinate ternary search.
+    one is returned as feasible-optimal.
+
+    If none fits (or the family is empty, tpr + tnr < 1), every affordable
+    strategy has epsilon > 0, falling as tpr * p_waterfill or tnr * p_fake
+    grows, so the least |epsilon| lies on the budget frontier. Those points
+    and the no-op, which wins where all leak infinitely (tpr = 0), are
+    ranked by |epsilon|, then cost, then p_waterfill, then p_fake.
     """
     knowledge = knowledge or KnowledgeModel.complete()
     if budget < 0:
@@ -315,41 +337,17 @@ def solve_strategy(model: IntervalModel, knowledge: KnowledgeModel | None = None
             c, p_wf, p_f = best
             return Strategy(p_wf, p_f, 0.0, c, True)
 
-    # sub-optimal: dense |epsilon| grid over the budget-feasible rectangle
-    n = int(round(1.0 / grid_step))
-    g = np.linspace(0.0, 1.0, n + 1)
-    pw = g[:, None]
-    pf = g[None, :]
-    cost = rp * pw * cm.waterfill_cost + (1.0 - rp) * pf * cm.fake_cost
-    feasible = cost <= budget
+    pw, pf = np.array([(0.0, 0.0)] + _frontier_candidates(rp, tpr, tnr, cm, budget)).T
+    # a point computed on the budget line can round an ulp over it: step the
+    # probability of its larger cost term down until power_ok holds exactly
+    while (over := power_cost(pw, pf, cm, rp) > budget).any():
+        fake = over & ((1.0 - rp) * pf * cm.fake_cost >= rp * pw * cm.waterfill_cost)
+        pf = np.where(fake, np.nextafter(pf, 0.0), pf)
+        pw = np.where(over & ~fake, np.nextafter(pw, 0.0), pw)
     eps = class_posteriors(rp, tpr * pw, tnr * pf)[2]
-    score = np.where(feasible, np.abs(eps), np.inf)
-    flat = score.ravel()
-    ties = np.flatnonzero(flat == flat.min())
-    tc = cost.ravel()[ties]
-    ties = ties[tc == tc.min()]
-    ti, tj = np.unravel_index(ties, score.shape)
-    order = np.lexsort((tj, ti))
-    i, j = int(ti[order[0]]), int(tj[order[0]])
-    best_pw, best_pf = float(g[i]), float(g[j])
-
-    def objective(p_wf: float, p_f: float) -> float:
-        if power_cost(p_wf, p_f, cm, rp) > budget:
-            return math.inf
-        return abs(epsilon_of(rp, p_wf, p_f, tpr, tnr))
-
-    best_val = objective(best_pw, best_pf)
-    for _ in range(2):  # two coordinate sweeps of local polish
-        x, v = _refine_1d(lambda t: objective(t, best_pf),
-                          max(0.0, best_pw - grid_step), min(1.0, best_pw + grid_step))
-        if v < best_val:
-            best_pw, best_val = x, v
-        x, v = _refine_1d(lambda t: objective(best_pw, t),
-                          max(0.0, best_pf - grid_step), min(1.0, best_pf + grid_step))
-        if v < best_val:
-            best_pf, best_val = x, v
-    return Strategy(best_pw, best_pf, epsilon_of(rp, best_pw, best_pf, tpr, tnr),
-                    power_cost(best_pw, best_pf, cm, rp), False)
+    cost = power_cost(pw, pf, cm, rp)
+    k = np.lexsort((pf, pw, cost, np.abs(eps)))[0]
+    return Strategy(float(pw[k]), float(pf[k]), float(eps[k]), float(cost[k]), False)
 
 
 def apply_strategy(run: Run, strategy: Strategy, knowledge: KnowledgeModel,

@@ -2,15 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from lpwanleak import (
     DegenerateMetricError,
     DetectorConfig,
+    IntervalModel,
+    KnowledgeModel,
+    Strategy,
+    apply_strategy,
     bin_timestamps,
     chi_square_threshold,
     class_posteriors,
+    costs,
     ensemble_dispersion,
+    gen_run,
     guess_run,
     guessing_error,
     guessing_error_se,
@@ -175,3 +183,35 @@ def test_bin_timestamps():
         bin_timestamps([0.5], 1.0, 2)  # less than one full interval
     with pytest.raises(ValueError):
         bin_timestamps([5.0, 6.0], 1.0, 2, origin=10.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rp=st.floats(0.05, 0.95),
+    intensity=st.floats(1.0, 40.0),
+    n=st.integers(1, 60),
+    scale=st.integers(2, 5),
+    pw=st.floats(0.0, 1.0),
+    pf=st.floats(0.0, 1.0),
+    tpr=st.floats(0.0, 1.0),
+    tnr=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_idealized_verdicts_and_guesses_ignore_counts(rp, intensity, n, scale, pw, pf,
+                                                      tpr, tnr, seed):
+    # seed-stream contract: in idealized mode the verdicts, the posteriors and
+    # the guesses drawn on stream (..., 2) depend on the labels only, so a
+    # cell may skip drawing the count matrices without moving any of them
+    model = IntervalModel(6, 1.0, intensity, rp)
+    knowledge = KnowledgeModel(tpr, tnr)
+    base = (seed, 0, 0)
+    obf = apply_strategy(gen_run(model, n, base + (0,)), Strategy(pw, pf, 0.0, 0.0, False),
+                         knowledge, costs(model), base + (1,))
+    other = Run(obf.counts * scale + 1, obf.dummy_counts, obf.is_anomaly,
+                obf.anomaly_slot, obf.action)
+    cfg = DetectorConfig.idealized(rp, pw, pf, tpr, tnr)
+    verdicts = [classify_run(r, cfg) for r in (obf, other)]
+    assert np.array_equal(verdicts[0].flagged, verdicts[1].flagged)
+    assert np.array_equal(verdicts[0].posterior_anomaly, verdicts[1].posterior_anomaly)
+    guesses = [guess_run(v.posterior_anomaly, base + (2,)) for v in verdicts]
+    assert np.array_equal(guesses[0], guesses[1])

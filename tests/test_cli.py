@@ -260,6 +260,48 @@ n_intervals = 1000
     assert main(["sweep", "--config", cfg, "--seed", "1"]) == 2
 
 
+def test_sweep_reports_failed_cells(tmp_path, monkeypatch, capsys):
+    import lpwanleak.experiment as experiment
+
+    cfg = _write(tmp_path, "sweep.cfg", """\
+[sweep]
+anomaly_rates = 0.2,0.5
+intensities = 10
+n_intervals = 1000
+""")
+    clean, out = tmp_path / "clean.csv", tmp_path / "out.csv"
+    args = ["sweep", "--config", cfg, "--seed", "9", "--out"]
+    assert main(args + [str(clean)]) == 0
+    real_cell = experiment.run_cell
+
+    def cell(model, *a, **kw):
+        if model.anomaly_rate == 0.5:
+            raise ValueError("no strategy\nfor this cell")
+        return real_cell(model, *a, **kw)
+
+    monkeypatch.setattr(experiment, "run_cell", cell)
+    capsys.readouterr()
+    # a domain error keeps the nan row, adds a comment line and exits 3
+    assert main(args + [str(out)]) == 3
+    lines = out.read_text().splitlines()
+    assert lines[:3] == clean.read_text().splitlines()[:3]
+    assert lines[3].startswith("0.5,10.0,10,1.0,") and lines[3].endswith("nan,nan,nan,nan")
+    assert lines[4:] == ["# error R_p=0.5 I=10.0: ValueError: no strategy for this cell"]
+    assert capsys.readouterr().err == \
+        "lpwanleak: error R_p=0.5 I=10.0: ValueError: no strategy\nfor this cell\n"
+    assert main(args + [str(out), "--format", "json"]) == 3
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["error"] for r in rows] == ["", "ValueError: no strategy\nfor this cell"]
+
+    # any other exception is a bug: the sweep stops and exits 4
+    def broken(*a, **kw):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(experiment, "run_cell", broken)
+    assert main(args + [str(out)]) == 4
+    assert "internal error: TypeError: bug" in capsys.readouterr().err
+
+
 def test_simulate_command_with_dump(tmp_path):
     dump = tmp_path / "run.csv"
     # a search-path cell, so both action arms are mixed

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpwanleak import (
@@ -203,9 +203,10 @@ def test_solve_strategy_constrained_cell():
     s = solve_strategy(M40, budget=1.0)
     assert not s.feasible_optimal
     assert s.cost <= 1.0 + 1e-9
-    assert s.p_waterfill == pytest.approx(0.51, abs=2e-3)
-    assert s.p_fake == pytest.approx(0.091, abs=2e-3)
-    assert s.epsilon == pytest.approx(3.664, abs=5e-3)
+    # the optimum of a 10^6-point scan of the budget line 1.404 P_wf + 3.12 P_f = 1
+    assert s.p_waterfill == pytest.approx(0.514743, abs=2e-6)
+    assert s.p_fake == pytest.approx(0.088879, abs=2e-6)
+    assert s.epsilon == pytest.approx(3.663549, abs=2e-6)
     assert s.epsilon == pytest.approx(
         epsilon_of(M40.anomaly_rate, s.p_waterfill, s.p_fake), rel=1e-12)
 
@@ -402,3 +403,51 @@ def test_apply_strategy_superset_invariant(slots, lam, intensity, rp, n, pw, pf,
     assert np.all(obf.dummy_counts >= 0)
     assert np.array_equal(obf.is_anomaly, run.is_anomaly)
     assert np.array_equal(obf.anomaly_slot, run.anomaly_slot)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    slots=st.integers(2, 12),
+    lam=st.sampled_from([0.5, 1.0, 2.0]),
+    intensity=st.one_of(st.just(1.0), st.floats(1.0, 60.0)),
+    rp=st.floats(0.01, 0.99),
+    tpr=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    tnr=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    share=st.one_of(st.sampled_from([0.0, 1.0, 1.5]), st.floats(0.0, 2.0)),
+)
+# figure models at budgets whose optimum lies strictly inside the segment
+@example(slots=10, lam=1.0, intensity=40.0, rp=0.2, tpr=1.0, tnr=1.0, share=0.25)
+@example(slots=10, lam=1.0, intensity=30.0, rp=0.3, tpr=0.7, tnr=0.99, share=0.25)
+def test_solve_strategy_matches_scan_oracles(slots, lam, intensity, rp, tpr, tnr, share):
+    # budget as a share of the full-strategy cost a + b: 0, inside, and above
+    model = IntervalModel(slots, lam, intensity, rp)
+    cm = costs(model)
+    a, b = rp * cm.waterfill_cost, (1.0 - rp) * cm.fake_cost
+    budget = share * (a + b)
+    s = solve_strategy(model, KnowledgeModel(tpr, tnr), budget, cm)
+    assert power_ok(s, cm, rp, budget)
+    # the endpoint path reports the analytic zero, the search path its score
+    assert s.epsilon == (0.0 if s.feasible_optimal
+                         else epsilon_of(rp, s.p_waterfill, s.p_fake, tpr, tnr))
+    if math.isinf(s.epsilon):
+        # every affordable strategy leaks infinitely; the free one wins the tie
+        assert (s.p_waterfill, s.p_fake, s.cost) == (0.0, 0.0, 0.0)
+
+    def assert_no_worse_than(pw, pf):
+        # 1e-12 absolute, or relative once |epsilon| > 1: at tpr near 1e-300
+        # epsilon is near 1e300, where one ulp alone is about 1e284
+        ok = power_cost(pw, pf, cm, rp) <= budget
+        least = np.abs(class_posteriors(rp, tpr * pw[ok], tnr * pf[ok])[2]).min(initial=np.inf)
+        assert abs(s.epsilon) <= least + 1e-12 * max(1.0, least)
+
+    # oracle 1: a dense scan of the budget line clipped to the unit square
+    if a + b <= budget:
+        pw = pf = np.ones(1)
+    else:
+        pw = np.linspace(max(0.0, (budget - b) / a), min(1.0, budget / a), 10_000)
+        pf = np.clip((budget - a * pw) / b, 0.0, 1.0)
+    assert_no_worse_than(pw, pf)
+    # oracle 2: the whole affordable rectangle, which checks that the least
+    # leak lies on the frontier at all
+    g = np.linspace(0.0, 1.0, 101)
+    assert_no_worse_than(*(m.ravel() for m in np.meshgrid(g, g)))
