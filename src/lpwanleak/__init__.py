@@ -33,15 +33,15 @@ from .obfuscator import (DENOMINATOR_MODES, CostModel, InfeasibleTargetError,
                          expected_dispersion_fake, expected_dispersion_waterfill,
                          power_cost, power_ok, solve_fake_rate,
                          solve_strategy, solve_waterfill_rate, strategy_json)
-from .traces import (AnomalyCountDistance, CardinalityDistance, Event, EventSet,
+from .traces import (AnomalyCountDistance, CardinalityDistance,
                      FillToMechanism, Fixture, IdentityMechanism,
-                     InconsistentObservationError, Mechanism, MessageTrace,
-                     TableMechanism, TracePrior, average_error, average_error_mc,
+                     InconsistentObservationError, Mechanism, TableMechanism,
+                     TracePrior, average_error, average_error_mc,
                      conditional_entropy, conditional_entropy_mc, distance,
                      enumerate_observables, load_fixture, optimal_guess,
                      posterior, posterior_table)
 from .traffic import (ACTIONS, OBF_FAKE, OBF_NONE, OBF_WATERFILL,
                       RUN_CSV_HEADER, IntervalModel, Run, as_rng, gen_run,
-                      run_from_csv, run_to_csv, to_timestamps)
+                      run_from_csv, run_to_csv, to_timestamps, write_csv)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import os
 import sys
@@ -38,7 +37,7 @@ from .experiment import (MetricsReport, SweepSpec, cost_curves,
                          cost_curves_to_csv, run_sweep, simulate_run, sweep_to_csv)
 from .obfuscator import KnowledgeModel, costs, solve_strategy, strategy_json
 from .traces import InconsistentObservationError, enumerate_observables, load_fixture, posterior_table
-from .traffic import IntervalModel, run_to_csv
+from .traffic import IntervalModel, run_to_csv, write_csv
 
 __all__ = [
     "ConfigError",
@@ -76,6 +75,8 @@ KNOWN_KEYS = {
 }
 
 _MISSING = object()
+
+_TRACE_CSV_HEADER = "timestamp_s,device_id"
 
 
 def _parse_scalar(tok: str):
@@ -250,8 +251,8 @@ def read_trace_csv(path, device: str | None = None) -> ExternalTrace:
         if not line or line.startswith("#"):
             continue
         if not header_seen:
-            if line != "timestamp_s,device_id":
-                raise DataError(f"{path} line {lineno}: expected header timestamp_s,device_id")
+            if line != _TRACE_CSV_HEADER:
+                raise DataError(f"{path} line {lineno}: expected header {_TRACE_CSV_HEADER}")
             header_seen = True
             continue
         parts = line.split(",")
@@ -282,12 +283,8 @@ def read_trace_csv(path, device: str | None = None) -> ExternalTrace:
 
 def write_trace_csv(path, timestamps, device: str = "dev0", comment=None) -> None:
     """Write timestamps in the `timestamp_s,device_id` format analyze reads."""
-    with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write("timestamp_s,device_id\n")
-        for t in np.asarray(timestamps, dtype=float):
-            fh.write(f"{float(t)!r},{device}\n")
+    write_csv(path, comment, _TRACE_CSV_HEADER,
+              (f"{t!r},{device}" for t in np.asarray(timestamps, dtype=float).tolist()))
 
 
 def _resolve_seed(args, cfg: Config) -> int:
@@ -329,6 +326,11 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w") as fh:
             fh.write(text)
+
+
+def _csv_file(out: str | None):
+    # what the CSV writers take: the --out path, or stdout
+    return sys.stdout if out is None else out
 
 
 def _wrap_value_error(build, field_hint: str):
@@ -440,9 +442,7 @@ def _run_sweep_command(args, cfg: Config, single_cell: bool) -> int:
     records = run_sweep(spec)
     out = _resolve_out(args, cfg)
     if fmt == "csv":
-        buf = io.StringIO()
-        sweep_to_csv(records, buf, comment=_provenance(cfg, seed))
-        _emit(buf.getvalue(), out)
+        sweep_to_csv(records, _csv_file(out), comment=_provenance(cfg, seed))
     else:
         doc = {"meta": _meta(cfg, seed), "rows": [_report_dict(r) for r in records]}
         _emit(json.dumps(doc, indent=2) + "\n", out)
@@ -495,10 +495,9 @@ def cmd_analyze(args, cfg: Config) -> int:
     flagged = np.where(np.isnan(stat), False, stat > thr)
     out = _resolve_out(args, cfg)
     if fmt == "csv":
-        lines = [f"# {_provenance(cfg, seed)}", "interval,D,flagged,threshold"]
-        for i in range(len(d)):
-            lines.append(f"{i},{float(d[i])!r},{int(flagged[i])},{thr!r}")
-        _emit("\n".join(lines) + "\n", out)
+        write_csv(_csv_file(out), _provenance(cfg, seed), "interval,D,flagged,threshold",
+                  (f"{i},{di!r},{int(fi)},{thr!r}"
+                   for i, (di, fi) in enumerate(zip(d.tolist(), flagged.tolist()))))
     else:
         rows = [{"interval": i, "D": float(d[i]), "flagged": bool(flagged[i]),
                  "threshold": thr} for i in range(len(d))]
@@ -539,13 +538,9 @@ def cmd_posterior(args, cfg: Config) -> int:
                           for obs, table in tables]}
         _emit(json.dumps(doc, indent=2) + "\n", out)
     else:
-        lines = [f"# {_provenance(cfg, seed)}", "observed,candidate,posterior"]
-        for obs, table in tables:
-            obs_s = ";".join(repr(t) for t in obs)
-            for r, p in sorted(table.items()):
-                cand_s = ";".join(repr(t) for t in r)
-                lines.append(f"{obs_s},{cand_s},{p!r}")
-        _emit("\n".join(lines) + "\n", out)
+        write_csv(_csv_file(out), _provenance(cfg, seed), "observed,candidate,posterior",
+                  (f"{';'.join(map(repr, obs))},{';'.join(map(repr, r))},{p!r}"
+                   for obs, table in tables for r, p in sorted(table.items())))
     return 0
 
 
@@ -566,9 +561,7 @@ def cmd_costs(args, cfg: Config) -> int:
     points = _wrap_value_error(lambda: cost_curves(models, shifts, denom), "costs")
     out = _resolve_out(args, cfg)
     if fmt == "csv":
-        buf = io.StringIO()
-        cost_curves_to_csv(points, buf, comment=_provenance(cfg, seed))
-        _emit(buf.getvalue(), out)
+        cost_curves_to_csv(points, _csv_file(out), comment=_provenance(cfg, seed))
     else:
         rows = [{"k": p.shift, "C_f": p.fake_cost, "C_wf": p.waterfill_cost,
                  "lambda": p.base_rate, "I": p.intensity,

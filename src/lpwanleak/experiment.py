@@ -21,7 +21,7 @@ from .attacker import (DegenerateMetricError, DetectorConfig, guess_run,
 from .obfuscator import (CostModel, InfeasibleTargetError, KnowledgeModel,
                          Strategy, apply_strategy, costs, solve_fake_rate,
                          solve_strategy, solve_waterfill_rate)
-from .traffic import IntervalModel, Run, gen_run
+from .traffic import IntervalModel, Run, gen_run, write_csv
 
 __all__ = [
     "SWEEP_CSV_HEADER",
@@ -287,21 +287,9 @@ def feasible_region(records: Sequence[MetricsReport]) -> dict[float, list[float]
     return {i: sorted(rs) for i, rs in region.items()}
 
 
-def _open_text(file, mode="w"):
-    if hasattr(file, "write") or hasattr(file, "read"):
-        return file, False
-    return open(file, mode), True
-
-
 def _fmt(v) -> str:
     # repr of the builtin float is byte-stable and round-trips exactly
     return repr(float(v))
-
-
-def _write_comment(fh, comment) -> None:
-    if comment:
-        for line in str(comment).splitlines():
-            fh.write(f"# {line}\n")
 
 
 def sweep_to_csv(records: Sequence[MetricsReport], file, comment=None) -> None:
@@ -310,25 +298,17 @@ def sweep_to_csv(records: Sequence[MetricsReport], file, comment=None) -> None:
     A failed cell keeps its row of nan metrics; its error text follows the
     rows as a ``# error R_p=... I=...: <text>`` comment line.
     """
-    fh, close = _open_text(file)
-    try:
-        _write_comment(fh, comment)
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        for r in records:
-            row = [_fmt(r.r_p), _fmt(r.intensity), str(int(r.slots)), _fmt(r.base_rate),
-                   _fmt(r.tpr), _fmt(r.tnr), _fmt(r.budget), _fmt(r.p_waterfill),
-                   _fmt(r.p_fake), _fmt(r.epsilon), _fmt(r.cost),
-                   str(int(r.feasible_optimal)), _fmt(r.guess_err), _fmt(r.guess_err_se),
-                   _fmt(r.ce_bits), _fmt(r.ce_bits_se), _fmt(r.ideal_guess_err),
-                   _fmt(r.ideal_ce_bits)]
-            fh.write(",".join(row) + "\n")
-        for r in records:
-            if r.error:
-                text = " ".join(r.error.split())  # one line, whatever the message
-                fh.write(f"# error R_p={_fmt(r.r_p)} I={_fmt(r.intensity)}: {text}\n")
-    finally:
-        if close:
-            fh.close()
+    rows = [",".join([_fmt(r.r_p), _fmt(r.intensity), str(int(r.slots)), _fmt(r.base_rate),
+                      _fmt(r.tpr), _fmt(r.tnr), _fmt(r.budget), _fmt(r.p_waterfill),
+                      _fmt(r.p_fake), _fmt(r.epsilon), _fmt(r.cost),
+                      str(int(r.feasible_optimal)), _fmt(r.guess_err), _fmt(r.guess_err_se),
+                      _fmt(r.ce_bits), _fmt(r.ce_bits_se), _fmt(r.ideal_guess_err),
+                      _fmt(r.ideal_ce_bits)])
+            for r in records]
+    # the error text is folded onto one line, whatever the message
+    rows += [f"# error R_p={_fmt(r.r_p)} I={_fmt(r.intensity)}: {' '.join(r.error.split())}"
+             for r in records if r.error]
+    write_csv(file, comment, SWEEP_CSV_HEADER, rows)
 
 
 @dataclass(frozen=True)
@@ -371,14 +351,7 @@ def cost_curves(models: Sequence[IntervalModel], shifts: Sequence[float],
 
 
 def cost_curves_to_csv(points: Sequence[CostPoint], file, comment=None) -> None:
-    fh, close = _open_text(file)
-    try:
-        _write_comment(fh, comment)
-        fh.write(COST_CSV_HEADER + "\n")
-        for p in points:
-            fh.write(",".join([_fmt(p.shift), _fmt(p.fake_cost), _fmt(p.waterfill_cost),
-                               _fmt(p.base_rate), _fmt(p.intensity),
-                               str(int(p.wf_feasible))]) + "\n")
-    finally:
-        if close:
-            fh.close()
+    write_csv(file, comment, COST_CSV_HEADER,
+              (",".join([_fmt(p.shift), _fmt(p.fake_cost), _fmt(p.waterfill_cost),
+                         _fmt(p.base_rate), _fmt(p.intensity), str(int(p.wf_feasible))])
+               for p in points))

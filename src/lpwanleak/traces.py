@@ -20,8 +20,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from abc import ABC, abstractmethod
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -29,9 +30,6 @@ from .attacker import chi_square_threshold, run_dispersion
 from .traffic import as_rng
 
 __all__ = [
-    "Event",
-    "EventSet",
-    "MessageTrace",
     "TracePrior",
     "Mechanism",
     "IdentityMechanism",
@@ -53,8 +51,6 @@ __all__ = [
     "load_fixture",
 ]
 
-TRACE_KINDS = ("real", "dummy", "observed")
-
 # subset enumeration guard: 2^20 candidate sets
 _MAX_OBSERVED_FOR_SUBSETS = 20
 # auto method switches to Monte-Carlo above this many observed messages
@@ -65,80 +61,8 @@ class InconsistentObservationError(ValueError):
     """No real trace with positive prior mass can produce the observation."""
 
 
-@dataclass(frozen=True)
-class Event:
-    """A real-world event occupying [t0, t1]."""
-
-    t0: float
-    t1: float
-
-    def __post_init__(self):
-        if self.t1 < self.t0:
-            raise ValueError(f"event end {self.t1} precedes start {self.t0}")
-
-
-@dataclass(frozen=True)
-class EventSet:
-    """Events inside one observation window, ordered by start time."""
-
-    window: tuple[float, float]
-    events: tuple[Event, ...]
-
-    def __post_init__(self):
-        ta, tb = self.window
-        if tb < ta:
-            raise ValueError("window end precedes start")
-        object.__setattr__(self, "events", tuple(self.events))
-        prev = None
-        for e in self.events:
-            if e.t0 < ta or e.t1 > tb:
-                raise ValueError(f"event {e} outside window [{ta}, {tb}]")
-            if prev is not None and e.t0 <= prev:
-                raise ValueError("events must have strictly increasing start times")
-            prev = e.t0
-
-    def to_trace(self) -> "MessageTrace":
-        """Real trace carrying one message per event, at the event's start."""
-        return MessageTrace(self.window, tuple(e.t0 for e in self.events), "real")
-
-
-@dataclass(frozen=True)
-class MessageTrace:
-    """Timestamps of one device's messages inside a window."""
-
-    window: tuple[float, float]
-    timestamps: tuple[float, ...]
-    kind: str = "real"
-
-    def __post_init__(self):
-        ta, tb = self.window
-        if tb < ta:
-            raise ValueError("window end precedes start")
-        if self.kind not in TRACE_KINDS:
-            raise ValueError(f"kind must be one of {TRACE_KINDS}, got {self.kind!r}")
-        ts = tuple(float(t) for t in self.timestamps)
-        object.__setattr__(self, "timestamps", ts)
-        prev = None
-        for t in ts:
-            if not ta <= t <= tb:
-                raise ValueError(f"timestamp {t} outside window [{ta}, {tb}]")
-            if prev is not None and t <= prev:
-                raise ValueError("timestamps must be strictly increasing")
-            prev = t
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-    def merge(self, dummy: "MessageTrace") -> "MessageTrace":
-        """Observed trace: sorted union of this (real) trace and a dummy trace."""
-        joined = tuple(sorted(set(self.timestamps) | set(dummy.timestamps)))
-        return MessageTrace(self.window, joined, "observed")
-
-
 def _ts(trace) -> tuple[float, ...]:
-    # canonical timestamp-tuple form; accepts MessageTrace or any iterable
-    if isinstance(trace, MessageTrace):
-        return trace.timestamps
+    # canonical timestamp-tuple form of any iterable of timestamps
     ts = tuple(sorted(float(t) for t in trace))
     if len(set(ts)) != len(ts):
         raise ValueError("duplicate timestamps in trace")
@@ -152,7 +76,7 @@ def _is_subset(small: tuple, big: tuple) -> bool:
 class TracePrior:
     """Finite-support prior over real traces.
 
-    support: mapping from trace (timestamp iterable or MessageTrace) to
+    support: mapping from trace (an iterable of timestamps) to
     probability. Probabilities must be non-negative and sum to 1 within
     1e-9; zero-mass entries are dropped. Timestamps must sit on the tick
     grid relative to the window start.
@@ -207,20 +131,21 @@ class TracePrior:
         return self._traces[int(rng.choice(len(self._traces), p=self._probs))]
 
 
-class Mechanism:
+class Mechanism(ABC):
     """Additive obfuscation channel q(X | R).
 
-    Subclasses implement ``mass`` and, when the output set is finite,
-    ``outputs`` (which also powers sampling and exact enumeration). Every
-    output must contain the conditioning real trace as a subset.
+    Subclasses implement ``mass`` and ``outputs`` (which also powers
+    sampling and exact enumeration). Every output must contain the
+    conditioning real trace as a subset.
     """
 
+    @abstractmethod
     def mass(self, observed, real) -> float:
-        raise NotImplementedError
+        """q(observed | real)."""
 
+    @abstractmethod
     def outputs(self, real) -> list[tuple[tuple[float, ...], float]]:
         """[(observed, q)] pairs with positive q, masses summing to 1."""
-        raise NotImplementedError
 
     def sample(self, real, rng) -> tuple[float, ...]:
         outs = self.outputs(real)
@@ -456,25 +381,18 @@ def _exact_joint(prior: TracePrior, mech: Mechanism) -> dict[tuple, dict[tuple, 
     return joint
 
 
-def _max_observed_size(prior: TracePrior, mech: Mechanism) -> int | None:
-    try:
-        return max(len(x) for r in prior.support for x, _ in mech.outputs(r))
-    except NotImplementedError:
-        return None
-
-
 def average_error(prior: TracePrior, mech: Mechanism, dist,
                   budget: int = 100_000, seed=0, method: str = "auto") -> float:
     """Expected distance achieved by an optimal guessing attacker.
 
     method "exact" enumerates every reachable observation and every guess;
     "mc" draws ``budget`` (real, observed) pairs and evaluates the exact
-    per-observation optimal guess on each; "auto" picks exact when the
-    mechanism has finite outputs of at most 12 messages.
+    per-observation optimal guess on each; "auto" picks exact when no
+    output has more than 12 messages.
     """
     if method == "auto":
-        m = _max_observed_size(prior, mech)
-        method = "exact" if m is not None and m <= _MAX_EXACT_MESSAGES else "mc"
+        largest = max(len(x) for r in prior.support for x, _ in mech.outputs(r))
+        method = "exact" if largest <= _MAX_EXACT_MESSAGES else "mc"
     if method == "exact":
         joint = _exact_joint(prior, mech)
         total = 0.0
@@ -501,14 +419,8 @@ def _sample_pairs(prior: TracePrior, mech: Mechanism, budget: int, rng):
     for i in np.unique(r_idx):
         rows = np.flatnonzero(r_idx == i)
         real = traces[int(i)]
-        try:
-            outs = mech.outputs(real)
-        except NotImplementedError:
-            outs = None
-        if outs is None:
-            for j in rows:
-                x_keys[int(j)] = mech.sample(real, rng)
-        elif len(outs) == 1:
+        outs = mech.outputs(real)
+        if len(outs) == 1:
             for j in rows:
                 x_keys[int(j)] = outs[0][0]
         else:
@@ -545,11 +457,9 @@ def conditional_entropy(prior: TracePrior, mech: Mechanism,
 
     Exact value is sum over X of p(X) H(p(R|X)); the MC estimate averages
     -log2 p(R|X) over sampled pairs, which has the same expectation. "auto"
-    goes exact whenever the mechanism can enumerate its outputs.
+    is exact: every mechanism enumerates its outputs.
     """
-    if method == "auto":
-        method = "exact" if _max_observed_size(prior, mech) is not None else "mc"
-    if method == "exact":
+    if method in ("auto", "exact"):
         joint = _exact_joint(prior, mech)
         total = 0.0
         for x, weights in joint.items():

@@ -14,8 +14,10 @@ possible while an attacker is only ever handed the summed counts.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -32,6 +34,7 @@ __all__ = [
     "run_from_csv",
     "RUN_CSV_HEADER",
     "to_timestamps",
+    "write_csv",
 ]
 
 # Obfuscation action labels, in wire order (CSV uses the strings, Run stores codes).
@@ -173,44 +176,62 @@ def gen_run(model: IntervalModel, n_intervals: int, seed) -> Run:
                np.zeros(n, dtype=np.int8))
 
 
+def _text_file(file, mode: str):
+    # a path is opened here and closed on exit; a file object is left open
+    if hasattr(file, "write") or hasattr(file, "read"):
+        return contextlib.nullcontext(file)
+    return open(file, mode, newline="")
+
+
+def write_csv(file, comment: str | None, header: str, rows: Iterable[str]) -> None:
+    """Write a CSV: comment, header, then rows, one line each.
+
+    ``file`` is a path or a text file object. Each line of ``comment`` (if
+    given) becomes a '#'-prefixed line. ``rows`` are the formatted lines,
+    without their newline; the caller owns the column layout.
+    """
+    with _text_file(file, "w") as fh:
+        if comment:
+            fh.writelines(f"# {line}\n" for line in comment.splitlines())
+        fh.write(header + "\n")
+        fh.writelines(f"{row}\n" for row in rows)
+
+
+def _shape_comment(n: int, slots: int) -> str:
+    return f"shape intervals={n} slots={slots}"
+
+
 def run_to_csv(run: Run, file, comment: str | None = None) -> None:
     """Write a run in long form, one row per (interval, slot).
 
     ``file`` is a path or a text file object. ``comment`` (if given) is
-    emitted first as a '#'-prefixed provenance line.
+    emitted first as a '#'-prefixed provenance line, then a
+    ``# shape intervals=N slots=S`` line that lets the reader detect a
+    truncated dump.
     """
-    own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
-    fh = open(file, "w", newline="") if own else file
-    try:
-        if comment:
-            fh.write("# " + comment.strip() + "\n")
-        fh.write(RUN_CSV_HEADER + "\n")
-        w = csv.writer(fh, lineterminator="\n")
-        for i in range(len(run)):
-            anom = bool(run.is_anomaly[i])
-            slot = int(run.anomaly_slot[i])
-            act = ACTIONS[int(run.action[i])]
-            for j in range(run.slots):
-                w.writerow([i, j, int(run.counts[i, j]), int(run.dummy_counts[i, j]),
-                            int(anom), slot if anom else "", act])
-    finally:
-        if own:
-            fh.close()
+    shape = _shape_comment(len(run), run.slots)
+    rows = (f"{i},{j},{int(run.counts[i, j])},{int(run.dummy_counts[i, j])},"
+            f"{int(anom)},{int(run.anomaly_slot[i]) if anom else ''},"
+            f"{ACTIONS[int(run.action[i])]}"
+            for i, anom in enumerate(run.is_anomaly) for j in range(run.slots))
+    write_csv(file, f"{comment.strip()}\n{shape}" if comment else shape,
+              RUN_CSV_HEADER, rows)
 
 
 def run_from_csv(file) -> Run:
-    """Read a run written by :func:`run_to_csv`. Comment lines are skipped.
+    """Read a run written by :func:`run_to_csv`.
 
-    Every (interval, slot) cell must appear exactly once and all rows of an
-    interval must carry the same labels; anything else raises ValueError.
+    Comment lines are skipped, except a ``# shape`` line: when present, the
+    rows must span exactly the shape it declares, so a dump cut after a
+    whole interval is rejected. A dump without one loads with the shape its
+    rows span. Every (interval, slot) cell must appear exactly once and all
+    rows of an interval must carry the same labels; anything else raises
+    ValueError.
     """
-    own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
-    fh = open(file, "r", newline="") if own else file
-    try:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    finally:
-        if own:
-            fh.close()
+    with _text_file(file, "r") as fh:
+        lines = fh.read().splitlines()
+    shapes = [ln for ln in lines if ln.startswith("#") and ln[1:].split()[:1] == ["shape"]]
+    rows = [r for r in csv.reader(ln for ln in lines if not ln.startswith("#")) if r]
     if not rows or ",".join(rows[0]) != RUN_CSV_HEADER:
         raise ValueError("not a run CSV: bad or missing header")
     body = rows[1:]
@@ -230,6 +251,9 @@ def run_from_csv(file) -> Run:
     n, s = int(i.max()) + 1, int(j.max()) + 1
     if np.any(np.bincount(i * s + j, minlength=n * s) != 1):
         raise ValueError("run CSV must hold every (interval, slot) cell exactly once")
+    if shapes and shapes != ["# " + _shape_comment(n, s)]:
+        raise ValueError(f"run CSV rows hold {n} intervals x {s} slots, "
+                         f"but its shape line reads {shapes}")
     if np.any((cols[:, 4] != 0) & (cols[:, 4] != 1)):
         raise ValueError("is_anomaly must be 0 or 1")
     counts = np.empty((n, s), dtype=np.int64)
@@ -252,14 +276,7 @@ def to_timestamps(run: Run, slot_width: float = 1.0, start: float = 0.0) -> np.n
     if not slot_width > 0:
         raise ValueError("slot_width must be > 0")
     flat = run.counts.ravel()
-    n_slots = flat.size
-    out = []
-    for k in range(n_slots):
-        c = int(flat[k])
-        if c == 0:
-            continue
-        base = start + k * slot_width
-        out.append(base + slot_width * (np.arange(c) + 0.5) / c)
-    if not out:
-        return np.empty(0, dtype=float)
-    return np.concatenate(out)
+    k = np.repeat(np.arange(flat.size), flat)  # flat slot index of each message
+    c = flat[k]
+    j = np.arange(k.size) - np.repeat(np.cumsum(flat) - flat, flat)  # index in its slot
+    return (start + k * slot_width) + slot_width * (j + 0.5) / c

@@ -12,12 +12,9 @@ from hypothesis import strategies as st
 from lpwanleak import (
     AnomalyCountDistance,
     CardinalityDistance,
-    Event,
-    EventSet,
     FillToMechanism,
     IdentityMechanism,
     InconsistentObservationError,
-    MessageTrace,
     TableMechanism,
     TracePrior,
     average_error,
@@ -39,32 +36,6 @@ WINDOW = (0.0, 3.0)
 PRIOR = TracePrior({(1.0,): 0.6, (1.0, 2.0): 0.4}, WINDOW)
 FILL = FillToMechanism([1.0, 2.0])
 CARD = CardinalityDistance()
-
-
-def test_event_set_validation():
-    with pytest.raises(ValueError):
-        Event(2.0, 1.0)
-    with pytest.raises(ValueError):
-        EventSet((0.0, 10.0), (Event(1.0, 2.0), Event(1.0, 3.0)))
-    with pytest.raises(ValueError):
-        EventSet((0.0, 2.0), (Event(1.0, 5.0),))
-    es = EventSet((0.0, 10.0), (Event(1.0, 2.0), Event(4.0, 4.5)))
-    assert es.to_trace().timestamps == (1.0, 4.0)
-    assert es.to_trace().kind == "real"
-
-
-def test_message_trace_validation():
-    with pytest.raises(ValueError):
-        MessageTrace(WINDOW, (5.0,))
-    with pytest.raises(ValueError):
-        MessageTrace(WINDOW, (2.0, 1.0))
-    with pytest.raises(ValueError):
-        MessageTrace(WINDOW, (1.0, 1.0))
-    with pytest.raises(ValueError):
-        MessageTrace(WINDOW, (1.0,), kind="imaginary")
-    merged = MessageTrace(WINDOW, (1.0,)).merge(MessageTrace(WINDOW, (0.5, 1.0), "dummy"))
-    assert merged.timestamps == (0.5, 1.0)
-    assert merged.kind == "observed"
 
 
 def test_prior_validation():

@@ -117,9 +117,12 @@ def test_csv_roundtrip():
     buf = io.StringIO()
     run_to_csv(run, buf, comment="tool 0.0 test")
     text = buf.getvalue()
-    assert text.startswith("# tool 0.0 test\n" + RUN_CSV_HEADER + "\n")
+    shape = "# shape intervals=40 slots=10\n"
+    assert text.startswith("# tool 0.0 test\n" + shape + RUN_CSV_HEADER + "\n")
     back = run_from_csv(io.StringIO(text))
     assert back == run
+    # a dump without the shape line still loads
+    assert run_from_csv(io.StringIO(text.replace(shape, ""))) == run
 
 
 def test_csv_roundtrip_with_dummies_and_actions():
@@ -161,20 +164,31 @@ def test_csv_rejects_malformed_input():
     n=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["duplicate", "drop", "extra", "action", "truth",
-                          "unknown-action", "number", "fields"]),
+                          "unknown-action", "number", "fields", "truncate", "shape"]),
     data=st.data(),
 )
 def test_csv_rejects_corrupted_dump(slots, n, seed, kind, data):
     run = gen_run(IntervalModel(slots, 1.0, 10.0, 0.5), n, seed)
     buf = io.StringIO()
     run_to_csv(run, buf)
-    header, *rows = buf.getvalue().splitlines()
-    # a dump cut after a whole interval still reads as a shorter run, so the
-    # last row is never the one dropped
-    last = len(rows) - 2 if kind == "drop" else len(rows) - 1
-    k = data.draw(st.integers(0, last), label="row")
+    lines = buf.getvalue().splitlines()
+    comments = [ln for ln in lines if ln.startswith("#")]  # the shape line
+    header, *rows = [ln for ln in lines if not ln.startswith("#")]
+    k = data.draw(st.integers(0, len(rows) - 1), label="row")
     fields = rows[k].split(",")
-    if kind == "duplicate":  # another cell's row replaces this one
+    if kind == "truncate":  # cut at an interval boundary
+        rows = rows[:data.draw(st.integers(0, n - 1), label="kept") * slots]
+    elif kind == "shape":  # a shape line that is malformed or disagrees with the rows
+        shape = f"# shape intervals={n} slots={slots}"
+        comments = data.draw(st.sampled_from([
+            [f"# shape intervals={n + 1} slots={slots}"],
+            [f"# shape intervals={n} slots={slots + 1}"],
+            [f"# shape intervals={n}"],
+            [f"# shape intervals={n} slots={slots} cells={n * slots}"],
+            [f"# shape intervals={n} slots=x"],
+            [shape, shape],
+        ]), label="shape")
+    elif kind == "duplicate":  # another cell's row replaces this one
         m = data.draw(st.integers(0, len(rows) - 1).filter(lambda m: m != k), label="copy")
         rows[k] = rows[m]
     elif kind == "drop":
@@ -194,7 +208,7 @@ def test_csv_rejects_corrupted_dump(slots, n, seed, kind, data):
             fields.append("0")
         rows[k] = ",".join(fields)
     with pytest.raises(ValueError):
-        run_from_csv(io.StringIO("\n".join([header] + rows) + "\n"))
+        run_from_csv(io.StringIO("\n".join(comments + [header] + rows) + "\n"))
 
 
 def test_to_timestamps_bins_back_to_counts():
@@ -204,6 +218,32 @@ def test_to_timestamps_bins_back_to_counts():
     # trailing empty slots can shorten the grid by one interval
     assert len(binned) >= len(run) - 1
     assert np.array_equal(binned, run.counts[:len(binned)])
+
+
+def _to_timestamps_loop(run, slot_width, start):
+    # reference: the c messages of flat slot k, one slot at a time
+    out = [(start + k * slot_width) + slot_width * (np.arange(c) + 0.5) / c
+           for k, c in enumerate(run.counts.ravel().tolist()) if c]
+    return np.concatenate(out) if out else np.empty(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 4), min_size=3, max_size=3), min_size=n, max_size=n)),
+    zero=st.booleans(),
+    slot_width=st.sampled_from([1.0, 0.1, 2.5, 1e-3, 60.0]),
+    start=st.sampled_from([0.0, -3.7, 100.0, 1.6e9 + 0.25]),
+)
+def test_to_timestamps_matches_loop_reference(counts, zero, slot_width, start):
+    counts = np.array(counts) * (not zero)  # all-zero runs too
+    n = len(counts)
+    run = Run(counts, np.zeros_like(counts), np.zeros(n, bool), np.full(n, -1),
+              np.zeros(n, int))
+    got = to_timestamps(run, slot_width=slot_width, start=start)
+    want = _to_timestamps_loop(run, slot_width, start)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # bit for bit
 
 
 def test_to_timestamps_ordering_and_bounds():
