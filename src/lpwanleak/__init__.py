@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 from .attacker import (DegenerateMetricError, DetectorConfig, RunVerdicts,
                        bin_timestamps, chi_square_threshold, class_posteriors,
                        ensemble_dispersion, guess_run, guessing_error,
-                       guessing_error_se, run_dispersion, run_observable_class,
-                       test_run)
+                       guessing_error_se, idealized_metrics, idealized_verdicts,
+                       run_dispersion, run_observable_class, test_run)
 from .experiment import (COST_CSV_HEADER, SWEEP_CSV_HEADER, CostPoint,
                          MetricsReport, SweepSpec, binary_entropy_bits,
                          cost_curves, cost_curves_to_csv, feasible_region,
@@ -29,7 +29,7 @@ from .experiment import (COST_CSV_HEADER, SWEEP_CSV_HEADER, CostPoint,
                          sweep_to_csv)
 from .obfuscator import (DENOMINATOR_MODES, CostModel, InfeasibleTargetError,
                          KnowledgeModel, Strategy, anomaly_dispersion,
-                         apply_strategy, costs, epsilon_of,
+                         apply_strategy, costs, draw_actions, epsilon_of,
                          expected_dispersion_fake, expected_dispersion_waterfill,
                          power_cost, power_ok, solve_fake_rate,
                          solve_strategy, solve_waterfill_rate, strategy_json)
@@ -41,7 +41,8 @@ from .traces import (AnomalyCountDistance, CardinalityDistance,
                      enumerate_observables, load_fixture, optimal_guess,
                      posterior, posterior_table)
 from .traffic import (ACTIONS, OBF_FAKE, OBF_NONE, OBF_WATERFILL,
-                      RUN_CSV_HEADER, IntervalModel, Run, as_rng, gen_run,
-                      run_from_csv, run_to_csv, to_timestamps, write_csv)
+                      RUN_CSV_HEADER, IntervalModel, Run, as_rng,
+                      draw_anomaly_flags, gen_run, run_from_csv, run_to_csv,
+                      to_timestamps, write_csv)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -12,8 +12,9 @@ detector modes exist:
   counts the size falls below alpha (0.0476 at 10 slots, lambda = 1).
 * ``idealized``: the deterministic classifier the strategy algebra assumes;
   the observable class bit comes from the run's construction labels
-  (:func:`run_observable_class`), never from counts. Useful wherever the closed-form class probabilities
-  are the object of study.
+  (:func:`idealized_verdicts`), never from counts. Useful wherever the
+  closed-form class probabilities are the object of study; their expected
+  metrics are :func:`idealized_metrics`.
 
 Verdicts carry a posterior anomaly probability computed from the prior
 anomaly rate and the class-conditional flag rates the attacker is assumed
@@ -26,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .traffic import Run, as_rng
 
@@ -37,6 +37,8 @@ __all__ = [
     "chi_square_threshold",
     "DetectorConfig",
     "class_posteriors",
+    "idealized_metrics",
+    "idealized_verdicts",
     "run_observable_class",
     "RunVerdicts",
     "test_run",
@@ -89,6 +91,10 @@ def chi_square_threshold(slots: int, alpha: float) -> float:
     counts its exact size falls below alpha: 0.0476 at 10 slots of
     Poisson(1) traffic with alpha = 0.05.
     """
+    # imported here: scipy.stats takes most of a second to load, and only
+    # this threshold needs it
+    from scipy.stats import chi2
+
     if slots < 2:
         raise ValueError("slots must be >= 2")
     if not 0.0 < alpha < 1.0:
@@ -175,6 +181,41 @@ def class_posteriors(anomaly_rate: float, hidden, flagged_baseline):
     return p_flagged, p_unflagged, eps
 
 
+def idealized_metrics(anomaly_rate: float, hidden, flagged_baseline):
+    """Expected (guessing error, conditional entropy in bits) of the
+    idealized attacker; numpy-broadcast over the rates like
+    :func:`class_posteriors`, whose arguments these are.
+
+    A posterior-matching guess misses an unflagged anomaly (probability
+    ``hidden``) with probability 1 - P(anomaly | not flagged) and a flagged
+    one with 1 - P(anomaly | flagged). The entropy is H(truth | class) of
+    the 2x2 joint of truth and class; the plug-in estimate that
+    :func:`lpwanleak.experiment.run_cell` reports has bias O(1/n).
+    """
+    rp = anomaly_rate
+    x = np.asarray(hidden, dtype=float)
+    y = np.asarray(flagged_baseline, dtype=float)
+    p_f, p_u, _ = class_posteriors(rp, x, y)
+    err = x * (1.0 - p_u) + (1.0 - x) * (1.0 - p_f)
+    # -sum over (truth, class) of P(truth, class) * log2 P(truth | class)
+    flagged = (rp * (1.0 - x), (1.0 - rp) * y)
+    unflagged = (rp * x, (1.0 - rp) * (1.0 - y))
+    ce = 0.0
+    with np.errstate(all="ignore"):
+        for cls in (flagged, unflagged):
+            for joint in cls:
+                ce = ce - np.where(joint > 0, joint * np.log2(joint / (cls[0] + cls[1])), 0.0)
+    return err, ce
+
+
+def _label_class(is_anomaly, action) -> np.ndarray:
+    # a real anomaly looks anomalous unless waterfilled; a baseline interval
+    # exactly when it received a fake anomaly
+    action = np.asarray(action)
+    return np.where(is_anomaly, action != 1,  # ACTIONS index of "waterfilled"
+                    action == 2)              # ACTIONS index of "fake-anomaly"
+
+
 def run_observable_class(run: Run) -> np.ndarray:
     """True where an interval looks anomalous to the deterministic classifier.
 
@@ -182,9 +223,7 @@ def run_observable_class(run: Run) -> np.ndarray:
     was waterfilled; a baseline interval looks anomalous exactly when it
     received a fake anomaly. Detectors never call this; the harness does.
     """
-    waterfilled = run.action == 1  # ACTIONS index of "waterfilled"
-    faked = run.action == 2        # ACTIONS index of "fake-anomaly"
-    return np.where(run.is_anomaly, ~waterfilled, faked)
+    return _label_class(run.is_anomaly, run.action)
 
 
 @dataclass(frozen=True)
@@ -195,6 +234,24 @@ class RunVerdicts:
     posterior_anomaly: np.ndarray  # (n,) float
 
 
+def _verdicts(flagged, stats, thr: float, cfg: DetectorConfig) -> RunVerdicts:
+    # each class bit maps to its class posterior under the attacker's knowledge
+    p_flag, p_unflag, _ = class_posteriors(cfg.anomaly_rate, 1.0 - cfg.flag_rate_anomaly,
+                                           cfg.flag_rate_baseline)
+    return RunVerdicts(flagged, stats, thr, np.where(flagged, p_flag, p_unflag))
+
+
+def idealized_verdicts(is_anomaly, action, cfg: DetectorConfig) -> RunVerdicts:
+    """Idealized-mode verdicts from the construction labels alone.
+
+    ``is_anomaly`` and ``action`` are a run's label columns (``action``
+    holds ACTIONS codes); no counts are needed, so a caller that only wants
+    this detector's verdicts can skip drawing them.
+    """
+    flagged = _label_class(is_anomaly, action)
+    return _verdicts(flagged, np.full(flagged.shape, np.nan), float("nan"), cfg)
+
+
 def test_run(run: Run, cfg: DetectorConfig) -> RunVerdicts:
     """Classify every interval of a run.
 
@@ -202,20 +259,12 @@ def test_run(run: Run, cfg: DetectorConfig) -> RunVerdicts:
     class bits from the run's ground truth, because that detector is defined
     by construction classes rather than by a statistic.
     """
-    n = len(run)
-    p_flag, p_unflag, _ = class_posteriors(cfg.anomaly_rate, 1.0 - cfg.flag_rate_anomaly,
-                                           cfg.flag_rate_baseline)
     if cfg.mode == "idealized":
-        flagged = run_observable_class(run)
-        stats = np.full(n, np.nan)
-        thr = float("nan")
-    else:
-        _, _, d = run_dispersion(run.counts)
-        thr = chi_square_threshold(run.slots, cfg.alpha)
-        stats = (run.slots - 1) * d
-        flagged = np.where(np.isnan(stats), False, stats > thr)
-    post = np.where(flagged, p_flag, p_unflag)
-    return RunVerdicts(flagged.astype(bool), stats, thr, post)
+        return idealized_verdicts(run.is_anomaly, run.action, cfg)
+    _, _, d = run_dispersion(run.counts)
+    thr = chi_square_threshold(run.slots, cfg.alpha)
+    stats = (run.slots - 1) * d
+    return _verdicts(np.where(np.isnan(stats), False, stats > thr), stats, thr, cfg)
 
 
 def guess_run(posterior_anomaly, seed, rule: str = "posterior-match") -> np.ndarray:

@@ -17,11 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from .attacker import (DegenerateMetricError, DetectorConfig, guess_run,
-                       guessing_error, guessing_error_se, test_run)
+                       guessing_error, guessing_error_se, idealized_verdicts,
+                       test_run)
 from .obfuscator import (CostModel, InfeasibleTargetError, KnowledgeModel,
-                         Strategy, apply_strategy, costs, solve_fake_rate,
-                         solve_strategy, solve_waterfill_rate)
-from .traffic import IntervalModel, Run, gen_run, write_csv
+                         Strategy, apply_strategy, costs, draw_actions,
+                         solve_fake_rate, solve_strategy, solve_waterfill_rate)
+from .traffic import (IntervalModel, Run, as_rng, draw_anomaly_flags, gen_run,
+                      write_csv)
 
 __all__ = [
     "SWEEP_CSV_HEADER",
@@ -107,11 +109,16 @@ def realized_cost(run: Run, cost_model: CostModel) -> tuple[float, float]:
     applied to it (waterfilled intervals by the waterfill normalizer,
     everything else by the baseline interval load).
     """
-    dummies = run.dummy_counts.sum(axis=1)
-    norm = np.where(run.action == 1, cost_model.waterfill_normalizer(),
+    return _dummy_cost(run.dummy_counts.sum(axis=1), run.action, cost_model)
+
+
+def _dummy_cost(dummies: np.ndarray, action: np.ndarray,
+                cost_model: CostModel) -> tuple[float, float]:
+    # per-interval dummy totals over their action's normalizer: mean and SE
+    norm = np.where(action == 1, cost_model.waterfill_normalizer(),
                     cost_model.fake_normalizer())
     contrib = dummies / norm
-    n = len(run)
+    n = contrib.size
     se = float(contrib.std(ddof=1) / math.sqrt(n)) if n > 1 else _NAN
     return float(contrib.mean()), se
 
@@ -139,6 +146,32 @@ def _empirical_ce_bits(truth: np.ndarray, cls: np.ndarray) -> tuple[float, float
     return ce, se
 
 
+def _solved(model: IntervalModel, knowledge: KnowledgeModel, budget: float,
+            strategy: Strategy | None, cost_denominator: str) -> tuple[Strategy, CostModel]:
+    cm = costs(model, cost_denominator)
+    strat = strategy if strategy is not None else solve_strategy(model, knowledge, budget, cm)
+    return strat, cm
+
+
+def _labels(model: IntervalModel, strat: Strategy, knowledge: KnowledgeModel,
+            cm: CostModel, n_intervals: int, base: tuple[int, ...]):
+    """(is_anomaly, action, per-row dummy totals) of the cell's run, no counts.
+
+    is_anomaly and action equal the columns of the run :func:`simulate_run`
+    builds from the same seed: they are the first draws of its streams.
+    The dummy totals follow the action codes on base + (1,): a waterfilled
+    row draws Poisson((S - 1) * waterfill rate), the sum of its filled
+    slots, and a faked row Poisson(fake rate). They match the obfuscated
+    run's totals in distribution, not value by value.
+    """
+    is_anomaly = draw_anomaly_flags(model, n_intervals, base + (0,))
+    rng = as_rng(base + (1,))
+    action = draw_actions(is_anomaly, strat, knowledge, rng)
+    rates = np.select([action == 1, action == 2],
+                      [(model.slots - 1) * cm.waterfill_rate, cm.fake_rate], 0.0)
+    return is_anomaly, action, rng.poisson(rates)
+
+
 def simulate_run(model: IntervalModel, knowledge: KnowledgeModel, budget: float,
                  n_intervals: int, seed, strategy: Strategy | None = None,
                  cost_denominator: str = "base-plus-anomaly"
@@ -146,13 +179,14 @@ def simulate_run(model: IntervalModel, knowledge: KnowledgeModel, budget: float,
     """Solve (unless ``strategy`` is given), generate and obfuscate one cell.
 
     Returns the strategy, the cost model and the obfuscated run. Streams of
-    the cell seed tuple ``base``: base + (0,) generates, base + (1,)
-    obfuscates; :func:`run_cell` guesses on base + (2,) and calibrates the
+    the cell seed tuple ``base`` (a contract the tests pin): base + (0,)
+    generates, its first n draws being the anomaly flags; base + (1,)
+    obfuscates, its first two n-draws being the prediction and action
+    coins. :func:`run_cell` guesses on base + (2,) and calibrates the
     chi-square detector on base + (3,) and base + (4,).
     """
     base = _seed_tuple(seed)
-    cm = costs(model, cost_denominator)
-    strat = strategy if strategy is not None else solve_strategy(model, knowledge, budget, cm)
+    strat, cm = _solved(model, knowledge, budget, strategy, cost_denominator)
     run = gen_run(model, n_intervals, base + (0,))
     return strat, cm, apply_strategy(run, strat, knowledge, cm, base + (1,))
 
@@ -164,11 +198,21 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
              cost_denominator: str = "base-plus-anomaly") -> MetricsReport:
     """Simulate one cell end to end under a solved (or given) strategy.
 
-    The chi-square detector's class-conditional flag rates are not analytic,
-    so that mode first measures them on an independent calibration run (same
-    strategy, derived seed) and hands them to the attacker as its knowledge;
-    epsilon in the report stays the analytic deterministic-classifier value
-    either way, so the two views sit side by side in one record.
+    Streams are those of :func:`simulate_run`. The idealized detector reads
+    only labels, so that mode draws no counts: it takes the flags and action
+    codes from the first draws of base + (0,) and base + (1,), which equal
+    the columns of the run :func:`simulate_run` builds, and its four metric
+    fields equal that run's bit for bit. Its ``realized_cost`` comes from
+    per-row dummy totals drawn next on base + (1,), Poisson((S - 1) * w)
+    for a waterfilled row and Poisson(fake rate) for a faked one, so it
+    equals the full run's in distribution only.
+
+    The chi-square detector reads the counts of the full run. Its
+    class-conditional flag rates are not analytic, so that mode first
+    measures them on an independent calibration run (same strategy, derived
+    seed) and hands them to the attacker as its knowledge; epsilon in the
+    report stays the analytic deterministic-classifier value either way, so
+    the two views sit side by side in one record.
 
     Degenerate anomaly rates produce a flagged record: with no anomalies
     (or no baselines) the strategy is a no-op and guessing error on
@@ -176,13 +220,16 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
     """
     knowledge = knowledge or KnowledgeModel.complete()
     base = _seed_tuple(seed)
-    strat, cm, obf = simulate_run(model, knowledge, budget, n_intervals, base,
-                                  strategy, cost_denominator)
+    strat, cm = _solved(model, knowledge, budget, strategy, cost_denominator)
 
     if detector_mode == "idealized":
         cfg = DetectorConfig.idealized(model.anomaly_rate, strat.p_waterfill,
                                        strat.p_fake, knowledge.tpr, knowledge.tnr)
+        truth, action, dummies = _labels(model, strat, knowledge, cm, n_intervals, base)
+        verdicts = idealized_verdicts(truth, action, cfg)
     elif detector_mode == "chi-square":
+        _, _, obf = simulate_run(model, knowledge, budget, n_intervals, base, strat,
+                                 cost_denominator)
         cal = gen_run(model, n_intervals, base + (3,))
         cal_obf = apply_strategy(cal, strat, knowledge, cm, base + (4,))
         blind = DetectorConfig.chi_square(model.anomaly_rate, alpha)
@@ -190,23 +237,23 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
         fa = float(cal_flags[cal.is_anomaly].mean()) if cal.is_anomaly.any() else _NAN
         fb = float(cal_flags[~cal.is_anomaly].mean()) if (~cal.is_anomaly).any() else _NAN
         cfg = DetectorConfig.chi_square(model.anomaly_rate, alpha, fa, fb)
+        verdicts = test_run(obf, cfg)
+        truth, action, dummies = obf.is_anomaly, obf.action, obf.dummy_counts.sum(axis=1)
     else:
         raise ValueError(f"unknown detector mode {detector_mode!r}")
-
-    verdicts = test_run(obf, cfg)
 
     if np.any(np.isnan(verdicts.posterior_anomaly)):
         guess_err = guess_se = _NAN
     else:
         guesses = guess_run(verdicts.posterior_anomaly, base + (2,))
         try:
-            guess_err = guessing_error(guesses, obf.is_anomaly)
-            guess_se = guessing_error_se(guess_err, int(obf.is_anomaly.sum()))
+            guess_err = guessing_error(guesses, truth)
+            guess_se = guessing_error_se(guess_err, int(truth.sum()))
         except DegenerateMetricError:
             guess_err = guess_se = _NAN
 
-    ce, ce_se = _empirical_ce_bits(obf.is_anomaly, verdicts.flagged)
-    rcost, rcost_se = realized_cost(obf, cm)
+    ce, ce_se = _empirical_ce_bits(truth, verdicts.flagged)
+    rcost, rcost_se = _dummy_cost(dummies, action, cm)
 
     return MetricsReport(
         r_p=model.anomaly_rate, intensity=model.intensity, slots=model.slots,

@@ -42,6 +42,7 @@ __all__ = [
     "power_cost",
     "power_ok",
     "solve_strategy",
+    "draw_actions",
     "apply_strategy",
     "strategy_json",
 ]
@@ -350,6 +351,30 @@ def solve_strategy(model: IntervalModel, knowledge: KnowledgeModel | None = None
     return Strategy(float(pw[k]), float(pf[k]), float(eps[k]), float(cost[k]), False)
 
 
+def draw_actions(is_anomaly, strategy: Strategy, knowledge: KnowledgeModel,
+                 rng) -> np.ndarray:
+    """Per-interval action codes (indices into ACTIONS) under a strategy.
+
+    Draws two uniforms per interval from ``rng``, all predictions first,
+    then all action coins: the predictor is right with probability tpr on
+    anomalies and tnr on baselines; a predicted anomaly is waterfilled with
+    probability p_waterfill, a predicted baseline faked with p_fake.
+    :func:`apply_strategy` makes these its first two draws, so the labels
+    of an obfuscated run can be had from its seed without its counts.
+    """
+    rng = as_rng(rng)
+    is_anomaly = np.asarray(is_anomaly, dtype=bool)
+    n = is_anomaly.size
+    u_pred = rng.random(n)
+    u_act = rng.random(n)
+    correct = u_pred < np.where(is_anomaly, knowledge.tpr, knowledge.tnr)
+    predicted_anom = np.where(correct, is_anomaly, ~is_anomaly)
+    action = np.zeros(n, dtype=np.int8)
+    action[predicted_anom & (u_act < strategy.p_waterfill)] = 1   # waterfilled
+    action[~predicted_anom & (u_act < strategy.p_fake)] = 2       # fake-anomaly
+    return action
+
+
 def apply_strategy(run: Run, strategy: Strategy, knowledge: KnowledgeModel,
                    cost_model: CostModel, seed) -> Run:
     """Obfuscate a run. Returns a new run; only ever adds messages.
@@ -365,21 +390,14 @@ def apply_strategy(run: Run, strategy: Strategy, knowledge: KnowledgeModel,
     """
     rng = as_rng(seed)
     n, s = len(run), run.slots
-    u_pred = rng.random(n)
-    u_act = rng.random(n)
+    action = draw_actions(run.is_anomaly, strategy, knowledge, rng)
     spare_guess = rng.integers(0, s, n)
     fake_slots = rng.integers(0, s, n)
 
-    correct = u_pred < np.where(run.is_anomaly, knowledge.tpr, knowledge.tnr)
-    predicted_anom = np.where(correct, run.is_anomaly, ~run.is_anomaly)
-    wf_mask = predicted_anom & (u_act < strategy.p_waterfill)
-    fk_mask = ~predicted_anom & (u_act < strategy.p_fake)
-
     counts = run.counts.copy()
     dummies = run.dummy_counts.copy()
-    action = np.zeros(n, dtype=np.int8)
 
-    wf_rows = np.flatnonzero(wf_mask)
+    wf_rows = np.flatnonzero(action == 1)
     if wf_rows.size:
         spare = np.where(run.is_anomaly[wf_rows], run.anomaly_slot[wf_rows],
                          spare_guess[wf_rows])
@@ -387,14 +405,12 @@ def apply_strategy(run: Run, strategy: Strategy, knowledge: KnowledgeModel,
         add[np.arange(wf_rows.size), spare] = 0
         counts[wf_rows] += add
         dummies[wf_rows] += add
-        action[wf_rows] = 1  # waterfilled
 
-    fk_rows = np.flatnonzero(fk_mask)
+    fk_rows = np.flatnonzero(action == 2)
     if fk_rows.size:
         burst = rng.poisson(cost_model.fake_rate, fk_rows.size)
         counts[fk_rows, fake_slots[fk_rows]] += burst
         dummies[fk_rows, fake_slots[fk_rows]] += burst
-        action[fk_rows] = 2  # fake-anomaly
 
     return Run(counts, dummies, run.is_anomaly, run.anomaly_slot, action)
 

@@ -126,10 +126,6 @@ class TracePrior:
         p = self._probs
         return float(-np.sum(p * np.log2(p)))
 
-    def sample(self, rng) -> tuple[float, ...]:
-        rng = as_rng(rng)
-        return self._traces[int(rng.choice(len(self._traces), p=self._probs))]
-
 
 class Mechanism(ABC):
     """Additive obfuscation channel q(X | R).
@@ -146,14 +142,6 @@ class Mechanism(ABC):
     @abstractmethod
     def outputs(self, real) -> list[tuple[tuple[float, ...], float]]:
         """[(observed, q)] pairs with positive q, masses summing to 1."""
-
-    def sample(self, real, rng) -> tuple[float, ...]:
-        outs = self.outputs(real)
-        if len(outs) == 1:
-            return outs[0][0]
-        rng = as_rng(rng)
-        probs = np.array([q for _, q in outs])
-        return outs[int(rng.choice(len(outs), p=probs))][0]
 
 
 class IdentityMechanism(Mechanism):

@@ -15,7 +15,6 @@ possible while an attacker is only ever handed the summed counts.
 from __future__ import annotations
 
 import contextlib
-import csv
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -29,6 +28,7 @@ __all__ = [
     "IntervalModel",
     "Run",
     "as_rng",
+    "draw_anomaly_flags",
     "gen_run",
     "run_to_csv",
     "run_from_csv",
@@ -154,19 +154,28 @@ class Run:
     __hash__ = None
 
 
+def draw_anomaly_flags(model: IntervalModel, n_intervals: int, rng) -> np.ndarray:
+    """The anomaly coins of ``n_intervals`` intervals, one uniform draw each.
+
+    :func:`gen_run` makes this its first draw, so a caller that needs only
+    a run's labels can take them from the same seed and stop here.
+    """
+    return as_rng(rng).random(n_intervals) < model.anomaly_rate
+
+
 def gen_run(model: IntervalModel, n_intervals: int, seed) -> Run:
     """Draw ``n_intervals`` independent intervals as one vectorized batch.
 
     Deterministic given ``seed``. The batch consumes a single generator in
-    a fixed order (anomaly coins, baseline matrix, slot choices, anomalous
-    counts), so ``is_anomaly`` depends on the seed and the anomaly rate only,
-    never on the slot rates.
+    a fixed order (anomaly coins from :func:`draw_anomaly_flags`, baseline
+    matrix, slot choices, anomalous counts), so ``is_anomaly`` depends on
+    the seed and the anomaly rate only, never on the slot rates.
     """
     if n_intervals < 0:
         raise ValueError("n_intervals must be >= 0")
     rng = as_rng(seed)
     n, s = n_intervals, model.slots
-    flags = rng.random(n) < model.anomaly_rate
+    flags = draw_anomaly_flags(model, n, rng)
     counts = rng.poisson(model.base_rate, (n, s))
     slots = rng.integers(0, s, n)
     boosted = rng.poisson(model.anomaly_slot_rate, n)
@@ -210,10 +219,12 @@ def run_to_csv(run: Run, file, comment: str | None = None) -> None:
     truncated dump.
     """
     shape = _shape_comment(len(run), run.slots)
-    rows = (f"{i},{j},{int(run.counts[i, j])},{int(run.dummy_counts[i, j])},"
-            f"{int(anom)},{int(run.anomaly_slot[i]) if anom else ''},"
-            f"{ACTIONS[int(run.action[i])]}"
-            for i, anom in enumerate(run.is_anomaly) for j in range(run.slots))
+    labels = [f"{int(anom)},{slot if anom else ''},{ACTIONS[code]}" for anom, slot, code
+              in zip(run.is_anomaly.tolist(), run.anomaly_slot.tolist(), run.action.tolist())]
+    rows = (f"{i},{j},{c},{d},{tail}"
+            for i, (counts, dummies, tail) in enumerate(
+                zip(run.counts.tolist(), run.dummy_counts.tolist(), labels))
+            for j, (c, d) in enumerate(zip(counts, dummies)))
     write_csv(file, f"{comment.strip()}\n{shape}" if comment else shape,
               RUN_CSV_HEADER, rows)
 
@@ -221,28 +232,30 @@ def run_to_csv(run: Run, file, comment: str | None = None) -> None:
 def run_from_csv(file) -> Run:
     """Read a run written by :func:`run_to_csv`.
 
-    Comment lines are skipped, except a ``# shape`` line: when present, the
-    rows must span exactly the shape it declares, so a dump cut after a
-    whole interval is rejected. A dump without one loads with the shape its
-    rows span. Every (interval, slot) cell must appear exactly once and all
-    rows of an interval must carry the same labels; anything else raises
-    ValueError.
+    Comment and blank lines are skipped, except a ``# shape`` line: when
+    present, the rows must span exactly the shape it declares, so a dump
+    cut after a whole interval is rejected. A dump without one loads with
+    the shape its rows span. Fields are split on commas as written, without
+    CSV quoting. Every (interval, slot) cell must appear exactly once and
+    all rows of an interval must carry the same labels; anything else
+    raises ValueError.
     """
     with _text_file(file, "r") as fh:
         lines = fh.read().splitlines()
     shapes = [ln for ln in lines if ln.startswith("#") and ln[1:].split()[:1] == ["shape"]]
-    rows = [r for r in csv.reader(ln for ln in lines if not ln.startswith("#")) if r]
-    if not rows or ",".join(rows[0]) != RUN_CSV_HEADER:
+    rows = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not rows or rows[0] != RUN_CSV_HEADER:
         raise ValueError("not a run CSV: bad or missing header")
     body = rows[1:]
     if not body:
         raise ValueError("run CSV has no data rows")
-    if any(len(r) != 7 for r in body):
+    if any(ln.count(",") != 6 for ln in body):
         raise ValueError("run CSV rows must have 7 fields")
+    fields = ",".join(body).split(",")  # row-major, 7 per row
     try:
-        cols = np.array([[int(r[0]), int(r[1]), int(r[2]), int(r[3]), int(r[4]),
-                          int(r[5]) if r[5] != "" else -1, _ACTION_CODE[r[6]]]
-                         for r in body], dtype=np.int64)
+        cols = np.array([fields[0::7], fields[1::7], fields[2::7], fields[3::7],
+                         fields[4::7], [f or "-1" for f in fields[5::7]],
+                         [_ACTION_CODE[f] for f in fields[6::7]]], dtype=np.int64).T
     except KeyError as exc:
         raise ValueError(f"unknown obf_action {exc.args[0]!r}") from None
     i, j = cols[:, 0], cols[:, 1]

@@ -1,5 +1,7 @@
 """Dispersion statistic and detector tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from lpwanleak import (
     guess_run,
     guessing_error,
     guessing_error_se,
+    idealized_metrics,
     run_dispersion,
     run_observable_class,
     test_run as classify_run,
@@ -98,6 +101,35 @@ def test_class_posteriors_bayes():
     for k in range(3):
         assert grid[k].shape == (2, 2)
         assert grid[k][1, 0] == class_posteriors(0.2, 0.5, 0.05)[k]
+
+
+def _entropy_bits(probs) -> float:
+    return -sum(p * math.log2(p) for p in probs if p > 0)
+
+
+def test_idealized_metrics_hand_cases():
+    # no obfuscation: the class is the truth
+    assert [float(v) for v in idealized_metrics(0.3, 0.0, 0.0)] == [0.0, 0.0]
+    # epsilon = 0 (hidden + flagged_baseline = 1): the prior-only attacker
+    err, ce = idealized_metrics(0.3, 0.25, 0.75)
+    assert float(err) == pytest.approx(0.7, rel=1e-12)
+    assert float(ce) == pytest.approx(_entropy_bits([0.3, 0.7]), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rp=st.floats(0.01, 0.99), x=st.floats(0.0, 1.0), y=st.floats(0.0, 1.0))
+def test_idealized_metrics_match_the_joint(rp, x, y):
+    # H(truth | class) = H(truth, class) - H(class); a posterior-matching
+    # guess on class c misses an anomaly with probability P(baseline | c)
+    joint = {("a", "f"): rp * (1 - x), ("a", "u"): rp * x,
+             ("b", "f"): (1 - rp) * y, ("b", "u"): (1 - rp) * (1 - y)}
+    p_class = {c: joint[("a", c)] + joint[("b", c)] for c in "fu"}
+    want_ce = _entropy_bits(joint.values()) - _entropy_bits(p_class.values())
+    want_err = sum(joint[("a", c)] / rp * joint[("b", c)] / p_class[c]
+                   for c in "fu" if p_class[c] > 0)
+    err, ce = idealized_metrics(rp, x, y)
+    assert float(err) == pytest.approx(want_err, abs=1e-12)
+    assert float(ce) == pytest.approx(want_ce, abs=1e-9)
 
 
 def test_test_run_chi_square():

@@ -1,6 +1,8 @@
 """Config parsing and CLI subcommand tests (driven through main())."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +32,8 @@ from lpwanleak.cli import (
     read_trace_csv,
     write_trace_csv,
 )
+
+from conftest import ROOT
 
 GOOD_CONFIG = """\
 # comment line
@@ -225,6 +229,27 @@ n_intervals = 1000
     assert lines[1] == SWEEP_CSV_HEADER
     assert len(lines) == 4
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_idealized_sweep_never_loads_scipy_stats(tmp_path):
+    # scipy.stats takes most of a second to import and only the chi-square
+    # threshold needs it; an idealized sweep process must never load it
+    cfg = _write(tmp_path, "one.cfg", """\
+[sweep]
+anomaly_rates = 0.2
+intensities = 40
+n_intervals = 1000
+""")
+    argv = ["sweep", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "one.csv")]
+    code = ("import sys\n"
+            "import lpwanleak.cli\n"
+            "assert 'scipy.stats' not in sys.modules, 'loaded by import'\n"
+            f"assert lpwanleak.cli.main({argv!r}) == 0\n"
+            "assert 'scipy.stats' not in sys.modules, 'loaded by the sweep'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "one.csv").read_text().splitlines()) == 3
 
 
 def test_sweep_command_json(tmp_path):

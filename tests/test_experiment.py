@@ -6,10 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpwanleak import (
     COST_CSV_HEADER,
     SWEEP_CSV_HEADER,
+    DegenerateMetricError,
+    DetectorConfig,
     IntervalModel,
     KnowledgeModel,
     MetricsReport,
@@ -22,11 +26,17 @@ from lpwanleak import (
     cost_curves_to_csv,
     costs,
     feasible_region,
+    guess_run,
+    guessing_error,
+    guessing_error_se,
     realized_cost,
     run_cell,
     run_sweep,
+    simulate_run,
     sweep_to_csv,
 )
+from lpwanleak import test_run as classify_run
+from lpwanleak.experiment import _empirical_ce_bits
 
 FEASIBLE = IntervalModel(10, 1.0, 10.0, 0.5)
 
@@ -73,6 +83,58 @@ def test_run_cell_feasible_statistics():
     # every baseline interval fakes at relative cost 0.9
     assert abs(r.realized_cost - 0.45) <= 4 * r.realized_cost_se
     assert r.cost == pytest.approx(0.45, rel=1e-12)
+
+
+def test_run_cell_waterfill_cost_statistics():
+    # a search-path cell that waterfills and fakes: the realized dummy load,
+    # drawn per row in idealized mode, must match the analytic cost
+    model = IntervalModel(10, 1.0, 40.0, 0.2)
+    r = run_cell(model, budget=1.0, n_intervals=100_000, seed=3)
+    assert not r.feasible_optimal and not r.error
+    assert 0.0 < r.p_waterfill < 1.0 and 0.0 < r.p_fake < 1.0
+    assert r.cost == pytest.approx(1.0, rel=1e-12)
+    assert abs(r.realized_cost - r.cost) <= 4 * r.realized_cost_se
+
+
+def _full_path_metrics(model, knowledge, budget, n, seed, strategy):
+    # idealized scoring of the full count run, stage by stage
+    strat, _, obf = simulate_run(model, knowledge, budget, n, seed, strategy)
+    cfg = DetectorConfig.idealized(model.anomaly_rate, strat.p_waterfill, strat.p_fake,
+                                   knowledge.tpr, knowledge.tnr)
+    verdicts = classify_run(obf, cfg)
+    guesses = guess_run(verdicts.posterior_anomaly, seed + (2,))
+    try:
+        err = guessing_error(guesses, obf.is_anomaly)
+        err_se = guessing_error_se(err, int(obf.is_anomaly.sum()))
+    except DegenerateMetricError:
+        err = err_se = math.nan
+    return (err, err_se) + _empirical_ce_bits(obf.is_anomaly, verdicts.flagged)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    slots=st.integers(2, 12),
+    intensity=st.floats(1.0, 60.0),
+    rp=st.floats(0.0, 1.0),
+    tpr=st.floats(0.0, 1.0),
+    tnr=st.floats(0.0, 1.0),
+    budget=st.floats(0.0, 3.0),
+    strategy=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    n=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_cell_idealized_metrics_equal_the_full_path(slots, intensity, rp, tpr, tnr,
+                                                        budget, strategy, n, seed):
+    # idealized cells draw labels only; every metric field must still equal
+    # the one the full count run gives, bit for bit (nan equal to nan)
+    model = IntervalModel(slots, 1.0, intensity, rp)
+    knowledge = KnowledgeModel(tpr, tnr)
+    strat = None if strategy is None else Strategy(*strategy, 0.0, 0.0, False)
+    base = (seed, 1, 2)
+    r = run_cell(model, knowledge, budget, n_intervals=n, seed=base, strategy=strat)
+    want = _full_path_metrics(model, knowledge, budget, n, base, strat)
+    got = (r.guess_err, r.guess_err_se, r.ce_bits, r.ce_bits_se)
+    assert np.array_equal(np.array(got), np.array(want), equal_nan=True), (got, want)
 
 
 def test_run_cell_without_obfuscation_leaks_everything():

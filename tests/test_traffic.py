@@ -137,6 +137,35 @@ def test_csv_roundtrip_with_dummies_and_actions():
     assert [ACTIONS[a] for a in back.action] == [ACTIONS[1], ACTIONS[2]]
 
 
+def _run_csv_loop(run: Run, comment: str) -> str:
+    # reference: the dump format, one numpy element at a time
+    lines = [f"# {comment}", f"# shape intervals={len(run)} slots={run.slots}",
+             RUN_CSV_HEADER]
+    for i in range(len(run)):
+        anom = bool(run.is_anomaly[i])
+        slot = int(run.anomaly_slot[i]) if anom else ""
+        for j in range(run.slots):
+            lines.append(f"{i},{j},{int(run.counts[i, j])},{int(run.dummy_counts[i, j])},"
+                         f"{int(anom)},{slot},{ACTIONS[int(run.action[i])]}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(slots=st.integers(2, 6), n=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_csv_dump_matches_loop_formatter(slots, n, seed):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 200, (n, slots))
+    dummy = rng.integers(0, counts + 1)
+    is_anomaly = rng.random(n) < 0.5
+    anomaly_slot = np.where(is_anomaly, rng.integers(0, slots, n), -1)
+    run = Run(counts, dummy, is_anomaly, anomaly_slot, rng.integers(0, len(ACTIONS), n))
+    buf = io.StringIO()
+    run_to_csv(run, buf, comment="tool 0.0")
+    assert buf.getvalue() == _run_csv_loop(run, "tool 0.0")
+    if n:
+        assert run_from_csv(io.StringIO(buf.getvalue())) == run
+
+
 def test_csv_rejects_malformed_input():
     with pytest.raises(ValueError):
         run_from_csv(io.StringIO("a,b,c\n1,2,3\n"))
@@ -156,6 +185,9 @@ def test_csv_rejects_malformed_input():
         run_from_csv(io.StringIO(conflict))
     with pytest.raises(ValueError):
         run_from_csv(io.StringIO(RUN_CSV_HEADER + "\n0,0,1,0,0,,zap\n0,1,1,0,0,,zap\n"))
+    # fields are read as written, without CSV quoting
+    with pytest.raises(ValueError):
+        run_from_csv(io.StringIO(RUN_CSV_HEADER + '\n0,0,"1",0,0,,none\n0,1,1,0,0,,none\n'))
 
 
 @settings(max_examples=60, deadline=None)
