@@ -485,12 +485,13 @@ def cmd_analyze(args, cfg: Config) -> int:
     trace = _wrap_value_error(
         lambda: ExternalTrace(trace.device, trace.timestamps, slot_width, slots),
         "analyze")
+    # after the read: loading scipy.stats first adds its size to the reader's peak RSS
+    thr = _wrap_value_error(lambda: chi_square_threshold(slots, alpha), "analyze")
     try:
         counts = bin_timestamps(trace.timestamps, slot_width, slots)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
     _, _, d = run_dispersion(counts)
-    thr = chi_square_threshold(slots, alpha)
     stat = (slots - 1) * d
     flagged = np.where(np.isnan(stat), False, stat > thr)
     out = _resolve_out(args, cfg)
@@ -513,13 +514,16 @@ def cmd_posterior(args, cfg: Config) -> int:
         fixture = load_fixture(path)
     except OSError as exc:
         raise DataError(f"cannot read fixture {path}: {exc.strerror}") from exc
-    except (ValueError, KeyError) as exc:
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        # a document of the wrong shape: a missing key, a short list, a
+        # number where a list belongs, a top-level array
         raise DataError(f"bad fixture {path}: {exc}") from exc
     observed_cfg = cfg.get("posterior", "observed", None)
     if observed_cfg is not None:
         if not isinstance(observed_cfg, tuple):
             observed_cfg = (observed_cfg,)
-        targets = [tuple(float(t) for t in observed_cfg)]
+        targets = [_wrap_value_error(lambda: tuple(float(t) for t in observed_cfg),
+                                     "posterior.observed")]
     else:
         targets = sorted(enumerate_observables(fixture.prior, fixture.mechanism))
     tables = []

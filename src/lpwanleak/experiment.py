@@ -292,6 +292,8 @@ class SweepSpec:
             raise ValueError("sweep grids must be non-empty")
         if self.n_intervals < 1000:
             raise ValueError("sweeps need at least 1000 intervals per cell")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must be in (0, 1)")
 
 
 def run_sweep(spec: SweepSpec) -> list[MetricsReport]:

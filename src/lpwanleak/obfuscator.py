@@ -271,9 +271,10 @@ def _frontier_candidates(rp: float, tpr: float, tnr: float, cm: CostModel,
         return [(1.0, 1.0)]
     # the ends with the most waterfilling (t = 1) and with the most faking (t = 0)
     p1 = min(1.0, budget / a) if a > 0 else 1.0
-    q1 = max(0.0, (budget - a * p1) / b) if b > 0 else 1.0
+    # clipped both ways: a rounding leftover over a subnormal a or b can be huge
+    q1 = min(1.0, max(0.0, (budget - a * p1) / b)) if b > 0 else 1.0
     q2 = min(1.0, budget / b) if b > 0 else 1.0
-    p2 = max(0.0, (budget - b * q2) / a) if a > 0 else 1.0
+    p2 = min(1.0, max(0.0, (budget - b * q2) / a)) if a > 0 else 1.0
     x0, x1, y0 = tpr * p2, tpr * (p1 - p2), tnr * q2
     f0 = rp * (1.0 - x0) + (1.0 - rp) * y0       # F at t = 0
     u0 = rp * x0 + (1.0 - rp) * (1.0 - y0)       # 1 - F at t = 0

@@ -130,14 +130,10 @@ class TracePrior:
 class Mechanism(ABC):
     """Additive obfuscation channel q(X | R).
 
-    Subclasses implement ``mass`` and ``outputs`` (which also powers
-    sampling and exact enumeration). Every output must contain the
-    conditioning real trace as a subset.
+    Subclasses implement ``outputs`` only: it defines q(X | R) for the
+    posterior, the exact enumeration and the sampler alike. Every output
+    must contain the conditioning real trace as a subset.
     """
-
-    @abstractmethod
-    def mass(self, observed, real) -> float:
-        """q(observed | real)."""
 
     @abstractmethod
     def outputs(self, real) -> list[tuple[tuple[float, ...], float]]:
@@ -146,9 +142,6 @@ class Mechanism(ABC):
 
 class IdentityMechanism(Mechanism):
     """No dummies: X = R with certainty."""
-
-    def mass(self, observed, real) -> float:
-        return 1.0 if _ts(observed) == _ts(real) else 0.0
 
     def outputs(self, real):
         return [(_ts(real), 1.0)]
@@ -163,10 +156,6 @@ class FillToMechanism(Mechanism):
 
     def __init__(self, target: Iterable[float]):
         self.target = _ts(target)
-
-    def mass(self, observed, real) -> float:
-        want = tuple(sorted(set(self.target) | set(_ts(real))))
-        return 1.0 if _ts(observed) == want else 0.0
 
     def outputs(self, real):
         return [(tuple(sorted(set(self.target) | set(_ts(real)))), 1.0)]
@@ -200,12 +189,6 @@ class TableMechanism(Mechanism):
                 raise ValueError(f"mechanism row for {r} sums to {total}, expected 1")
             table[r] = row
         self._rows = table
-
-    def mass(self, observed, real) -> float:
-        r = _ts(real)
-        if r not in self._rows:
-            raise ValueError(f"mechanism has no row for real trace {r}")
-        return self._rows[r].get(_ts(observed), 0.0)
 
     def outputs(self, real):
         r = _ts(real)
@@ -283,16 +266,24 @@ def _subsets_lex(ts: tuple[float, ...]) -> list[tuple[float, ...]]:
     return sorted(subs)
 
 
-def _joint_weights(prior: TracePrior, mech: Mechanism, obs: tuple) -> dict[tuple, float]:
-    """{R: prior(R) * q(X|R)} over support traces contained in X."""
-    out: dict[tuple, float] = {}
+def _joint_weights(prior: TracePrior, mech: Mechanism, obs: tuple) -> tuple[dict, float]:
+    """({R: prior(R) * q(X|R)} over support traces contained in X, p(X)).
+
+    Raises InconsistentObservationError when nothing in the support can
+    have produced the observation.
+    """
+    weights: dict[tuple, float] = {}
     for r in prior.support:
         if not _is_subset(r, obs):
             continue
-        w = prior.mass(r) * mech.mass(obs, r)
+        w = prior.mass(r) * dict(mech.outputs(r)).get(obs, 0.0)
         if w > 0:
-            out[r] = w
-    return out
+            weights[r] = w
+    normalizer = math.fsum(weights.values())
+    if normalizer <= 0.0:
+        raise InconsistentObservationError(
+            f"no prior trace can produce observation {obs}")
+    return weights, normalizer
 
 
 def posterior(prior: TracePrior, mech: Mechanism, observed, candidate) -> float:
@@ -302,60 +293,13 @@ def posterior(prior: TracePrior, mech: Mechanism, observed, candidate) -> float:
     InconsistentObservationError when nothing in the support can have
     produced the observation.
     """
-    obs = _ts(observed)
-    cand = _ts(candidate)
-    weights = _joint_weights(prior, mech, obs)
-    normalizer = math.fsum(weights.values())
-    if normalizer <= 0.0:
-        raise InconsistentObservationError(
-            f"no prior trace can produce observation {obs}")
-    if not _is_subset(cand, obs):
-        return 0.0
-    return weights.get(cand, 0.0) / normalizer
+    return posterior_table(prior, mech, observed).get(_ts(candidate), 0.0)
 
 
 def posterior_table(prior: TracePrior, mech: Mechanism, observed) -> dict[tuple, float]:
     """Full posterior over support traces for one observation."""
-    obs = _ts(observed)
-    weights = _joint_weights(prior, mech, obs)
-    normalizer = math.fsum(weights.values())
-    if normalizer <= 0.0:
-        raise InconsistentObservationError(
-            f"no prior trace can produce observation {obs}")
+    weights, normalizer = _joint_weights(prior, mech, _ts(observed))
     return {r: w / normalizer for r, w in weights.items()}
-
-
-def enumerate_observables(prior: TracePrior, mech: Mechanism) -> dict[tuple, float]:
-    """Marginal p(X) over every reachable observation."""
-    out: dict[tuple, float] = {}
-    for r in prior.support:
-        p = prior.mass(r)
-        for x, q in mech.outputs(r):
-            out[x] = out.get(x, 0.0) + p * q
-    return out
-
-
-def optimal_guess(prior: TracePrior, mech: Mechanism, observed, dist) -> tuple[tuple, float]:
-    """Best guess for one observation and its expected distance.
-
-    Minimizes sum over R of prior(R) q(X|R) d(R, R') over all subsets R' of
-    the observation; ties go to the lexicographically smallest subset. The
-    returned cost is normalized by p(X), i.e. the attacker's conditional
-    expected error.
-    """
-    obs = _ts(observed)
-    weights = _joint_weights(prior, mech, obs)
-    normalizer = math.fsum(weights.values())
-    if normalizer <= 0.0:
-        raise InconsistentObservationError(
-            f"no prior trace can produce observation {obs}")
-    best = None
-    best_cost = math.inf
-    for cand in _subsets_lex(obs):
-        cost = math.fsum(w * dist(r, cand) for r, w in weights.items())
-        if cost < best_cost:
-            best, best_cost = cand, cost
-    return best, best_cost / normalizer
 
 
 def _exact_joint(prior: TracePrior, mech: Mechanism) -> dict[tuple, dict[tuple, float]]:
@@ -367,6 +311,38 @@ def _exact_joint(prior: TracePrior, mech: Mechanism) -> dict[tuple, dict[tuple, 
             row = joint.setdefault(x, {})
             row[r] = row.get(r, 0.0) + p * q
     return joint
+
+
+def enumerate_observables(prior: TracePrior, mech: Mechanism) -> dict[tuple, float]:
+    """Marginal p(X) over every reachable observation."""
+    return {x: sum(row.values()) for x, row in _exact_joint(prior, mech).items()}
+
+
+def _best_guess(weights: Mapping[tuple, float], obs: tuple, dist) -> tuple[tuple, float]:
+    """Subset R' of obs minimizing sum over R of weights[R] d(R, R'), and that sum.
+
+    Ties go to the lexicographically smallest subset.
+    """
+    best, best_cost = None, math.inf
+    for cand in _subsets_lex(obs):
+        cost = math.fsum(w * dist(r, cand) for r, w in weights.items())
+        if cost < best_cost:
+            best, best_cost = cand, cost
+    return best, best_cost
+
+
+def optimal_guess(prior: TracePrior, mech: Mechanism, observed, dist) -> tuple[tuple, float]:
+    """Best guess for one observation and its expected distance.
+
+    Minimizes sum over R of prior(R) q(X|R) d(R, R') over all subsets R' of
+    the observation; ties go to the lexicographically smallest subset. The
+    returned cost is normalized by p(X), i.e. the attacker's conditional
+    expected error.
+    """
+    obs = _ts(observed)
+    weights, normalizer = _joint_weights(prior, mech, obs)
+    best, cost = _best_guess(weights, obs, dist)
+    return best, cost / normalizer
 
 
 def average_error(prior: TracePrior, mech: Mechanism, dist,
@@ -382,15 +358,9 @@ def average_error(prior: TracePrior, mech: Mechanism, dist,
         largest = max(len(x) for r in prior.support for x, _ in mech.outputs(r))
         method = "exact" if largest <= _MAX_EXACT_MESSAGES else "mc"
     if method == "exact":
-        joint = _exact_joint(prior, mech)
         total = 0.0
-        for x, weights in joint.items():
-            best = math.inf
-            for cand in _subsets_lex(x):
-                cost = math.fsum(w * dist(r, cand) for r, w in weights.items())
-                if cost < best:
-                    best = cost
-            total += best
+        for x, weights in _exact_joint(prior, mech).items():
+            total += _best_guess(weights, x, dist)[1]
         return total
     if method == "mc":
         return average_error_mc(prior, mech, dist, budget, seed)[0]
@@ -398,87 +368,78 @@ def average_error(prior: TracePrior, mech: Mechanism, dist,
 
 
 def _sample_pairs(prior: TracePrior, mech: Mechanism, budget: int, rng):
-    """Draw (real index, observed trace) pairs, grouped for speed."""
+    """Draw (real, observed) pairs: (support indices, observation ids, observations).
+
+    The stream is one choice of every real, then one choice of outputs per
+    distinct real that has more than one, reals in ascending order.
+    """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    traces = prior.support
-    r_idx = rng.choice(len(traces), size=budget, p=prior._probs)
-    x_keys: list = [None] * budget
+    r_idx = rng.choice(len(prior.support), size=budget, p=prior._probs)
+    x_idx = np.empty(budget, dtype=np.int64)
+    ids: dict[tuple, int] = {}
     for i in np.unique(r_idx):
         rows = np.flatnonzero(r_idx == i)
-        real = traces[int(i)]
-        outs = mech.outputs(real)
-        if len(outs) == 1:
-            for j in rows:
-                x_keys[int(j)] = outs[0][0]
-        else:
-            probs = np.array([q for _, q in outs])
-            picks = rng.choice(len(outs), size=rows.size, p=probs)
-            for j, k in zip(rows, picks):
-                x_keys[int(j)] = outs[int(k)][0]
-    return r_idx, x_keys
+        outs = mech.outputs(prior.support[int(i)])
+        picks = (np.zeros(rows.size, dtype=np.int64) if len(outs) == 1 else
+                 rng.choice(len(outs), size=rows.size, p=np.array([q for _, q in outs])))
+        for k in np.unique(picks):
+            x_idx[rows[picks == k]] = ids.setdefault(outs[int(k)][0], len(ids))
+    return r_idx, x_idx, list(ids)
+
+
+def _sample_mean(r_idx: np.ndarray, x_idx: np.ndarray, value) -> tuple[float, float]:
+    """Mean of value(r, x) over the pairs and its SE, one call per distinct pair."""
+    width = int(x_idx.max()) + 1
+    pair = r_idx * width + x_idx
+    keys = np.unique(pair)
+    vals = np.array([value(int(k) // width, int(k) % width) for k in keys])
+    vals = vals[np.searchsorted(keys, pair)]
+    n = vals.size
+    se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+    return float(vals.mean()), se
 
 
 def average_error_mc(prior: TracePrior, mech: Mechanism, dist,
                      budget: int = 100_000, seed=0) -> tuple[float, float]:
     """Monte-Carlo average error with its standard error."""
-    rng = as_rng(seed)
-    r_idx, x_keys = _sample_pairs(prior, mech, budget, rng)
-    guesses: dict[tuple, tuple] = {}
-    err_cache: dict[tuple, float] = {}
-    errs = np.empty(budget)
-    for n in range(budget):
-        x = x_keys[n]
-        if x not in guesses:
-            guesses[x], _ = optimal_guess(prior, mech, x, dist)
-        key = (int(r_idx[n]), x)
-        if key not in err_cache:
-            err_cache[key] = dist(prior.support[int(r_idx[n])], guesses[x])
-        errs[n] = err_cache[key]
-    se = float(np.std(errs, ddof=1) / math.sqrt(budget)) if budget > 1 else math.nan
-    return float(errs.mean()), se
+    r_idx, x_idx, observations = _sample_pairs(prior, mech, budget, as_rng(seed))
+    guess = [optimal_guess(prior, mech, x, dist)[0] for x in observations]
+    return _sample_mean(r_idx, x_idx, lambda r, x: dist(prior.support[r], guess[x]))
 
 
-def conditional_entropy(prior: TracePrior, mech: Mechanism,
-                        budget: int = 100_000, seed=0, method: str = "auto") -> float:
+def conditional_entropy(prior: TracePrior, mech: Mechanism, method: str = "auto") -> float:
     """Entropy (bits) of the real trace given the observation.
 
-    Exact value is sum over X of p(X) H(p(R|X)); the MC estimate averages
-    -log2 p(R|X) over sampled pairs, which has the same expectation. "auto"
-    is exact: every mechanism enumerates its outputs.
+    Exact value is sum over X of p(X) H(p(R|X)); conditional_entropy_mc
+    averages -log2 p(R|X) over sampled pairs, which has the same
+    expectation. "auto" is exact: every mechanism enumerates its outputs.
     """
-    if method in ("auto", "exact"):
-        joint = _exact_joint(prior, mech)
-        total = 0.0
-        for x, weights in joint.items():
-            norm = math.fsum(weights.values())
-            for w in weights.values():
-                if w > 0:
-                    total -= w * math.log2(w / norm)
-        return total
-    if method == "mc":
-        return conditional_entropy_mc(prior, mech, budget, seed)[0]
-    raise ValueError(f"unknown method {method!r}")
+    if method not in ("auto", "exact"):
+        raise ValueError(f"unknown method {method!r}")
+    total = 0.0
+    for weights in _exact_joint(prior, mech).values():
+        norm = math.fsum(weights.values())
+        for w in weights.values():
+            if w > 0:
+                total -= w * math.log2(w / norm)
+    return total
 
 
 def conditional_entropy_mc(prior: TracePrior, mech: Mechanism,
                            budget: int = 100_000, seed=0) -> tuple[float, float]:
     """Monte-Carlo conditional entropy (bits) with its standard error."""
-    rng = as_rng(seed)
-    r_idx, x_keys = _sample_pairs(prior, mech, budget, rng)
-    tables: dict[tuple, dict] = {}
-    vals = np.empty(budget)
-    for n in range(budget):
-        x = x_keys[n]
-        if x not in tables:
-            tables[x] = posterior_table(prior, mech, x)
-        p = tables[x].get(prior.support[int(r_idx[n])], 0.0)
+    r_idx, x_idx, observations = _sample_pairs(prior, mech, budget, as_rng(seed))
+    post = [posterior_table(prior, mech, x) for x in observations]
+
+    def surprisal(r: int, x: int) -> float:
+        p = post[x].get(prior.support[r], 0.0)
         if p <= 0.0:
             raise InconsistentObservationError(
                 "sampled real trace has zero posterior; mechanism and prior disagree")
-        vals[n] = -math.log2(p)
-    se = float(np.std(vals, ddof=1) / math.sqrt(budget)) if budget > 1 else math.nan
-    return float(vals.mean()), se
+        return -math.log2(p)
+
+    return _sample_mean(r_idx, x_idx, surprisal)
 
 
 @dataclass(frozen=True)

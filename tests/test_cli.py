@@ -440,6 +440,43 @@ observed = 0.5
     assert main(["posterior", str(tmp_path / "nope.json"), "--seed", "0"]) == 3
 
 
+SMALL_FIXTURE = {"tick": 1.0, "window": [0.0, 3.0],
+                 "prior": [{"trace": [1.0], "p": 1.0}], "mechanism": "identity"}
+
+
+@pytest.mark.parametrize("doc", [
+    {**SMALL_FIXTURE, "window": [0]},
+    {**SMALL_FIXTURE, "prior": 5},
+    {**SMALL_FIXTURE, "prior": [{"trace": 5, "p": 1.0}]},
+    [SMALL_FIXTURE],
+], ids=["short-window", "number-prior", "number-trace", "top-level-array"])
+def test_posterior_malformed_fixture_is_data_error(tmp_path, doc):
+    fixture = tmp_path / "bad.json"
+    fixture.write_text(json.dumps(doc))
+    assert main(["posterior", str(fixture), "--seed", "0"]) == 3
+
+
+SWEEP_CELL = "anomaly_rates = 0.2\nintensities = 10\nn_intervals = 1000\n"
+
+
+@pytest.mark.parametrize("command,text", [
+    ("analyze", "[analyze]\nalpha = 1.5\n"),
+    ("analyze", "[analyze]\nslots = 1\n"),
+    ("posterior", "[posterior]\nobserved = abc\n"),
+    ("sweep", "[sweep]\nalpha = 1.5\ndetector = chi-square\n" + SWEEP_CELL),
+    ("sweep", "[sweep]\nalpha = 1.5\n" + SWEEP_CELL),
+], ids=["analyze-alpha", "analyze-slots", "posterior-observed", "chi-square-sweep-alpha",
+        "idealized-sweep-alpha"])
+def test_unusable_config_values_are_config_errors(tmp_path, repo_root, command, text):
+    trace = tmp_path / "trace.csv"
+    write_trace_csv(trace, to_timestamps(gen_run(IntervalModel(10, 1.0, 40.0, 0.3), 20, 3)))
+    inputs = {"analyze": [str(trace)], "sweep": [],
+              "posterior": [str(repo_root / "fixtures" / "fillto_two_messages.json")]}
+    cfg = _write(tmp_path, "bad.cfg", text)
+    assert main([command, *inputs[command], "--config", cfg, "--seed", "0",
+                 "--out", str(tmp_path / "out")]) == 2
+
+
 def test_costs_command(tmp_path):
     cfg = _write(tmp_path, "costs.cfg", """\
 [costs]

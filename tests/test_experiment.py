@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpwanleak import (
@@ -123,6 +123,9 @@ def _full_path_metrics(model, knowledge, budget, n, seed, strategy):
     n=st.integers(1, 400),
     seed=st.integers(0, 2**32 - 1),
 )
+# a subnormal anomaly rate whose frontier solve once overflowed p_waterfill
+@example(slots=2, intensity=24.125, rp=2.225073858507e-311, tpr=0.5, tnr=0.0,
+         budget=0.01190911098548986, strategy=None, n=1, seed=0)
 def test_run_cell_idealized_metrics_equal_the_full_path(slots, intensity, rp, tpr, tnr,
                                                         budget, strategy, n, seed):
     # idealized cells draw labels only; every metric field must still equal

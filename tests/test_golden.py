@@ -4,22 +4,37 @@
 line and the trace CSV that `write_trace_csv` writes for analyze. The CLI
 outputs are compared without their first line, the `# lpwanleak ...`
 provenance comment, which names the tool version and config hash; the trace
-CSV is compared whole. Regenerate a golden only for a change that means to
-alter that output, and say which column changes and why. The figure CSVs,
+CSV is compared whole. `trace_metrics.json` pins the exact and Monte-Carlo
+trace metrics of every shipped fixture and of one overlapping table, and
+with them the layout of the trace sampler's draws, as the `repr` of each
+float. Regenerate a golden only for a change that means to alter that
+output, and say which column changes and why. The figure CSVs,
 pinned byte for byte by the acceptance suite, are checked here against
 their closed-form expected metrics.
 """
 
 import csv
+import json
 import pathlib
 from statistics import NormalDist
 
 import pytest
 
-from lpwanleak import IntervalModel, gen_run, idealized_metrics, to_timestamps
+from lpwanleak import (
+    CardinalityDistance,
+    IntervalModel,
+    average_error,
+    average_error_mc,
+    conditional_entropy,
+    conditional_entropy_mc,
+    gen_run,
+    idealized_metrics,
+    load_fixture,
+    to_timestamps,
+)
 from lpwanleak.cli import main, write_trace_csv
 
-from conftest import CONFIG_DIR, ROOT
+from conftest import CONFIG_DIR, FIXTURE_PATHS, ROOT
 
 GOLDEN = ROOT / "tests" / "golden"
 
@@ -61,6 +76,46 @@ def golden_outputs(tmp: pathlib.Path) -> dict[str, str]:
 def test_cli_csvs_match_golden(tmp_path):
     for name, text in golden_outputs(tmp_path).items():
         assert text == (GOLDEN / name).read_bytes().decode(), name
+
+
+# two reals whose noisy outputs overlap in {1, 2}: the only instance here
+# whose Monte-Carlo metrics depend on the per-real output draws
+OVERLAP = {
+    "name": "table_overlap", "tick": 1.0, "window": [0.0, 3.0],
+    "prior": [{"trace": [1.0], "p": 0.5}, {"trace": [2.0], "p": 0.5}],
+    "mechanism": {"type": "table", "rows": [
+        {"real": [1.0], "outputs": [{"observed": [1.0], "q": 0.5},
+                                    {"observed": [1.0, 2.0], "q": 0.5}]},
+        {"real": [2.0], "outputs": [{"observed": [2.0], "q": 0.25},
+                                    {"observed": [1.0, 2.0], "q": 0.75}]}]},
+}
+
+
+def trace_metrics_json(budget: int = 20_000) -> str:
+    """Exact and Monte-Carlo trace metrics of every fixture, as float reprs.
+
+    Instance k (the fixtures in sorted path order, then OVERLAP) draws its
+    average-error samples from seed (k, 0) and its conditional-entropy
+    samples from seed (k, 1).
+    """
+    dist = CardinalityDistance()
+    doc = {}
+    for k, source in enumerate([*FIXTURE_PATHS, OVERLAP]):
+        fx = load_fixture(source)
+        ae_mc, ae_se = average_error_mc(fx.prior, fx.mechanism, dist, budget=budget, seed=(k, 0))
+        ce_mc, ce_se = conditional_entropy_mc(fx.prior, fx.mechanism, budget=budget, seed=(k, 1))
+        values = {
+            "average_error": average_error(fx.prior, fx.mechanism, dist, method="exact"),
+            "average_error_mc": ae_mc, "average_error_se": ae_se,
+            "conditional_entropy": conditional_entropy(fx.prior, fx.mechanism, method="exact"),
+            "conditional_entropy_mc": ce_mc, "conditional_entropy_se": ce_se,
+        }
+        doc[fx.name] = {key: repr(v) for key, v in values.items()}
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def test_trace_metrics_match_golden():
+    assert trace_metrics_json() == (GOLDEN / "trace_metrics.json").read_bytes().decode()
 
 
 FIGURES = ("figure_repro.csv", "figure_repro_incomplete.csv")

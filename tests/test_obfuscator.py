@@ -451,3 +451,14 @@ def test_solve_strategy_matches_scan_oracles(slots, lam, intensity, rp, tpr, tnr
     # leak lies on the frontier at all
     g = np.linspace(0.0, 1.0, 101)
     assert_no_worse_than(*(m.ravel() for m in np.meshgrid(g, g)))
+
+
+def test_solve_strategy_subnormal_anomaly_rate():
+    # budget - b * q2 leaves a rounding residue on the budget line; divided by
+    # a subnormal a = R_p * C_wf it gave p_waterfill ~ 8.8e292 and a ValueError
+    model = IntervalModel(2, 1.0, 24.125, 2.225073858507e-311)
+    cm = costs(model)
+    budget = 0.01190911098548986
+    s = solve_strategy(model, KnowledgeModel(0.5, 0.0), budget, cm)
+    assert 0.0 <= s.p_waterfill <= 1.0 and 0.0 <= s.p_fake <= 1.0
+    assert power_ok(s, cm, model.anomaly_rate, budget)

@@ -38,6 +38,11 @@ FILL = FillToMechanism([1.0, 2.0])
 CARD = CardinalityDistance()
 
 
+def q(mech, observed, real):
+    # q(observed | real) as the posterior reads it off the mechanism's outputs
+    return dict(mech.outputs(real)).get(observed, 0.0)
+
+
 def test_prior_validation():
     with pytest.raises(ValueError):
         TracePrior({(0.5,): 1.0}, WINDOW)  # off the tick grid
@@ -68,8 +73,8 @@ def test_prior_support_and_entropy():
 
 def test_identity_mechanism():
     m = IdentityMechanism()
-    assert m.mass((1.0,), (1.0,)) == 1.0
-    assert m.mass((1.0, 2.0), (1.0,)) == 0.0
+    assert q(m, (1.0,), (1.0,)) == 1.0
+    assert q(m, (1.0, 2.0), (1.0,)) == 0.0
     assert m.outputs((1.0,)) == [((1.0,), 1.0)]
 
 
@@ -78,8 +83,8 @@ def test_fill_to_mechanism_union():
     assert FILL.outputs((1.0,)) == [((1.0, 2.0), 1.0)]
     # reals outside the target stay in the output
     assert FILL.outputs((0.0, 1.0)) == [((0.0, 1.0, 2.0), 1.0)]
-    assert FILL.mass((1.0, 2.0), (1.0,)) == 1.0
-    assert FILL.mass((1.0,), (1.0,)) == 0.0
+    assert q(FILL, (1.0, 2.0), (1.0,)) == 1.0
+    assert q(FILL, (1.0,), (1.0,)) == 0.0
 
 
 def test_table_mechanism():
@@ -88,15 +93,15 @@ def test_table_mechanism():
         (): {(): 1.0},
     }
     m = TableMechanism(rows)
-    assert m.mass((1.0, 2.0), (1.0,)) == 0.5
-    assert m.mass((2.0,), ()) == 0.0
+    assert q(m, (1.0, 2.0), (1.0,)) == 0.5
+    assert q(m, (2.0,), ()) == 0.0
     assert m.outputs((1.0,)) == [((1.0,), 0.5), ((1.0, 2.0), 0.5)]
     with pytest.raises(ValueError):
         TableMechanism({(1.0,): {(1.0,): 0.7}})  # row sums to 0.7
     with pytest.raises(ValueError):
         TableMechanism({(1.0,): {(2.0,): 1.0}})  # output loses the real trace
     with pytest.raises(ValueError):
-        m.mass((1.0,), (3.0,))  # no row for that real trace
+        m.outputs((3.0,))  # no row for that real trace
 
 
 def test_cardinality_distance():
@@ -241,6 +246,36 @@ def test_mc_with_random_table_mechanism():
         average_error_mc(prior, mech, CARD, budget=0)
 
 
+def test_mc_estimators_call_the_hooks_once_per_sampled_observation(monkeypatch):
+    # per-observation work goes through the module's optimal_guess and
+    # posterior_table, once for each distinct observation actually sampled
+    import lpwanleak.traces as traces
+
+    prior = TracePrior({(1.0,): 0.5, (2.0,): 0.5}, WINDOW)
+    mech = TableMechanism({(1.0,): {(1.0,): 0.5, (1.0, 2.0): 0.5},
+                           (2.0,): {(2.0,): 0.25, (1.0, 2.0): 0.75}})
+    calls = []
+
+    def counted(fn):
+        def wrapper(prior, mech, observed, *args):
+            calls.append((fn.__name__, observed))
+            return fn(prior, mech, observed, *args)
+        return wrapper
+
+    for name in ("optimal_guess", "posterior_table"):
+        monkeypatch.setattr(traces, name, counted(getattr(traces, name)))
+    average_error_mc(prior, mech, CARD, budget=4000, seed=5)
+    conditional_entropy_mc(prior, mech, budget=4000, seed=6)
+    # 4000 samples reach every observation
+    assert sorted(calls) == sorted((name, x) for x in enumerate_observables(prior, mech)
+                                   for name in ("optimal_guess", "posterior_table"))
+    # one sample, one observation
+    calls.clear()
+    average_error_mc(prior, mech, CARD, budget=1, seed=5)
+    conditional_entropy_mc(prior, mech, budget=1, seed=6)
+    assert sorted(name for name, _ in calls) == ["optimal_guess", "posterior_table"]
+
+
 def test_mc_methods_reject_unknown():
     with pytest.raises(ValueError):
         average_error(PRIOR, FILL, CARD, method="telepathy")
@@ -272,7 +307,7 @@ def test_load_fixture_mechanism_specs():
         "rows": [{"real": [1.0],
                   "outputs": [{"observed": [1.0], "q": 0.5},
                               {"observed": [1.0, 2.0], "q": 0.5}]}]}})
-    assert table.mechanism.mass((1.0, 2.0), (1.0,)) == 0.5
+    assert q(table.mechanism, (1.0, 2.0), (1.0,)) == 0.5
     with pytest.raises(ValueError):
         load_fixture({**base, "mechanism": {"type": "wormhole"}})
     with pytest.raises(ValueError):
