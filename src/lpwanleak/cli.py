@@ -25,9 +25,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -77,6 +79,8 @@ KNOWN_KEYS = {
 _MISSING = object()
 
 _TRACE_CSV_HEADER = "timestamp_s,device_id"
+# characters per read of a trace CSV; bounds the reader's working memory
+_READ_BLOCK = 1 << 20
 
 
 def _parse_scalar(tok: str):
@@ -232,53 +236,104 @@ class ExternalTrace:
         object.__setattr__(self, "timestamps", ts)
 
 
+def _line_blocks(path):
+    """Yield the lines of a UTF-8 text file, about _READ_BLOCK characters at a time.
+
+    Each block is cut after its last newline, so the lines come out exactly
+    as ``str.splitlines`` splits the whole text.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            tail = ""
+            while block := fh.read(_READ_BLOCK):
+                cut = block.rfind("\n") + 1
+                if cut:
+                    yield (tail + block[:cut]).splitlines()
+                    tail = block[cut:]
+                else:
+                    tail += block
+            if tail:
+                yield tail.splitlines()
+    except OSError as exc:
+        raise DataError(f"cannot read trace {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read trace {path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _check_row(path, lineno: int, line: str) -> None:
+    # the per-row rules, applied one line at a time only to find the first
+    # offending line of a block that failed to parse in bulk
+    parts = line.split(",")
+    if len(parts) != 2:
+        raise DataError(f"{path} line {lineno}: expected 2 fields, got {len(parts)}")
+    try:
+        ts = float(parts[0])
+    except ValueError:
+        ts = math.nan
+    if not math.isfinite(ts):
+        raise DataError(f"{path} line {lineno}: bad timestamp {parts[0]!r}")
+
+
 def read_trace_csv(path, device: str | None = None) -> ExternalTrace:
     """Read a `timestamp_s,device_id` CSV and select one device's trace.
 
-    Out-of-order timestamps are reported with their line number. The
-    binning spec on the returned trace is a placeholder (1.0, 2); analyze
-    attaches the configured one.
+    Blank lines and `#` comment lines are skipped anywhere. Malformed rows,
+    non-finite timestamps and out-of-order timestamps of the selected
+    device are reported with their line number; when several lines are
+    bad, the first one is. The binning spec on the returned trace is a
+    placeholder (1.0, 2); analyze attaches the configured one.
     """
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read trace {path}: {exc.strerror}") from exc
-    rows = []
+    codes_of: dict[str, int] = {}
+    ts_blocks, code_blocks, lineno_blocks = [], [], []
     header_seen = False
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != _TRACE_CSV_HEADER:
-                raise DataError(f"{path} line {lineno}: expected header {_TRACE_CSV_HEADER}")
+    lineno = 0
+    for lines in _line_blocks(path):
+        first = lineno + 1
+        lineno += len(lines)
+        stripped = list(map(str.strip, lines))
+        keep = [i for i, s in enumerate(stripped) if s and s[0] != "#"]
+        if keep and not header_seen:
+            i = keep.pop(0)
+            if stripped[i] != _TRACE_CSV_HEADER:
+                raise DataError(f"{path} line {first + i}: expected header {_TRACE_CSV_HEADER}")
             header_seen = True
+        if not keep:
             continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise DataError(f"{path} line {lineno}: expected 2 fields, got {len(parts)}")
+        rows = [stripped[i] for i in keep]
+        fields = ",".join(rows).split(",")
         try:
-            ts = float(parts[0])
+            if list(map(str.count, rows, repeat(","))).count(1) != len(rows):
+                raise ValueError("a row without exactly two fields")
+            ts = np.fromiter(map(float, fields[0::2]), float, len(rows))
+            if not np.isfinite(ts).all():
+                raise ValueError("a non-finite timestamp")
         except ValueError:
-            raise DataError(f"{path} line {lineno}: bad timestamp {parts[0]!r}") from None
-        rows.append((lineno, ts, parts[1].strip()))
+            for i in keep:
+                _check_row(path, first + i, stripped[i])
+            raise  # no row broke a rule: a bug in the bulk parse, not bad data
+        devices = list(map(str.strip, fields[1::2]))
+        for name in dict.fromkeys(devices):
+            codes_of.setdefault(name, len(codes_of))
+        ts_blocks.append(ts)
+        code_blocks.append(np.fromiter(map(codes_of.__getitem__, devices), np.intp,
+                                       len(devices)))
+        lineno_blocks.append(np.add(keep, first))
     if not header_seen:
         raise DataError(f"{path}: empty trace file")
-    devices = sorted({dev for _, _, dev in rows})
     if device is None:
-        if len(devices) > 1:
-            raise DataError(f"{path}: multiple devices {devices}; set analyze.device")
-        device = devices[0] if devices else ""
-    picked = [(lineno, ts) for lineno, ts, dev in rows if dev == device]
-    if not picked:
+        if len(codes_of) > 1:
+            raise DataError(f"{path}: multiple devices {sorted(codes_of)}; set analyze.device")
+        device = next(iter(codes_of), "")
+    if device not in codes_of:
         raise DataError(f"{path}: no messages for device {device!r}")
-    prev = None
-    for lineno, ts in picked:
-        if prev is not None and ts < prev:
-            raise DataError(f"{path} line {lineno}: out-of-order timestamp {ts}")
-        prev = ts
-    return ExternalTrace(device, np.array([ts for _, ts in picked]), 1.0, 2)
+    picked = np.concatenate(code_blocks) == codes_of[device]
+    ts = np.concatenate(ts_blocks)[picked]
+    back = np.flatnonzero(ts[1:] < ts[:-1])
+    if back.size:
+        k = back[0] + 1
+        bad_line = np.concatenate(lineno_blocks)[picked][k]
+        raise DataError(f"{path} line {bad_line}: out-of-order timestamp {float(ts[k])}")
+    return ExternalTrace(device, ts, 1.0, 2)
 
 
 def write_trace_csv(path, timestamps, device: str = "dev0", comment=None) -> None:
@@ -485,7 +540,7 @@ def cmd_analyze(args, cfg: Config) -> int:
     trace = _wrap_value_error(
         lambda: ExternalTrace(trace.device, trace.timestamps, slot_width, slots),
         "analyze")
-    # after the read: loading scipy.stats first adds its size to the reader's peak RSS
+    # after the read: loading scipy.special first adds about 20 MB to the reader's peak RSS
     thr = _wrap_value_error(lambda: chi_square_threshold(slots, alpha), "analyze")
     try:
         counts = bin_timestamps(trace.timestamps, slot_width, slots)

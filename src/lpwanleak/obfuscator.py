@@ -293,6 +293,25 @@ def _frontier_candidates(rp: float, tpr: float, tnr: float, cm: CostModel,
     return ends + [(p2 + t * (p1 - p2), q2 + t * (q1 - q2)) for t in roots if 0 < t < 1]
 
 
+def _within_budget(pw: float, pf: float, cm: CostModel, rp: float,
+                   budget: float) -> list[tuple[float, float]]:
+    """A point computed on the budget line can round an ulp over it. Return
+    the point if power_ok holds exactly. Else return its neighbours one ulp
+    lower in either probability that fit, plus the point reached by stepping
+    the probability of the larger cost term down until it fits (the other
+    term can be too small for its ulps to move the rounded cost)."""
+    if power_cost(pw, pf, cm, rp) <= budget:
+        return [(pw, pf)]
+    near = [(math.nextafter(pw, 0.0), pf), (pw, math.nextafter(pf, 0.0))]
+    fits = [p for p in near if power_cost(*p, cm, rp) <= budget]
+    while power_cost(pw, pf, cm, rp) > budget:
+        if (1.0 - rp) * pf * cm.fake_cost >= rp * pw * cm.waterfill_cost:
+            pf = math.nextafter(pf, 0.0)
+        else:
+            pw = math.nextafter(pw, 0.0)
+    return fits + [(pw, pf)]
+
+
 def solve_strategy(model: IntervalModel, knowledge: KnowledgeModel | None = None,
                    budget: float = 1.0, cost_model: CostModel | None = None) -> Strategy:
     """Pick (p_waterfill, p_fake) under the power budget.
@@ -339,13 +358,8 @@ def solve_strategy(model: IntervalModel, knowledge: KnowledgeModel | None = None
             c, p_wf, p_f = best
             return Strategy(p_wf, p_f, 0.0, c, True)
 
-    pw, pf = np.array([(0.0, 0.0)] + _frontier_candidates(rp, tpr, tnr, cm, budget)).T
-    # a point computed on the budget line can round an ulp over it: step the
-    # probability of its larger cost term down until power_ok holds exactly
-    while (over := power_cost(pw, pf, cm, rp) > budget).any():
-        fake = over & ((1.0 - rp) * pf * cm.fake_cost >= rp * pw * cm.waterfill_cost)
-        pf = np.where(fake, np.nextafter(pf, 0.0), pf)
-        pw = np.where(over & ~fake, np.nextafter(pw, 0.0), pw)
+    points = [(0.0, 0.0)] + _frontier_candidates(rp, tpr, tnr, cm, budget)
+    pw, pf = np.array([q for p in points for q in _within_budget(*p, cm, rp, budget)]).T
     eps = class_posteriors(rp, tpr * pw, tnr * pf)[2]
     cost = power_cost(pw, pf, cm, rp)
     k = np.lexsort((pf, pw, cost, np.abs(eps)))[0]

@@ -60,7 +60,14 @@ def test_ensemble_dispersion_pools_moments():
 
 
 def test_chi_square_threshold():
-    assert chi_square_threshold(10, 0.05) == pytest.approx(chi2.ppf(0.95, 9))
+    # computed from scipy.special, it must be the very float scipy.stats
+    # returns, so that analyze verdicts cannot move
+    alphas = np.concatenate([[1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.025, 0.05, 0.1, 0.5,
+                              0.9, 0.99, 1 - 1e-6], np.logspace(-11, -0.01, 20)])
+    slots = np.arange(2, 201)
+    want = chi2.ppf(1.0 - alphas[None, :], slots[:, None] - 1)
+    got = np.array([[chi_square_threshold(int(s), float(a)) for a in alphas] for s in slots])
+    assert got.tobytes() == want.tobytes()
     assert chi_square_threshold(10, 0.01) > chi_square_threshold(10, 0.05)
     with pytest.raises(ValueError):
         chi_square_threshold(1, 0.05)

@@ -1,11 +1,17 @@
 """Config parsing and CLI subcommand tests (driven through main())."""
 
 import json
+import math
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from lpwanleak import cli
 
 from lpwanleak import (
     SWEEP_CSV_HEADER,
@@ -157,6 +163,142 @@ def test_trace_csv_errors(tmp_path):
         read_trace_csv(tmp_path / "missing.csv")
 
 
+@pytest.mark.parametrize("spelling", ["nan", "inf", "1e400"])
+def test_trace_csv_rejects_non_finite_timestamps(tmp_path, spelling, capsys):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"timestamp_s,device_id\n1.0,a\n{spelling},a\n3.0,a\n")
+    with pytest.raises(DataError) as err:
+        read_trace_csv(path)
+    assert str(err.value) == f"{path} line 3: bad timestamp {spelling!r}"
+    assert main(["analyze", str(path), "--seed", "0"]) == 3
+    assert "bad timestamp" in capsys.readouterr().err
+
+
+def test_trace_csv_not_utf8_is_data_error(tmp_path, capsys):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"timestamp_s,device_id\n1.0,a\n\xff\xfe\n")
+    with pytest.raises(DataError) as err:
+        read_trace_csv(path)
+    assert str(path) in str(err.value) and "UTF-8" in str(err.value)
+    assert main(["analyze", str(path), "--seed", "0"]) == 3
+    assert str(path) in capsys.readouterr().err
+
+
+def reference_read_trace_csv(path, device=None):
+    """The reader as one loop over the lines: the rules read_trace_csv keeps."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rows = []
+    header_seen = False
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            if line != "timestamp_s,device_id":
+                raise DataError(f"{path} line {lineno}: expected header timestamp_s,device_id")
+            header_seen = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise DataError(f"{path} line {lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            ts = float(parts[0])
+        except ValueError:
+            ts = math.nan
+        if not math.isfinite(ts):
+            raise DataError(f"{path} line {lineno}: bad timestamp {parts[0]!r}")
+        rows.append((lineno, ts, parts[1].strip()))
+    if not header_seen:
+        raise DataError(f"{path}: empty trace file")
+    devices = sorted({dev for _, _, dev in rows})
+    if device is None:
+        if len(devices) > 1:
+            raise DataError(f"{path}: multiple devices {devices}; set analyze.device")
+        device = devices[0] if devices else ""
+    picked = [(lineno, ts) for lineno, ts, dev in rows if dev == device]
+    if not picked:
+        raise DataError(f"{path}: no messages for device {device!r}")
+    prev = None
+    for lineno, ts in picked:
+        if prev is not None and ts < prev:
+            raise DataError(f"{path} line {lineno}: out-of-order timestamp {ts}")
+        prev = ts
+    return device, np.array([ts for _, ts in picked])
+
+
+_BAD_TIMESTAMPS = ["zap", "", "nan", "-inf", "Infinity", "1e400", "1.0.0"]
+_DEVICES = ["a", " a ", "b", "dev-7", "gw-\u00e9", ""]
+
+
+@st.composite
+def trace_texts(draw):
+    """A trace CSV text mixing good rows with every kind of line the reader skips or rejects."""
+    body = []
+    t = draw(st.floats(-1e3, 1e9))
+    for kind in draw(st.lists(st.sampled_from(
+            ["row"] * 8 + ["back", "comment", "blank", "bad_ts", "one", "three"]), max_size=30)):
+        dev = draw(st.sampled_from(_DEVICES))
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        if kind in ("row", "back"):
+            t += draw(st.floats(0.0, 50.0)) * (-1 if kind == "back" else 1)
+            body.append(f"{pad}{t!r}{pad},{dev}")
+        elif kind == "comment":
+            body.append(f"{pad}# note, with, commas")
+        elif kind == "blank":
+            body.append(pad)
+        elif kind == "bad_ts":
+            body.append(f"{pad}{draw(st.sampled_from(_BAD_TIMESTAMPS))},{dev}")
+        elif kind == "one":
+            body.append(f"{t!r}")
+        else:
+            # a numeric middle field keeps a 1-field line plus a 3-field line
+            # parseable if the fields are paired up across lines
+            middle = draw(st.sampled_from([dev, repr(t)]))
+            body.append(f"{t!r},{middle},{dev}")
+    head = draw(st.sampled_from(["timestamp_s,device_id", " timestamp_s,device_id ",
+                                 "time,dev", ""]))
+    lines = draw(st.lists(st.sampled_from(["# provenance", "", "  "]), max_size=2))
+    lines += [head] + body
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r", "\x0c"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-1] if draw(st.booleans()) and text else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=trace_texts(), device=st.sampled_from([None, "a", "b", "missing"]),
+       block=st.integers(1, 64))
+@example(text="# c\ntimestamp_s,device_id\n1.0,a\nzap,a\n2.0,a,x\n", device=None, block=3)
+@example(text="timestamp_s,device_id\r\n2.0,a\r\n1.0,b\r\n1.5,a\r\n", device="a", block=5)
+@example(text="timestamp_s,device_id\n1.0\n2.0,3.0,a\n", device=None, block=64)
+def test_read_trace_csv_matches_line_reference(text, device, block):
+    # a block as short as one character makes lines, and \r\n pairs, cross
+    # block boundaries
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/trace.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            want = reference_read_trace_csv(path, device)
+        except DataError as exc:
+            want = str(exc)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_READ_BLOCK", block)
+            try:
+                trace = read_trace_csv(path, device)
+                got = (trace.device, trace.timestamps)
+            except DataError as exc:
+                got = str(exc)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got[0] == want[0]
+        assert got[1].dtype == np.float64
+        assert got[1].tobytes() == want[1].tobytes()
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -232,8 +374,8 @@ n_intervals = 1000
 
 
 def test_idealized_sweep_never_loads_scipy_stats(tmp_path):
-    # scipy.stats takes most of a second to import and only the chi-square
-    # threshold needs it; an idealized sweep process must never load it
+    # scipy takes a large share of start-up and only the chi-square threshold
+    # needs it; an idealized sweep process must load no scipy module at all
     cfg = _write(tmp_path, "one.cfg", """\
 [sweep]
 anomaly_rates = 0.2
@@ -242,14 +384,34 @@ n_intervals = 1000
 """)
     argv = ["sweep", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "one.csv")]
     code = ("import sys\n"
+            "def scipy_modules():\n"
+            "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             "import lpwanleak.cli\n"
-            "assert 'scipy.stats' not in sys.modules, 'loaded by import'\n"
+            "assert not scipy_modules(), f'loaded by import: {scipy_modules()}'\n"
             f"assert lpwanleak.cli.main({argv!r}) == 0\n"
-            "assert 'scipy.stats' not in sys.modules, 'loaded by the sweep'\n")
+            "assert not scipy_modules(), f'loaded by the sweep: {scipy_modules()}'\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert len((tmp_path / "one.csv").read_text().splitlines()) == 3
+
+
+def test_analyze_never_loads_scipy_stats(tmp_path):
+    # the threshold comes from scipy.special; analyze must not pay for
+    # importing scipy.stats
+    run = gen_run(IntervalModel(10, 1.0, 40.0, 0.3), 5, 4)
+    trace = tmp_path / "trace.csv"
+    write_trace_csv(trace, to_timestamps(run, slot_width=1.0))
+    argv = ["analyze", str(trace), "--seed", "3", "--out", str(tmp_path / "v.csv")]
+    code = ("import sys\n"
+            "import lpwanleak.cli\n"
+            f"assert lpwanleak.cli.main({argv!r}) == 0\n"
+            "assert 'scipy.special' in sys.modules, 'threshold not computed'\n"
+            "assert 'scipy.stats' not in sys.modules, 'loaded by analyze'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "v.csv").read_text().splitlines()) >= 3
 
 
 def test_sweep_command_json(tmp_path):

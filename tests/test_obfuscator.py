@@ -462,3 +462,16 @@ def test_solve_strategy_subnormal_anomaly_rate():
     s = solve_strategy(model, KnowledgeModel(0.5, 0.0), budget, cm)
     assert 0.0 <= s.p_waterfill <= 1.0 and 0.0 <= s.p_fake <= 1.0
     assert power_ok(s, cm, model.anomaly_rate, budget)
+
+
+def test_solve_strategy_over_budget_guard_keeps_the_least_bias():
+    # the frontier point (1, q) rounds one ulp over the budget; lowering
+    # p_waterfill (the larger cost term) to fit leaks one ulp more than
+    # lowering p_fake, which at tnr = 0 does not move epsilon at all
+    model = IntervalModel(2, 3.628676123355528, 49.27263612668482, 0.9573001016284912)
+    cm = costs(model)
+    budget = 1.711478825712905
+    s = solve_strategy(model, KnowledgeModel(1.4e-45, 0.0), budget, cm)
+    assert power_ok(s, cm, model.anomaly_rate, budget)
+    assert s.p_waterfill == 1.0
+    assert s.epsilon == 3.186036161109378e43
