@@ -265,7 +265,7 @@ def test_run(run: Run, cfg: DetectorConfig) -> RunVerdicts:
     _, _, d = run_dispersion(run.counts)
     thr = chi_square_threshold(run.slots, cfg.alpha)
     stats = (run.slots - 1) * d
-    return _verdicts(np.where(np.isnan(stats), False, stats > thr), stats, thr, cfg)
+    return _verdicts(stats > thr, stats, thr, cfg)  # nan (empty interval): never flagged
 
 
 def guess_run(posterior_anomaly, seed, rule: str = "posterior-match") -> np.ndarray:

@@ -28,7 +28,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -47,7 +46,6 @@ __all__ = [
     "Config",
     "parse_config",
     "load_config",
-    "ExternalTrace",
     "read_trace_csv",
     "write_trace_csv",
     "main",
@@ -216,26 +214,6 @@ def load_config(path: str | None) -> Config:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
 
 
-@dataclass(frozen=True)
-class ExternalTrace:
-    """Captured uplink timestamps of one device, plus the binning spec."""
-
-    device: str
-    timestamps: np.ndarray
-    slot_width: float
-    slots: int
-
-    def __post_init__(self):
-        if self.slot_width <= 0:
-            raise ValueError("slot_width must be positive")
-        ts = np.asarray(self.timestamps, dtype=float)
-        if ts.ndim != 1:
-            raise ValueError("timestamps must be one-dimensional")
-        if ts.size > 1 and np.any(np.diff(ts) < 0):
-            raise ValueError("timestamps must be non-decreasing")
-        object.__setattr__(self, "timestamps", ts)
-
-
 def _line_blocks(path):
     """Yield the lines of a UTF-8 text file, about _READ_BLOCK characters at a time.
 
@@ -274,14 +252,13 @@ def _check_row(path, lineno: int, line: str) -> None:
         raise DataError(f"{path} line {lineno}: bad timestamp {parts[0]!r}")
 
 
-def read_trace_csv(path, device: str | None = None) -> ExternalTrace:
-    """Read a `timestamp_s,device_id` CSV and select one device's trace.
+def read_trace_csv(path, device: str | None = None) -> np.ndarray:
+    """Read a `timestamp_s,device_id` CSV and return one device's timestamps.
 
     Blank lines and `#` comment lines are skipped anywhere. Malformed rows,
     non-finite timestamps and out-of-order timestamps of the selected
     device are reported with their line number; when several lines are
-    bad, the first one is. The binning spec on the returned trace is a
-    placeholder (1.0, 2); analyze attaches the configured one.
+    bad, the first one is. The timestamps come back non-decreasing.
     """
     codes_of: dict[str, int] = {}
     ts_blocks, code_blocks, lineno_blocks = [], [], []
@@ -333,7 +310,7 @@ def read_trace_csv(path, device: str | None = None) -> ExternalTrace:
         k = back[0] + 1
         bad_line = np.concatenate(lineno_blocks)[picked][k]
         raise DataError(f"{path} line {bad_line}: out-of-order timestamp {float(ts[k])}")
-    return ExternalTrace(device, ts, 1.0, 2)
+    return ts
 
 
 def write_trace_csv(path, timestamps, device: str = "dev0", comment=None) -> None:
@@ -534,21 +511,20 @@ def cmd_analyze(args, cfg: Config) -> int:
     path = args.input if args.input else cfg.get_str("analyze", "input")
     device = cfg.get("analyze", "device", None)
     slot_width = cfg.get_float("analyze", "slot_width", 1.0)
+    if not 0 < slot_width < math.inf:
+        raise ConfigError(f"config key 'analyze.slot_width' must be > 0 and finite, "
+                          f"got {slot_width!r}")
     slots = cfg.get_int("analyze", "slots", 10)
     alpha = cfg.get_float("analyze", "alpha", 0.05)
-    trace = read_trace_csv(path, None if device is None else str(device))
-    trace = _wrap_value_error(
-        lambda: ExternalTrace(trace.device, trace.timestamps, slot_width, slots),
-        "analyze")
+    timestamps = read_trace_csv(path, None if device is None else str(device))
     # after the read: loading scipy.special first adds about 20 MB to the reader's peak RSS
     thr = _wrap_value_error(lambda: chi_square_threshold(slots, alpha), "analyze")
     try:
-        counts = bin_timestamps(trace.timestamps, slot_width, slots)
+        counts = bin_timestamps(timestamps, slot_width, slots)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
     _, _, d = run_dispersion(counts)
-    stat = (slots - 1) * d
-    flagged = np.where(np.isnan(stat), False, stat > thr)
+    flagged = (slots - 1) * d > thr  # an empty interval (D = nan) is never flagged
     out = _resolve_out(args, cfg)
     if fmt == "csv":
         write_csv(_csv_file(out), _provenance(cfg, seed), "interval,D,flagged,threshold",

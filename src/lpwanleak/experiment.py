@@ -303,9 +303,9 @@ def run_sweep(spec: SweepSpec) -> list[MetricsReport]:
     derived seed (spec.seed, rate index, intensity index), so any single
     cell can be re-run in isolation. A cell that fails with a domain error
     (``ValueError``: model or strategy validation, an infeasible target, a
-    degenerate metric; ``ArithmeticError`` from the waterfill solve) is
-    recorded with nan metrics and the exception text in ``error``, and the
-    sweep goes on. Any other exception is a bug and propagates.
+    degenerate metric; ``ArithmeticError``: a float overflow or division by
+    zero) is recorded with nan metrics and the exception text in ``error``,
+    and the sweep goes on. Any other exception is a bug and propagates.
     """
     records = []
     for j, intensity in enumerate(spec.intensities):

@@ -54,34 +54,30 @@ class InfeasibleTargetError(ValueError):
     """The requested dispersion shift cannot be reached by adding traffic."""
 
 
+def _one_hot_dispersion(s: int, a: float, b: float) -> float:
+    # expected dispersion of S-1 Poisson slots at rate a and one at rate b
+    return 1.0 + (b - a) ** 2 / ((s - 1) * a + b)
+
+
 def expected_dispersion_fake(model: IntervalModel, fake_rate: float) -> float:
     """Expected dispersion of a baseline interval with one boosted slot.
 
-    Slot rates are (lam, ..., lam, lam + fake_rate). Expected Bessel
-    variance of independent Poisson slots with rates m_i is
-    mean(m) + (mean(m^2) - mean(m)^2) * S/(S-1); dividing by the expected
-    mean gives the dispersion target the solver inverts.
+    Slot rates are (lam, ..., lam, lam + t) for t = fake_rate, so the
+    identity of :func:`expected_dispersion_waterfill` gives 1 + t^2 / (S*lam + t).
     """
-    s, lam = model.slots, model.base_rate
-    mu = lam + fake_rate / s
-    m2 = ((s - 1) * lam * lam + (lam + fake_rate) ** 2) / s
-    var = (m2 - mu * mu) * s / (s - 1) + mu
-    return var / mu
+    lam = model.base_rate
+    return _one_hot_dispersion(model.slots, lam, lam + fake_rate)
 
 
 def expected_dispersion_waterfill(model: IntervalModel, waterfill_rate: float) -> float:
     """Expected dispersion of an anomalous interval with filled side slots.
 
-    Slot rates are (lam + w, ..., lam + w, lam * intensity); same moment
-    algebra as :func:`expected_dispersion_fake`.
+    With S-1 slots at a = lam + w and one at b = lam * intensity, the
+    expected Bessel variance of independent Poisson slots is their mean
+    rate plus (b - a)^2 / S, so the dispersion is 1 + (b - a)^2 / ((S-1) a + b).
     """
-    s, lam = model.slots, model.base_rate
-    a = lam + waterfill_rate
-    b = model.anomaly_slot_rate
-    mu = ((s - 1) * a + b) / s
-    m2 = ((s - 1) * a * a + b * b) / s
-    var = (m2 - mu * mu) * s / (s - 1) + mu
-    return var / mu
+    lam = model.base_rate
+    return _one_hot_dispersion(model.slots, lam + waterfill_rate, model.anomaly_slot_rate)
 
 
 def anomaly_dispersion(model: IntervalModel) -> float:
@@ -112,9 +108,10 @@ def solve_waterfill_rate(model: IntervalModel, k: float) -> float:
 
     k = anomaly dispersion means full suppression (D' = 1, all slot rates
     equal). Larger k would need D' < 1, unreachable by adding traffic.
-    With a = lam + w and b the anomalous slot rate, the defining equation
-    is (a - b)^2 = (D' - 1) * ((S-1) a + b); the smaller root keeps
-    a between lam and b, i.e. the minimal non-negative rate.
+    With a = lam + w, b the anomalous slot rate and c = D' - 1, the gap
+    u = b - a is the positive root of u^2 + c(S-1) u - c S b = 0, taken as
+    2cSb / (h + sqrt(h^2 + 4cSb)) with h = c(S-1), which has no
+    cancellation; the rate is w = max(b - lam - u, 0).
     """
     if k < 1.0:
         raise InfeasibleTargetError(f"waterfill shift k must be >= 1, got {k}")
@@ -129,17 +126,13 @@ def solve_waterfill_rate(model: IntervalModel, k: float) -> float:
     b = model.anomaly_slot_rate
     c = target - 1.0
     if c == 0.0:
-        # full suppression: all slots at the anomalous rate, exactly
+        # full suppression: all slots at the anomalous rate, exactly (the
+        # gap root below is 0/0 here)
         return b - lam
-    disc = 4.0 * b * c * s + c * c * (s - 1) ** 2
-    a = (2.0 * b + c * (s - 1) - math.sqrt(disc)) / 2.0
-    w = a - lam
-    if w < 0.0:
-        # roundoff at the k -> 1 end; the exact root is never negative here
-        if w > -1e-9 * max(1.0, b):
-            return 0.0
-        raise ArithmeticError(f"waterfill solve produced negative rate {w}")
-    return w
+    h = c * (s - 1)
+    csb = c * s * b
+    u = 2.0 * csb / (h + math.sqrt(h * h + 4.0 * csb))
+    return max(b - lam - u, 0.0)
 
 
 @dataclass(frozen=True)

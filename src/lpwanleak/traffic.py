@@ -15,6 +15,7 @@ possible while an attacker is only ever handed the summed counts.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -63,9 +64,12 @@ class IntervalModel:
     """Single-timescale traffic model.
 
     slots: slots per interval (at least 2, so a sample variance exists).
-    base_rate: expected messages per baseline slot (> 0).
-    intensity: anomalous slot rate divided by the baseline rate (>= 1).
+    base_rate: expected messages per baseline slot (> 0, finite).
+    intensity: anomalous slot rate divided by the baseline rate (>= 1, finite).
     anomaly_rate: per-interval probability of an anomaly, in [0, 1].
+
+    The anomalous slot rate b must keep (slots * b)^2 finite: that is the
+    largest product the dispersion algebra of the obfuscator forms.
     """
 
     slots: int
@@ -76,10 +80,14 @@ class IntervalModel:
     def __post_init__(self):
         if self.slots < 2:
             raise ValueError(f"slots must be >= 2, got {self.slots}")
-        if not self.base_rate > 0:
-            raise ValueError(f"base_rate must be > 0, got {self.base_rate}")
-        if self.intensity < 1:
-            raise ValueError(f"intensity must be >= 1, got {self.intensity}")
+        if not 0 < self.base_rate < math.inf:
+            raise ValueError(f"base_rate must be > 0 and finite, got {self.base_rate}")
+        if not 1 <= self.intensity < math.inf:
+            raise ValueError(f"intensity must be >= 1 and finite, got {self.intensity}")
+        reach = self.slots * self.anomaly_slot_rate
+        if not math.isfinite(reach * reach):
+            raise ValueError(f"intensity * base_rate = {self.anomaly_slot_rate} is too large "
+                             f"for {self.slots} slots: (slots * rate)^2 overflows")
         if not 0.0 <= self.anomaly_rate <= 1.0:
             raise ValueError(f"anomaly_rate must be in [0, 1], got {self.anomaly_rate}")
 

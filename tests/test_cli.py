@@ -123,11 +123,8 @@ def test_trace_csv_roundtrip(tmp_path):
     path = tmp_path / "trace.csv"
     ts = [1.5, 2.25, 7.125]
     write_trace_csv(path, ts, device="sensor-1", comment="prov")
-    trace = read_trace_csv(path)
-    assert trace.device == "sensor-1"
-    assert np.array_equal(trace.timestamps, np.array(ts))
-    trace = read_trace_csv(path, device="sensor-1")
-    assert trace.timestamps.size == 3
+    assert np.array_equal(read_trace_csv(path), np.array(ts))
+    assert np.array_equal(read_trace_csv(path, device="sensor-1"), np.array(ts))
     with pytest.raises(DataError):
         read_trace_csv(path, device="other")
 
@@ -224,7 +221,7 @@ def reference_read_trace_csv(path, device=None):
         if prev is not None and ts < prev:
             raise DataError(f"{path} line {lineno}: out-of-order timestamp {ts}")
         prev = ts
-    return device, np.array([ts for _, ts in picked])
+    return np.array([ts for _, ts in picked])
 
 
 _BAD_TIMESTAMPS = ["zap", "", "nan", "-inf", "Infinity", "1e400", "1.0.0"]
@@ -286,17 +283,15 @@ def test_read_trace_csv_matches_line_reference(text, device, block):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_READ_BLOCK", block)
             try:
-                trace = read_trace_csv(path, device)
-                got = (trace.device, trace.timestamps)
+                got = read_trace_csv(path, device)
             except DataError as exc:
                 got = str(exc)
     if isinstance(want, str):
         assert got == want
     else:
         assert not isinstance(got, str), got
-        assert got[0] == want[0]
-        assert got[1].dtype == np.float64
-        assert got[1].tobytes() == want[1].tobytes()
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 def _write(tmp_path, name, text):
@@ -559,6 +554,24 @@ alpha = 0.05
     assert [r["flagged"] for r in doc["rows"]] == [bool(v) for v in want]
 
 
+def test_analyze_empty_interval_is_never_flagged(tmp_path):
+    # three intervals of 10 one-second slots; the middle one carries no
+    # message, so its dispersion is nan and it must read as not flagged
+    trace = tmp_path / "trace.csv"
+    write_trace_csv(trace, [0.5] * 30 + [9.5] + [20.5 + i for i in range(10)])
+    out = tmp_path / "verdicts.csv"
+    assert main(["analyze", str(trace), "--seed", "0", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [(r[0], r[2]) for r in rows] == [("0", "1"), ("1", "0"), ("2", "0")]
+    assert [r[1] for r in rows[1:]] == ["nan", "0.0"]
+    out_json = tmp_path / "verdicts.json"
+    assert main(["analyze", str(trace), "--seed", "0", "--format", "json",
+                 "--out", str(out_json)]) == 0
+    doc = json.loads(out_json.read_text())
+    assert [r["flagged"] for r in doc["rows"]] == [True, False, False]
+    assert math.isnan(doc["rows"][1]["D"])
+
+
 def test_analyze_data_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,trace\n")
@@ -570,6 +583,9 @@ def test_analyze_data_errors(tmp_path):
     short.write_text("timestamp_s,device_id\n1.0,a\n")
     # one message cannot fill an interval
     assert main(["analyze", str(short), "--seed", "0"]) == 3
+    # the slot width is checked before the trace is opened
+    cfg = _write(tmp_path, "nan.cfg", "[analyze]\nslot_width = nan\n")
+    assert main(["analyze", str(tmp_path / "missing.csv"), "--config", cfg, "--seed", "0"]) == 2
 
 
 def test_posterior_command(tmp_path, repo_root):
@@ -621,22 +637,41 @@ def test_posterior_malformed_fixture_is_data_error(tmp_path, doc):
 SWEEP_CELL = "anomaly_rates = 0.2\nintensities = 10\nn_intervals = 1000\n"
 
 
-@pytest.mark.parametrize("command,text", [
-    ("analyze", "[analyze]\nalpha = 1.5\n"),
-    ("analyze", "[analyze]\nslots = 1\n"),
-    ("posterior", "[posterior]\nobserved = abc\n"),
-    ("sweep", "[sweep]\nalpha = 1.5\ndetector = chi-square\n" + SWEEP_CELL),
-    ("sweep", "[sweep]\nalpha = 1.5\n" + SWEEP_CELL),
-], ids=["analyze-alpha", "analyze-slots", "posterior-observed", "chi-square-sweep-alpha",
-        "idealized-sweep-alpha"])
-def test_unusable_config_values_are_config_errors(tmp_path, repo_root, command, text):
+# rates the dispersion algebra cannot represent: not finite, or an
+# anomalous slot rate b with (slots * b)^2 past the largest double
+RATE_CONFIGS = {
+    "solve": "[model]\nintensity = {}\nanomaly_rate = 0.2\n",
+    "costs": "[costs]\nshifts = 1,2\nintensities = 10,{}\n",
+    "sweep": "[sweep]\nanomaly_rates = 0.2\nintensities = 10,{}\nn_intervals = 1000\n",
+}
+
+
+@pytest.mark.parametrize("command,text,field", [
+    pytest.param("analyze", "[analyze]\nalpha = 1.5\n", "alpha", id="analyze-alpha"),
+    pytest.param("analyze", "[analyze]\nslots = 1\n", "slots", id="analyze-slots"),
+    pytest.param("posterior", "[posterior]\nobserved = abc\n", "posterior.observed",
+                 id="posterior-observed"),
+    pytest.param("sweep", "[sweep]\nalpha = 1.5\ndetector = chi-square\n" + SWEEP_CELL,
+                 "alpha", id="chi-square-sweep-alpha"),
+    pytest.param("sweep", "[sweep]\nalpha = 1.5\n" + SWEEP_CELL, "alpha",
+                 id="idealized-sweep-alpha"),
+    *(pytest.param(command, text.format(value), "intensity", id=f"{command}-intensity-{value}")
+      for value in ("nan", "inf", "1e200") for command, text in RATE_CONFIGS.items()),
+    pytest.param("solve", "[model]\nbase_rate = 1e300\nintensity = 1\nanomaly_rate = 0.2\n",
+                 "base_rate", id="solve-base-rate-1e300"),
+    *(pytest.param("analyze", f"[analyze]\nslot_width = {value}\n", "analyze.slot_width",
+                   id=f"analyze-slot-width-{value}") for value in ("0", "nan", "inf")),
+])
+def test_unusable_config_values_are_config_errors(tmp_path, repo_root, capsys,
+                                                  command, text, field):
     trace = tmp_path / "trace.csv"
     write_trace_csv(trace, to_timestamps(gen_run(IntervalModel(10, 1.0, 40.0, 0.3), 20, 3)))
-    inputs = {"analyze": [str(trace)], "sweep": [],
+    inputs = {"analyze": [str(trace)], "sweep": [], "solve": [], "costs": [],
               "posterior": [str(repo_root / "fixtures" / "fillto_two_messages.json")]}
     cfg = _write(tmp_path, "bad.cfg", text)
     assert main([command, *inputs[command], "--config", cfg, "--seed", "0",
                  "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_costs_command(tmp_path):

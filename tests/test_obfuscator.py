@@ -314,6 +314,9 @@ def test_fake_rate_inverts_everywhere(slots, lam, k):
     intensity=st.floats(1.0, 60.0),
     u=st.floats(0.0, 1.0),
 )
+# one ulp above I = 1: the moment form left rounding noise of about 1e-16 in
+# D - 1, which the solve turned into a rate of -2.1e-8
+@example(slots=2, lam=1.0, intensity=1.0000000000000002, u=0.5)
 def test_waterfill_rate_inverts_everywhere(slots, lam, intensity, u):
     m = IntervalModel(slots, lam, intensity, 0.0)
     d0 = anomaly_dispersion(m)

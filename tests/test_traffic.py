@@ -1,6 +1,8 @@
 """Traffic model and run container tests."""
 
 import io
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -29,10 +31,23 @@ MODEL = IntervalModel(slots=10, base_rate=1.0, intensity=40.0, anomaly_rate=0.2)
     dict(slots=10, base_rate=1.0, intensity=0.5, anomaly_rate=0.2),
     dict(slots=10, base_rate=1.0, intensity=40.0, anomaly_rate=-0.1),
     dict(slots=10, base_rate=1.0, intensity=40.0, anomaly_rate=1.1),
+    dict(slots=10, base_rate=float("nan"), intensity=40.0, anomaly_rate=0.2),
+    dict(slots=10, base_rate=float("inf"), intensity=40.0, anomaly_rate=0.2),
+    dict(slots=10, base_rate=1.0, intensity=float("nan"), anomaly_rate=0.2),
+    dict(slots=10, base_rate=1.0, intensity=float("inf"), anomaly_rate=0.2),
+    dict(slots=10, base_rate=1.0, intensity=1e200, anomaly_rate=0.2),
+    dict(slots=10, base_rate=1e300, intensity=1.0, anomaly_rate=0.2),
 ])
 def test_model_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
         IntervalModel(**kwargs)
+
+
+def test_model_rate_limit_is_where_slots_times_rate_squared_overflows():
+    b = math.sqrt(sys.float_info.max) / 10
+    assert IntervalModel(10, 1.0, b * (1 - 1e-15), 0.2).anomaly_slot_rate < b
+    with pytest.raises(ValueError, match="overflows"):
+        IntervalModel(10, 1.0, b * (1 + 1e-15), 0.2)
 
 
 def test_anomaly_slot_rate():
