@@ -31,6 +31,7 @@ import numpy as np
 from .traffic import Run, as_rng
 
 __all__ = [
+    "DETECTOR_MODES",
     "DegenerateMetricError",
     "run_dispersion",
     "ensemble_dispersion",
@@ -47,6 +48,8 @@ __all__ = [
     "guessing_error_se",
     "bin_timestamps",
 ]
+
+DETECTOR_MODES = ("idealized", "chi-square")
 
 
 class DegenerateMetricError(ValueError):
@@ -113,15 +116,15 @@ class DetectorConfig:
     posteriors are nan as well.
     """
 
-    mode: str  # "chi-square" | "idealized"
+    mode: str  # one of DETECTOR_MODES
     anomaly_rate: float
     alpha: float = 0.05
     flag_rate_anomaly: float = float("nan")
     flag_rate_baseline: float = float("nan")
 
     def __post_init__(self):
-        if self.mode not in ("chi-square", "idealized"):
-            raise ValueError(f"unknown detector mode {self.mode!r}")
+        if self.mode not in DETECTOR_MODES:
+            raise ValueError(f"detector mode must be one of {DETECTOR_MODES}, got {self.mode!r}")
         if not 0.0 <= self.anomaly_rate <= 1.0:
             raise ValueError("anomaly_rate must be in [0, 1]")
         if not 0.0 < self.alpha < 1.0:

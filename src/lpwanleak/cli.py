@@ -28,14 +28,15 @@ import json
 import math
 import os
 import sys
-from itertools import repeat
+from dataclasses import astuple
+from itertools import product, repeat
 
 import numpy as np
 
 from . import __version__
 from .attacker import bin_timestamps, chi_square_threshold, run_dispersion
-from .experiment import (MetricsReport, SweepSpec, cost_curves,
-                         cost_curves_to_csv, run_sweep, simulate_run, sweep_to_csv)
+from .experiment import (SweepSpec, cost_curves, cost_curves_to_csv, run_sweep,
+                         simulate_run, sweep_to_csv)
 from .obfuscator import KnowledgeModel, costs, solve_strategy, strategy_json
 from .traces import InconsistentObservationError, enumerate_observables, load_fixture, posterior_table
 from .traffic import IntervalModel, run_to_csv, write_csv
@@ -75,8 +76,11 @@ KNOWN_KEYS = {
 }
 
 _MISSING = object()
+_FORMATS = ("csv", "json")
 
 _TRACE_CSV_HEADER = "timestamp_s,device_id"
+# analyze's output: its CSV columns and its JSON keys
+_ANALYZE_NAMES = ("interval", "D", "flagged", "threshold")
 # characters per read of a trace CSV; bounds the reader's working memory
 _READ_BLOCK = 1 << 20
 
@@ -322,11 +326,8 @@ def write_trace_csv(path, timestamps, device: str = "dev0", comment=None) -> Non
 def _resolve_seed(args, cfg: Config) -> int:
     if args.seed is not None:
         return args.seed
-    seed = cfg.get("run", "seed", None)
-    if seed is not None:
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"config key 'run.seed' must be an integer, got {seed!r}")
-        return seed
+    if cfg.get("run", "seed", None) is not None:
+        return cfg.get_int("run", "seed")
     seed = int.from_bytes(os.urandom(8), "big")
     print(f"lpwanleak: no seed given; using {seed}", file=sys.stderr)
     return seed
@@ -338,8 +339,8 @@ def _resolve_out(args, cfg: Config) -> str | None:
 
 def _resolve_format(args, cfg: Config, default: str) -> str:
     fmt = args.format if args.format is not None else cfg.get("run", "format", default)
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
+    if fmt not in _FORMATS:
+        raise ConfigError(f"config key 'run.format' must be one of {_FORMATS}, got {fmt!r}")
     return fmt
 
 
@@ -358,6 +359,15 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w") as fh:
             fh.write(text)
+
+
+def _emit_json(cfg: Config, seed: int, key: str, rows, out: str | None) -> None:
+    _emit(json.dumps({"meta": _meta(cfg, seed), key: rows}, indent=2) + "\n", out)
+
+
+def _json_rows(records) -> list[dict]:
+    # a record's JSON keys are its class's output names, in field order
+    return [dict(zip(r.NAMES, astuple(r))) for r in records]
 
 
 def _csv_file(out: str | None):
@@ -408,11 +418,8 @@ def _model_from(cfg: Config) -> IntervalModel:
 def _sweep_spec_from(cfg: Config, seed: int) -> SweepSpec:
     rates = _grid_from(cfg, "anomaly_rate", "anomaly_rates")
     intensities = _grid_from(cfg, "intensity", "intensities")
-    detector = cfg.get_str("sweep", "detector", "idealized")
-    if detector not in ("idealized", "chi-square"):
-        raise ConfigError(f"config key 'sweep.detector' must be idealized or chi-square, got {detector!r}")
-    denom = cfg.get_str("solver", "cost_denominator", "base-plus-anomaly")
-    spec = _wrap_value_error(
+    # SweepSpec checks every cell, so an impossible one fails before any simulation
+    return _wrap_value_error(
         lambda: SweepSpec(
             anomaly_rates=rates,
             intensities=intensities,
@@ -420,32 +427,13 @@ def _sweep_spec_from(cfg: Config, seed: int) -> SweepSpec:
             base_rate=cfg.get_float("model", "base_rate", 1.0),
             knowledge=_knowledge_from(cfg),
             budget=cfg.get_float("solver", "budget", 1.0),
-            detector_mode=detector,
+            detector_mode=cfg.get_str("sweep", "detector", "idealized"),
             alpha=cfg.get_float("sweep", "alpha", 0.05),
             n_intervals=cfg.get_int("sweep", "n_intervals", 100_000),
             seed=seed,
-            cost_denominator=denom),
+            cost_denominator=cfg.get_str("solver", "cost_denominator",
+                                         "base-plus-anomaly")),
         "sweep")
-    # fail on impossible cells before spending any simulation time
-    for i in spec.intensities:
-        for rp in spec.anomaly_rates:
-            _wrap_value_error(lambda: IntervalModel(spec.slots, spec.base_rate, i, rp),
-                              f"sweep cell (R_p={rp}, I={i})")
-    return spec
-
-
-def _report_dict(r: MetricsReport) -> dict:
-    return {
-        "R_p": r.r_p, "I": r.intensity, "S": r.slots, "lambda": r.base_rate,
-        "P_tp": r.tpr, "P_tn": r.tnr, "budget": r.budget,
-        "P_wf": r.p_waterfill, "P_f": r.p_fake, "epsilon": r.epsilon,
-        "cost": r.cost, "feasible_optimal": r.feasible_optimal,
-        "guess_err": r.guess_err, "guess_err_se": r.guess_err_se,
-        "ce_bits": r.ce_bits, "ce_bits_se": r.ce_bits_se,
-        "ideal_guess_err": r.ideal_guess_err, "ideal_ce_bits": r.ideal_ce_bits,
-        "degenerate": r.degenerate, "realized_cost": r.realized_cost,
-        "realized_cost_se": r.realized_cost_se, "error": r.error,
-    }
 
 
 def cmd_solve(args, cfg: Config) -> int:
@@ -465,7 +453,9 @@ def cmd_solve(args, cfg: Config) -> int:
     return 0
 
 
-def _run_sweep_command(args, cfg: Config, single_cell: bool) -> int:
+def cmd_sweep(args, cfg: Config) -> int:
+    # simulate is a sweep of one cell that may also dump its run
+    single_cell = args.command == "simulate"
     seed = _resolve_seed(args, cfg)
     fmt = _resolve_format(args, cfg, "csv")
     spec = _sweep_spec_from(cfg, seed)
@@ -476,8 +466,7 @@ def _run_sweep_command(args, cfg: Config, single_cell: bool) -> int:
     if fmt == "csv":
         sweep_to_csv(records, _csv_file(out), comment=_provenance(cfg, seed))
     else:
-        doc = {"meta": _meta(cfg, seed), "rows": [_report_dict(r) for r in records]}
-        _emit(json.dumps(doc, indent=2) + "\n", out)
+        _emit_json(cfg, seed, "rows", _json_rows(records), out)
     failed = [r for r in records if r.error]
     for r in failed:
         print(f"lpwanleak: error R_p={r.r_p!r} I={r.intensity!r}: {r.error}", file=sys.stderr)
@@ -495,14 +484,6 @@ def _dump_single_run(spec: SweepSpec, path: str, provenance: str) -> None:
     _, _, obf = simulate_run(model, spec.knowledge, spec.budget, spec.n_intervals,
                              (spec.seed, 0, 0), cost_denominator=spec.cost_denominator)
     run_to_csv(obf, path, comment=provenance)
-
-
-def cmd_sweep(args, cfg: Config) -> int:
-    return _run_sweep_command(args, cfg, single_cell=False)
-
-
-def cmd_simulate(args, cfg: Config) -> int:
-    return _run_sweep_command(args, cfg, single_cell=True)
 
 
 def cmd_analyze(args, cfg: Config) -> int:
@@ -526,14 +507,12 @@ def cmd_analyze(args, cfg: Config) -> int:
     _, _, d = run_dispersion(counts)
     flagged = (slots - 1) * d > thr  # an empty interval (D = nan) is never flagged
     out = _resolve_out(args, cfg)
+    rows = zip(range(len(d)), d.tolist(), flagged.tolist(), repeat(thr))
     if fmt == "csv":
-        write_csv(_csv_file(out), _provenance(cfg, seed), "interval,D,flagged,threshold",
-                  (f"{i},{di!r},{int(fi)},{thr!r}"
-                   for i, (di, fi) in enumerate(zip(d.tolist(), flagged.tolist()))))
+        write_csv(_csv_file(out), _provenance(cfg, seed), ",".join(_ANALYZE_NAMES),
+                  (f"{i},{di!r},{int(fi)},{t!r}" for i, di, fi, t in rows))
     else:
-        rows = [{"interval": i, "D": float(d[i]), "flagged": bool(flagged[i]),
-                 "threshold": thr} for i in range(len(d))]
-        _emit(json.dumps({"meta": _meta(cfg, seed), "rows": rows}, indent=2) + "\n", out)
+        _emit_json(cfg, seed, "rows", [dict(zip(_ANALYZE_NAMES, row)) for row in rows], out)
     return 0
 
 
@@ -566,12 +545,10 @@ def cmd_posterior(args, cfg: Config) -> int:
         tables.append((obs, table))
     out = _resolve_out(args, cfg)
     if fmt == "json":
-        doc = {"meta": _meta(cfg, seed),
-               "tables": [{"observed": list(obs),
-                           "posterior": [{"trace": list(r), "p": p}
-                                         for r, p in sorted(table.items())]}
-                          for obs, table in tables]}
-        _emit(json.dumps(doc, indent=2) + "\n", out)
+        _emit_json(cfg, seed, "tables",
+                   [{"observed": list(obs),
+                     "posterior": [{"trace": list(r), "p": p} for r, p in sorted(table.items())]}
+                    for obs, table in tables], out)
     else:
         write_csv(_csv_file(out), _provenance(cfg, seed), "observed,candidate,posterior",
                   (f"{';'.join(map(repr, obs))},{';'.join(map(repr, r))},{p!r}"
@@ -587,31 +564,25 @@ def cmd_costs(args, cfg: Config) -> int:
     intensities = cfg.get_floats("costs", "intensities", (10.0,))
     slots = cfg.get_int("costs", "slots", 10)
     denom = cfg.get_str("costs", "denominator", "base-plus-anomaly")
-    models = []
-    for lam in base_rates:
-        for inten in intensities:
-            models.append(_wrap_value_error(
-                lambda: IntervalModel(slots, lam, inten, 0.0),
-                f"costs model (lambda={lam}, I={inten})"))
+    models = [_wrap_value_error(lambda: IntervalModel(slots, lam, inten, 0.0),
+                                f"costs model (lambda={lam}, I={inten})")
+              for lam, inten in product(base_rates, intensities)]
     points = _wrap_value_error(lambda: cost_curves(models, shifts, denom), "costs")
     out = _resolve_out(args, cfg)
     if fmt == "csv":
         cost_curves_to_csv(points, _csv_file(out), comment=_provenance(cfg, seed))
     else:
-        rows = [{"k": p.shift, "C_f": p.fake_cost, "C_wf": p.waterfill_cost,
-                 "lambda": p.base_rate, "I": p.intensity,
-                 "wf_feasible": p.wf_feasible} for p in points]
-        _emit(json.dumps({"meta": _meta(cfg, seed), "rows": rows}, indent=2) + "\n", out)
+        _emit_json(cfg, seed, "rows", _json_rows(points), out)
     return 0
 
 
 _COMMANDS = {
-    "solve": cmd_solve,
-    "sweep": cmd_sweep,
-    "simulate": cmd_simulate,
-    "analyze": cmd_analyze,
-    "posterior": cmd_posterior,
-    "costs": cmd_costs,
+    "solve": (cmd_solve, "solve an obfuscation strategy and print it as JSON"),
+    "sweep": (cmd_sweep, "run a (anomaly rate x intensity) metric sweep to CSV/JSON"),
+    "simulate": (cmd_sweep, "run a single cell (plus optional run dump)"),
+    "analyze": (cmd_analyze, "per-interval dispersion verdicts for an external trace CSV"),
+    "posterior": (cmd_posterior, "posterior tables for a prior/mechanism fixture"),
+    "costs": (cmd_costs, "analytic obfuscation cost curves over a shift grid"),
 }
 
 
@@ -621,23 +592,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Traffic-analysis leakage metrics and dummy-traffic obfuscation simulator.")
     parser.add_argument("--version", action="version", version=f"lpwanleak {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "solve": "solve an obfuscation strategy and print it as JSON",
-        "sweep": "run a (anomaly rate x intensity) metric sweep to CSV/JSON",
-        "simulate": "run a single cell (plus optional run dump)",
-        "analyze": "per-interval dispersion verdicts for an external trace CSV",
-        "posterior": "posterior tables for a prior/mechanism fixture",
-        "costs": "analytic obfuscation cost curves over a shift grid",
-    }
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=helps[name])
+    for name, (fn, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         if name in ("analyze", "posterior"):
             p.add_argument("input", nargs="?", default=None,
                            help="input file (trace CSV / fixture JSON); may also come from config")
         p.add_argument("--config", default=None, help="config file path")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (unsigned 64-bit)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", default=None, choices=("csv", "json"))
+        p.add_argument("--format", default=None, choices=_FORMATS)
         p.set_defaults(fn=fn)
     return parser
 

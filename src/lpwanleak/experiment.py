@@ -11,17 +11,19 @@ estimate carries a standard error and acceptance comparisons use 3 sigma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .attacker import (DegenerateMetricError, DetectorConfig, guess_run,
-                       guessing_error, guessing_error_se, idealized_verdicts,
-                       test_run)
-from .obfuscator import (CostModel, InfeasibleTargetError, KnowledgeModel,
-                         Strategy, apply_strategy, costs, draw_actions,
-                         solve_fake_rate, solve_strategy, solve_waterfill_rate)
+from .attacker import (DETECTOR_MODES, DegenerateMetricError, DetectorConfig,
+                       guess_run, guessing_error, guessing_error_se,
+                       idealized_verdicts, test_run)
+from .obfuscator import (DENOMINATOR_MODES, CostModel, InfeasibleTargetError,
+                         KnowledgeModel, Strategy, apply_strategy, costs,
+                         draw_actions, solve_fake_rate, solve_strategy,
+                         solve_waterfill_rate)
 from .traffic import (IntervalModel, Run, as_rng, draw_anomaly_flags, gen_run,
                       write_csv)
 
@@ -42,12 +44,10 @@ __all__ = [
     "realized_cost",
 ]
 
-SWEEP_CSV_HEADER = ("R_p,I,S,lambda,P_tp,P_tn,budget,P_wf,P_f,epsilon,cost,"
-                    "feasible_optimal,guess_err,guess_err_se,ce_bits,ce_bits_se,"
-                    "ideal_guess_err,ideal_ce_bits")
-COST_CSV_HEADER = "k,C_f,C_wf,lambda,I,wf_feasible"
-
 _NAN = float("nan")
+_SWEEP_CSV_COLUMNS = 18  # the first 18 of MetricsReport.NAMES; the rest are JSON only
+# the largest rate numpy's Poisson sampler accepts (about 9.2e18)
+_POISSON_RATE_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
 
 def binary_entropy_bits(p: float) -> float:
@@ -100,6 +100,15 @@ class MetricsReport:
     realized_cost: float = _NAN
     realized_cost_se: float = _NAN
     error: str = ""
+
+    # the output name of each field above, in order
+    NAMES = ("R_p", "I", "S", "lambda", "P_tp", "P_tn", "budget", "P_wf", "P_f",
+             "epsilon", "cost", "feasible_optimal", "guess_err", "guess_err_se",
+             "ce_bits", "ce_bits_se", "ideal_guess_err", "ideal_ce_bits",
+             "degenerate", "realized_cost", "realized_cost_se", "error")
+
+
+SWEEP_CSV_HEADER = ",".join(MetricsReport.NAMES[:_SWEEP_CSV_COLUMNS])
 
 
 def realized_cost(run: Run, cost_model: CostModel) -> tuple[float, float]:
@@ -240,7 +249,7 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
         verdicts = test_run(obf, cfg)
         truth, action, dummies = obf.is_anomaly, obf.action, obf.dummy_counts.sum(axis=1)
     else:
-        raise ValueError(f"unknown detector mode {detector_mode!r}")
+        raise ValueError(f"detector mode must be one of {DETECTOR_MODES}, got {detector_mode!r}")
 
     if np.any(np.isnan(verdicts.posterior_anomaly)):
         guess_err = guess_se = _NAN
@@ -271,7 +280,9 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid description for :func:`run_sweep`."""
+    """Grid description for :func:`run_sweep`. It rejects, before any cell
+    runs, every value a cell would reject, including a cell whose largest
+    Poisson draw (b, the fake rate or (S - 1) * w) is over numpy's limit."""
 
     anomaly_rates: tuple[float, ...]
     intensities: tuple[float, ...]
@@ -294,6 +305,22 @@ class SweepSpec:
             raise ValueError("sweeps need at least 1000 intervals per cell")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
+        for name, modes in (("detector_mode", DETECTOR_MODES),
+                            ("cost_denominator", DENOMINATOR_MODES)):
+            if getattr(self, name) not in modes:
+                raise ValueError(f"{name} must be one of {modes}, got {getattr(self, name)!r}")
+        for intensity, rp in product(self.intensities, self.anomaly_rates):
+            try:
+                model = IntervalModel(self.slots, self.base_rate, intensity, rp)
+                cm = costs(model, self.cost_denominator)
+                rate = max(model.anomaly_slot_rate, cm.fake_rate,
+                           (model.slots - 1) * cm.waterfill_rate)
+                if rate > _POISSON_RATE_MAX:
+                    raise ValueError(f"intensity * base_rate = {model.anomaly_slot_rate!r} "
+                                     f"needs a Poisson rate of {rate!r}, above numpy's "
+                                     f"limit {_POISSON_RATE_MAX!r}")
+            except ValueError as exc:
+                raise ValueError(f"cell (R_p={rp}, I={intensity}): {exc}") from exc
 
 
 def run_sweep(spec: SweepSpec) -> list[MetricsReport]:
@@ -341,19 +368,21 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def _csv_rows(cls, records, n_columns: int | None = None) -> list[str]:
+    """One CSV line per record of dataclass ``cls``: its first n_columns fields,
+    int and bool ones as integers, the rest as float reprs (1 writes 1.0)."""
+    fmts = [(lambda v: str(int(v))) if f.type in ("int", "bool") else _fmt
+            for f in fields(cls)[:n_columns]]
+    return [",".join(fmt(v) for fmt, v in zip(fmts, astuple(r))) for r in records]
+
+
 def sweep_to_csv(records: Sequence[MetricsReport], file, comment=None) -> None:
     """Write sweep records in the pinned column order (see SWEEP_CSV_HEADER).
 
     A failed cell keeps its row of nan metrics; its error text follows the
     rows as a ``# error R_p=... I=...: <text>`` comment line.
     """
-    rows = [",".join([_fmt(r.r_p), _fmt(r.intensity), str(int(r.slots)), _fmt(r.base_rate),
-                      _fmt(r.tpr), _fmt(r.tnr), _fmt(r.budget), _fmt(r.p_waterfill),
-                      _fmt(r.p_fake), _fmt(r.epsilon), _fmt(r.cost),
-                      str(int(r.feasible_optimal)), _fmt(r.guess_err), _fmt(r.guess_err_se),
-                      _fmt(r.ce_bits), _fmt(r.ce_bits_se), _fmt(r.ideal_guess_err),
-                      _fmt(r.ideal_ce_bits)])
-            for r in records]
+    rows = _csv_rows(MetricsReport, records, _SWEEP_CSV_COLUMNS)
     # the error text is folded onto one line, whatever the message
     rows += [f"# error R_p={_fmt(r.r_p)} I={_fmt(r.intensity)}: {' '.join(r.error.split())}"
              for r in records if r.error]
@@ -370,6 +399,12 @@ class CostPoint:
     base_rate: float
     intensity: float
     wf_feasible: bool
+
+    # the output name of each field above, in order: CSV columns and JSON keys
+    NAMES = ("k", "C_f", "C_wf", "lambda", "I", "wf_feasible")
+
+
+COST_CSV_HEADER = ",".join(CostPoint.NAMES)
 
 
 def cost_curves(models: Sequence[IntervalModel], shifts: Sequence[float],
@@ -401,6 +436,4 @@ def cost_curves(models: Sequence[IntervalModel], shifts: Sequence[float],
 
 def cost_curves_to_csv(points: Sequence[CostPoint], file, comment=None) -> None:
     write_csv(file, comment, COST_CSV_HEADER,
-              (",".join([_fmt(p.shift), _fmt(p.fake_cost), _fmt(p.waterfill_cost),
-                         _fmt(p.base_rate), _fmt(p.intensity), str(int(p.wf_feasible))])
-               for p in points))
+              _csv_rows(CostPoint, points))

@@ -12,6 +12,7 @@ import math
 import subprocess
 import sys
 import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -359,3 +360,29 @@ def test_figure_csvs_match_golden(complete_sweep, incomplete_sweep):
         buf = io.StringIO()
         sweep_to_csv(records, buf)
         assert buf.getvalue() == (ROOT / "tests" / "golden" / name).read_bytes().decode()
+
+
+def test_realized_cost_matches_its_closed_form(complete_sweep, incomplete_sweep):
+    # An interval is predicted anomalous with probability
+    # q = R_p * tpr + (1 - R_p) * (1 - tnr) and then waterfilled with P_wf;
+    # otherwise it is faked with P_f. So a row's realized relative dummy load
+    # has expectation E = q * P_wf * C_wf + (1 - q) * P_f * C_f. Every row of
+    # both figure grids must lie within a 3-sigma band of E, Bonferroni-widened
+    # over the 152 rows (z ~ 4.29). The solver's cost,
+    # R_p * P_wf * C_wf + (1 - R_p) * P_f * C_f, equals E under complete
+    # knowledge only: it leaves out the mispredicted intervals, so under
+    # incomplete knowledge it understates the load (see the README).
+    rows = [r for records, _ in (complete_sweep, incomplete_sweep) for r in records]
+    assert len(rows) == 152
+    family = 2.0 * (1.0 - NormalDist().cdf(3.0))
+    z = NormalDist().inv_cdf(1.0 - family / (2.0 * len(rows)))
+    assert z == pytest.approx(4.29, abs=0.01)
+    for r in rows:
+        cm = costs(IntervalModel(r.slots, r.base_rate, r.intensity, r.r_p))
+        q = r.r_p * r.tpr + (1.0 - r.r_p) * (1.0 - r.tnr)
+        want = q * r.p_waterfill * cm.waterfill_cost + (1.0 - q) * r.p_fake * cm.fake_cost
+        if r.tpr == r.tnr == 1.0:
+            assert want == pytest.approx(r.cost, rel=1e-12, abs=1e-15)
+        dev = abs(r.realized_cost - want)
+        assert dev <= z * r.realized_cost_se + 1e-12, (r.r_p, r.intensity, r.tpr, dev,
+                                                        r.realized_cost_se)

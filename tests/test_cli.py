@@ -484,6 +484,63 @@ n_intervals = 1000
     assert "internal error: TypeError: bug" in capsys.readouterr().err
 
 
+# the fields a sweep's JSON rows carry after its CSV columns
+SWEEP_JSON_EXTRA = ["degenerate", "realized_cost", "realized_cost_se", "error"]
+
+
+@pytest.mark.parametrize("command,text,extra", [
+    pytest.param("sweep", "[sweep]\nanomaly_rates = 0.2,0.5\nintensities = 10,40\n"
+                 "n_intervals = 1000\n", SWEEP_JSON_EXTRA, id="sweep"),
+    pytest.param("simulate", "[sweep]\nanomaly_rates = 0.3\nintensities = 20\nn_intervals = 1000\n"
+                 "detector = chi-square\n[knowledge]\ntpr = 0.7\ntnr = 0.99\n",
+                 SWEEP_JSON_EXTRA, id="simulate"),
+    pytest.param("analyze", "[analyze]\nslot_width = 2.0\n", [], id="analyze"),
+    pytest.param("costs", "[costs]\nshifts = 1,2,9\nbase_rates = 1,5\nintensities = 10\n",
+                 [], id="costs"),
+])
+def test_json_rows_carry_the_csv_columns(tmp_path, monkeypatch, command, text, extra):
+    # every JSON row starts with the CSV header's names, in order, and each
+    # of those values equals its CSV cell (nan is nan, bools and ints are
+    # the CSV integers)
+    import lpwanleak.experiment as experiment
+
+    real_cell = experiment.run_cell
+
+    def cell(model, *a, **kw):
+        if (model.anomaly_rate, model.intensity) == (0.5, 10.0):
+            raise ValueError("no strategy for this cell")
+        return real_cell(model, *a, **kw)
+
+    monkeypatch.setattr(experiment, "run_cell", cell)
+    # sparse traffic, so some analyze intervals are empty and read D = nan
+    trace = tmp_path / "trace.csv"
+    write_trace_csv(trace, to_timestamps(gen_run(IntervalModel(10, 0.05, 40.0, 0.3), 40, 2),
+                                         slot_width=2.0))
+    argv = [command, *([str(trace)] if command == "analyze" else []),
+            "--config", _write(tmp_path, "cfg", text), "--seed", "6", "--out"]
+    codes = {main(argv + [str(tmp_path / f"out.{fmt}"), "--format", fmt])
+             for fmt in ("csv", "json")}
+    assert codes == {3 if command == "sweep" else 0}
+    lines = [ln for ln in (tmp_path / "out.csv").read_text().splitlines()
+             if not ln.startswith("#")]
+    header, cells = lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+    rows = json.loads((tmp_path / "out.json").read_text())["rows"]
+    assert rows and len(rows) == len(cells)
+    assert any(r.get("error") for r in rows) == (command == "sweep")
+    for row, csv_row in zip(rows, cells):
+        assert list(row) == header + extra
+        for name, cell_text in zip(header, csv_row):
+            value = row[name]
+            if isinstance(value, (bool, int)):
+                assert cell_text == str(int(value)), name
+            elif math.isnan(value):
+                assert cell_text == "nan", name
+            else:
+                assert float(cell_text) == value, name
+    if command == "analyze":
+        assert any(cell_text == "nan" for _, cell_text, *_ in cells)
+
+
 def test_simulate_command_with_dump(tmp_path):
     dump = tmp_path / "run.csv"
     # a search-path cell, so both action arms are mixed
@@ -643,7 +700,9 @@ RATE_CONFIGS = {
     "solve": "[model]\nintensity = {}\nanomaly_rate = 0.2\n",
     "costs": "[costs]\nshifts = 1,2\nintensities = 10,{}\n",
     "sweep": "[sweep]\nanomaly_rates = 0.2\nintensities = 10,{}\nn_intervals = 1000\n",
+    "simulate": "[sweep]\nanomaly_rates = 0.2\nintensities = {}\nn_intervals = 1000\n",
 }
+SIMULATING = ("sweep", "simulate")
 
 
 @pytest.mark.parametrize("command,text,field", [
@@ -657,6 +716,19 @@ RATE_CONFIGS = {
                  id="idealized-sweep-alpha"),
     *(pytest.param(command, text.format(value), "intensity", id=f"{command}-intensity-{value}")
       for value in ("nan", "inf", "1e200") for command, text in RATE_CONFIGS.items()),
+    # representable, but over the largest rate numpy's Poisson sampler takes;
+    # solve and costs draw nothing, so only the simulating commands reject it
+    *(pytest.param(command, RATE_CONFIGS[command].format("1e20"), "intensity",
+                   id=f"{command}-intensity-1e20") for command in SIMULATING),
+    *(pytest.param(command, "[sweep]\ndetector = oracle\n" + SWEEP_CELL, "detector",
+                   id=f"{command}-detector") for command in SIMULATING),
+    *(pytest.param(command, "[solver]\ncost_denominator = bogus\n[sweep]\n" + SWEEP_CELL,
+                   "cost_denominator", id=f"{command}-cost-denominator")
+      for command in SIMULATING),
+    pytest.param("sweep", "[run]\nformat = xml\n[sweep]\n" + SWEEP_CELL, "run.format",
+                 id="run-format-xml"),
+    pytest.param("sweep", "[run]\nseed = 1.5\n[sweep]\n" + SWEEP_CELL, "run.seed",
+                 id="run-seed-1.5"),
     pytest.param("solve", "[model]\nbase_rate = 1e300\nintensity = 1\nanomaly_rate = 0.2\n",
                  "base_rate", id="solve-base-rate-1e300"),
     *(pytest.param("analyze", f"[analyze]\nslot_width = {value}\n", "analyze.slot_width",
@@ -666,10 +738,12 @@ def test_unusable_config_values_are_config_errors(tmp_path, repo_root, capsys,
                                                   command, text, field):
     trace = tmp_path / "trace.csv"
     write_trace_csv(trace, to_timestamps(gen_run(IntervalModel(10, 1.0, 40.0, 0.3), 20, 3)))
-    inputs = {"analyze": [str(trace)], "sweep": [], "solve": [], "costs": [],
+    inputs = {"analyze": [str(trace)], "sweep": [], "simulate": [], "solve": [], "costs": [],
               "posterior": [str(repo_root / "fixtures" / "fillto_two_messages.json")]}
     cfg = _write(tmp_path, "bad.cfg", text)
-    assert main([command, *inputs[command], "--config", cfg, "--seed", "0",
+    # a --seed flag would override the config's run.seed
+    seed = [] if "seed =" in text else ["--seed", "0"]
+    assert main([command, *inputs[command], "--config", cfg, *seed,
                  "--out", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
 

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from lpwanleak import (
     COST_CSV_HEADER,
     SWEEP_CSV_HEADER,
+    CostPoint,
     DegenerateMetricError,
     DetectorConfig,
     IntervalModel,
@@ -183,23 +185,55 @@ def test_sweep_spec_validation():
     spec = SweepSpec(anomaly_rates=[0.2, 0.4], intensities=[10, 40])
     assert spec.anomaly_rates == (0.2, 0.4)
     assert spec.intensities == (10.0, 40.0)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"anomaly_rates": (0.2, 1.5)}, "cell (R_p=1.5, I=10.0): anomaly_rate"),
+    ({"detector_mode": "oracle"}, "detector_mode"),
+    ({"cost_denominator": "bogus"}, "cost_denominator"),
+    # the anomalous slot rate b is over numpy's Poisson limit
+    ({"intensities": (1e20,)}, "cell (R_p=0.2, I=1e+20): intensity"),
+    # b is not, but the idealized waterfill total (S - 1) * w is
+    ({"intensities": (1.1e18,)}, "Poisson rate of 9.9e+18"),
+], ids=["anomaly-rate", "detector", "denominator", "slot-rate", "waterfill-total"])
+def test_sweep_spec_rejects_what_its_cells_would(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SweepSpec(**{"anomaly_rates": (0.2,), "intensities": (10.0,),
+                     "n_intervals": 1000, **kwargs})
+
+
+def test_sweep_runs_up_to_the_poisson_rate_limit():
+    # (S - 1) * w is about 9e18 here, just under numpy's limit of 9.2e18
+    spec = SweepSpec(anomaly_rates=(0.2,), intensities=(1e18,), n_intervals=1000)
+    for mode in ("idealized", "chi-square"):
+        rec, = run_sweep(dataclasses.replace(spec, detector_mode=mode))
+        assert not rec.error and math.isfinite(rec.realized_cost)
     assert spec.knowledge.is_complete
 
 
-def test_run_sweep_order_and_isolation():
+def test_run_sweep_order_and_isolation(monkeypatch):
+    import lpwanleak.experiment as experiment
+
     spec = SweepSpec(anomaly_rates=(0.2, 0.5), intensities=(10.0, 40.0),
                      n_intervals=1000, seed=7)
     recs = run_sweep(spec)
     assert [(r.intensity, r.r_p) for r in recs] == [
         (10.0, 0.2), (10.0, 0.5), (40.0, 0.2), (40.0, 0.5)]
     assert all(not r.error for r in recs)
-    # a bad grid value is recorded, not raised, and other cells still run
-    bad = SweepSpec(anomaly_rates=(0.2, 1.5), intensities=(10.0,),
-                    n_intervals=1000, seed=7)
-    recs = run_sweep(bad)
-    assert not recs[0].error
-    assert "anomaly_rate" in recs[1].error
-    assert np.isnan(recs[1].guess_err)
+    # a cell that fails with a domain error is recorded, not raised, and
+    # the other cells still run
+    real_cell = experiment.run_cell
+
+    def cell(model, *a, **kw):
+        if (model.anomaly_rate, model.intensity) == (0.5, 10.0):
+            raise ValueError("no strategy for this cell")
+        return real_cell(model, *a, **kw)
+
+    monkeypatch.setattr(experiment, "run_cell", cell)
+    failed = run_sweep(spec)
+    assert [r.error for r in failed] == ["", "ValueError: no strategy for this cell", "", ""]
+    assert np.isnan(failed[1].guess_err)
+    assert failed[0] == recs[0] and failed[2:] == recs[2:]
 
 
 def test_run_sweep_deterministic():
@@ -242,6 +276,12 @@ def test_sweep_csv_format():
     assert cells[11] in ("0", "1")
     # values round-trip through repr
     assert float(cells[12]) == recs[0].guess_err
+
+
+@pytest.mark.parametrize("record", [MetricsReport, CostPoint])
+def test_every_record_field_has_one_output_name(record):
+    names = record.NAMES
+    assert len(names) == len(set(names)) == len(dataclasses.fields(record))
 
 
 def test_cost_curves_grid():
