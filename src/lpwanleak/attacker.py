@@ -40,7 +40,6 @@ __all__ = [
     "class_posteriors",
     "idealized_metrics",
     "idealized_verdicts",
-    "run_observable_class",
     "RunVerdicts",
     "test_run",
     "guess_run",
@@ -212,37 +211,17 @@ def idealized_metrics(anomaly_rate: float, hidden, flagged_baseline):
     return err, ce
 
 
-def _label_class(is_anomaly, action) -> np.ndarray:
-    # a real anomaly looks anomalous unless waterfilled; a baseline interval
-    # exactly when it received a fake anomaly
-    action = np.asarray(action)
-    return np.where(is_anomaly, action != 1,  # ACTIONS index of "waterfilled"
-                    action == 2)              # ACTIONS index of "fake-anomaly"
-
-
-def run_observable_class(run: Run) -> np.ndarray:
-    """True where an interval looks anomalous to the deterministic classifier.
-
-    Simulation-side construction: a real anomaly looks anomalous unless it
-    was waterfilled; a baseline interval looks anomalous exactly when it
-    received a fake anomaly. Detectors never call this; the harness does.
-    """
-    return _label_class(run.is_anomaly, run.action)
-
-
 @dataclass(frozen=True)
 class RunVerdicts:
     flagged: np.ndarray            # (n,) bool
-    statistic: np.ndarray          # (n,) float, nan in idealized mode
-    threshold: float               # nan in idealized mode
     posterior_anomaly: np.ndarray  # (n,) float
 
 
-def _verdicts(flagged, stats, thr: float, cfg: DetectorConfig) -> RunVerdicts:
+def _verdicts(flagged, cfg: DetectorConfig) -> RunVerdicts:
     # each class bit maps to its class posterior under the attacker's knowledge
     p_flag, p_unflag, _ = class_posteriors(cfg.anomaly_rate, 1.0 - cfg.flag_rate_anomaly,
                                            cfg.flag_rate_baseline)
-    return RunVerdicts(flagged, stats, thr, np.where(flagged, p_flag, p_unflag))
+    return RunVerdicts(flagged, np.where(flagged, p_flag, p_unflag))
 
 
 def idealized_verdicts(is_anomaly, action, cfg: DetectorConfig) -> RunVerdicts:
@@ -250,10 +229,14 @@ def idealized_verdicts(is_anomaly, action, cfg: DetectorConfig) -> RunVerdicts:
 
     ``is_anomaly`` and ``action`` are a run's label columns (``action``
     holds ACTIONS codes); no counts are needed, so a caller that only wants
-    this detector's verdicts can skip drawing them.
+    this detector's verdicts can skip drawing them. A real anomaly looks
+    anomalous unless it was waterfilled; a baseline interval looks
+    anomalous exactly when it received a fake anomaly.
     """
-    flagged = _label_class(is_anomaly, action)
-    return _verdicts(flagged, np.full(flagged.shape, np.nan), float("nan"), cfg)
+    action = np.asarray(action)
+    flagged = np.where(is_anomaly, action != 1,  # ACTIONS index of "waterfilled"
+                       action == 2)              # ACTIONS index of "fake-anomaly"
+    return _verdicts(flagged, cfg)
 
 
 def test_run(run: Run, cfg: DetectorConfig) -> RunVerdicts:
@@ -267,26 +250,18 @@ def test_run(run: Run, cfg: DetectorConfig) -> RunVerdicts:
         return idealized_verdicts(run.is_anomaly, run.action, cfg)
     _, _, d = run_dispersion(run.counts)
     thr = chi_square_threshold(run.slots, cfg.alpha)
-    stats = (run.slots - 1) * d
-    return _verdicts(stats > thr, stats, thr, cfg)  # nan (empty interval): never flagged
+    return _verdicts((run.slots - 1) * d > thr, cfg)  # nan (empty interval): never flagged
 
 
-def guess_run(posterior_anomaly, seed, rule: str = "posterior-match") -> np.ndarray:
-    """Turn per-interval posteriors into anomaly guesses.
-
-    ``posterior-match`` guesses anomalous with the posterior probability
-    (randomized, deterministic given seed); ``map`` guesses anomalous when
-    the posterior exceeds 1/2.
+def guess_run(posterior_anomaly, seed) -> np.ndarray:
+    """Turn per-interval posteriors into anomaly guesses by posterior matching:
+    each interval is guessed anomalous with its posterior probability
+    (randomized, deterministic given seed).
     """
     p = np.asarray(posterior_anomaly, dtype=float)
     if np.any(np.isnan(p)):
         raise ValueError("posteriors contain nan; configure detector flag rates")
-    if rule == "posterior-match":
-        rng = as_rng(seed)
-        return rng.random(p.shape) < p
-    if rule == "map":
-        return p > 0.5
-    raise ValueError(f"unknown guess rule {rule!r}")
+    return as_rng(seed).random(p.shape) < p
 
 
 def guessing_error(guesses, truths) -> float:

@@ -325,11 +325,15 @@ def write_trace_csv(path, timestamps, device: str = "dev0", comment=None) -> Non
 
 def _resolve_seed(args, cfg: Config) -> int:
     if args.seed is not None:
-        return args.seed
-    if cfg.get("run", "seed", None) is not None:
-        return cfg.get_int("run", "seed")
-    seed = int.from_bytes(os.urandom(8), "big")
-    print(f"lpwanleak: no seed given; using {seed}", file=sys.stderr)
+        seed, source = args.seed, "--seed"
+    elif cfg.get("run", "seed", None) is not None:
+        seed, source = cfg.get_int("run", "seed"), "config key 'run.seed'"
+    else:
+        seed = int.from_bytes(os.urandom(8), "big")
+        print(f"lpwanleak: no seed given; using {seed}", file=sys.stderr)
+        return seed
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{source} must be an unsigned 64-bit integer, got {seed}")
     return seed
 
 
@@ -446,7 +450,9 @@ def cmd_solve(args, cfg: Config) -> int:
     knowledge = _knowledge_from(cfg)
     denom = cfg.get_str("solver", "cost_denominator", "base-plus-anomaly")
     cm = _wrap_value_error(lambda: costs(model, denom), "solver.cost_denominator")
-    strat = solve_strategy(model, knowledge, cfg.get_float("solver", "budget", 1.0), cm)
+    budget = cfg.get_float("solver", "budget", 1.0)
+    strat = _wrap_value_error(lambda: solve_strategy(model, knowledge, budget, cm),
+                              "solver.budget")
     doc = strategy_json(strat, model, knowledge)
     doc["meta"] = _meta(cfg, seed)
     _emit(json.dumps(doc, indent=2) + "\n", _resolve_out(args, cfg))

@@ -301,6 +301,8 @@ class SweepSpec:
         object.__setattr__(self, "intensities", tuple(float(i) for i in self.intensities))
         if not self.anomaly_rates or not self.intensities:
             raise ValueError("sweep grids must be non-empty")
+        if not self.budget >= 0:
+            raise ValueError(f"budget must be >= 0, got {self.budget!r}")
         if self.n_intervals < 1000:
             raise ValueError("sweeps need at least 1000 intervals per cell")
         if not 0.0 < self.alpha < 1.0:
@@ -420,16 +422,13 @@ def cost_curves(models: Sequence[IntervalModel], shifts: Sequence[float],
             raise ValueError(f"shift grid must be >= 1, got {k}")
     points = []
     for model in models:
-        cm = costs(model, denominator)
-        for k in shifts:
-            fake = solve_fake_rate(model, float(k)) / cm.fake_normalizer()
+        for k in map(float, shifts):
             try:
-                wf_rate = solve_waterfill_rate(model, float(k))
-                wf = wf_rate * (model.slots - 1) / cm.waterfill_normalizer()
-                ok = True
+                wf_rate, ok = solve_waterfill_rate(model, k), True
             except InfeasibleTargetError:
-                wf, ok = _NAN, False
-            points.append(CostPoint(float(k), fake, wf, model.base_rate,
+                wf_rate, ok = _NAN, False
+            cm = CostModel(model, solve_fake_rate(model, k), wf_rate, denominator)
+            points.append(CostPoint(k, cm.fake_cost, cm.waterfill_cost, model.base_rate,
                                     model.intensity, ok))
     return points
 

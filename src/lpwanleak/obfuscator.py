@@ -40,7 +40,6 @@ __all__ = [
     "Strategy",
     "epsilon_of",
     "power_cost",
-    "power_ok",
     "solve_strategy",
     "draw_actions",
     "apply_strategy",
@@ -139,10 +138,11 @@ def solve_waterfill_rate(model: IntervalModel, k: float) -> float:
 class CostModel:
     """Solved full-target rates and their relative power costs.
 
-    fake_rate fakes a full anomaly (expected dispersion equal to a real
-    anomaly's), waterfill_rate fully suppresses one (expected dispersion 1).
-    fake_cost = fake_rate / (lam * S). waterfill_cost divides the total fill
-    (S-1 slots) by a normalizer chosen by ``denominator``:
+    :func:`costs` solves the full targets: fake_rate fakes a full anomaly
+    (expected dispersion equal to a real anomaly's), waterfill_rate fully
+    suppresses one (expected dispersion 1). fake_cost = fake_rate / (lam * S).
+    waterfill_cost divides the total fill (S-1 slots) by a normalizer chosen
+    by ``denominator``:
 
     * "base-plus-anomaly" (default): lam * S + anomaly slot rate — counts
       the full baseline interval load plus the boosted slot, double
@@ -154,9 +154,12 @@ class CostModel:
     model: IntervalModel
     fake_rate: float
     waterfill_rate: float
-    fake_cost: float
-    waterfill_cost: float
     denominator: str = "base-plus-anomaly"
+
+    def __post_init__(self):
+        if self.denominator not in DENOMINATOR_MODES:
+            raise ValueError(f"denominator must be one of {DENOMINATOR_MODES}, "
+                             f"got {self.denominator!r}")
 
     def waterfill_normalizer(self) -> float:
         m = self.model
@@ -167,18 +170,20 @@ class CostModel:
     def fake_normalizer(self) -> float:
         return self.model.base_rate * self.model.slots
 
+    @property
+    def fake_cost(self) -> float:
+        return self.fake_rate / self.fake_normalizer()
+
+    @property
+    def waterfill_cost(self) -> float:
+        return self.waterfill_rate * (self.model.slots - 1) / self.waterfill_normalizer()
+
 
 def costs(model: IntervalModel, denominator: str = "base-plus-anomaly") -> CostModel:
-    """Solve both full-target rates and derive per-action relative costs."""
-    if denominator not in DENOMINATOR_MODES:
-        raise ValueError(f"denominator must be one of {DENOMINATOR_MODES}, got {denominator!r}")
+    """The cost model of both full-target rates."""
     d0 = anomaly_dispersion(model)
-    fake_rate = solve_fake_rate(model, d0)
-    waterfill_rate = solve_waterfill_rate(model, d0)
-    cm = CostModel(model, fake_rate, waterfill_rate, 0.0, 0.0, denominator)
-    fake_cost = fake_rate / cm.fake_normalizer()
-    waterfill_cost = waterfill_rate * (model.slots - 1) / cm.waterfill_normalizer()
-    return CostModel(model, fake_rate, waterfill_rate, fake_cost, waterfill_cost, denominator)
+    return CostModel(model, solve_fake_rate(model, d0), solve_waterfill_rate(model, d0),
+                     denominator)
 
 
 @dataclass(frozen=True)
@@ -201,10 +206,6 @@ class KnowledgeModel:
     @classmethod
     def complete(cls) -> "KnowledgeModel":
         return cls(1.0, 1.0)
-
-    @property
-    def is_complete(self) -> bool:
-        return self.tpr == 1.0 and self.tnr == 1.0
 
 
 @dataclass(frozen=True)
@@ -245,12 +246,6 @@ def power_cost(p_waterfill: float, p_fake: float, cost_model: CostModel,
         + (1.0 - rp) * p_fake * cost_model.fake_cost
 
 
-def power_ok(strategy: Strategy, cost_model: CostModel, anomaly_rate: float,
-             budget: float = 1.0) -> bool:
-    """True when the strategy's expected cost is within budget (boundary counts)."""
-    return power_cost(strategy.p_waterfill, strategy.p_fake, cost_model, anomaly_rate) <= budget
-
-
 def _frontier_candidates(rp: float, tpr: float, tnr: float, cm: CostModel,
                          budget: float) -> list[tuple[float, float]]:
     """The corner (1, 1) if affordable, else the ends of the budget line
@@ -289,10 +284,11 @@ def _frontier_candidates(rp: float, tpr: float, tnr: float, cm: CostModel,
 def _within_budget(pw: float, pf: float, cm: CostModel, rp: float,
                    budget: float) -> list[tuple[float, float]]:
     """A point computed on the budget line can round an ulp over it. Return
-    the point if power_ok holds exactly. Else return its neighbours one ulp
-    lower in either probability that fit, plus the point reached by stepping
-    the probability of the larger cost term down until it fits (the other
-    term can be too small for its ulps to move the rounded cost)."""
+    the point if its cost is within budget exactly. Else return its
+    neighbours one ulp lower in either probability that fit, plus the point
+    reached by stepping the probability of the larger cost term down until
+    it fits (the other term can be too small for its ulps to move the
+    rounded cost)."""
     if power_cost(pw, pf, cm, rp) <= budget:
         return [(pw, pf)]
     near = [(math.nextafter(pw, 0.0), pf), (pw, math.nextafter(pf, 0.0))]
@@ -325,8 +321,8 @@ def solve_strategy(model: IntervalModel, knowledge: KnowledgeModel | None = None
     ranked by |epsilon|, then cost, then p_waterfill, then p_fake.
     """
     knowledge = knowledge or KnowledgeModel.complete()
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
+    if not budget >= 0:
+        raise ValueError(f"budget must be >= 0, got {budget!r}")
     rp = model.anomaly_rate
     if rp in (0.0, 1.0):
         return Strategy(0.0, 0.0, 0.0, 0.0, True, degenerate=True)

@@ -37,9 +37,7 @@ __all__ = [
     "TableMechanism",
     "CardinalityDistance",
     "AnomalyCountDistance",
-    "distance",
     "InconsistentObservationError",
-    "posterior",
     "posterior_table",
     "enumerate_observables",
     "optimal_guess",
@@ -53,8 +51,6 @@ __all__ = [
 
 # subset enumeration guard: 2^20 candidate sets
 _MAX_OBSERVED_FOR_SUBSETS = 20
-# auto method switches to Monte-Carlo above this many observed messages
-_MAX_EXACT_MESSAGES = 12
 
 
 class InconsistentObservationError(ValueError):
@@ -247,15 +243,6 @@ class AnomalyCountDistance:
         return float(abs(self._flag_count(_ts(a)) - self._flag_count(_ts(b))))
 
 
-def distance(mode: str, **kwargs):
-    """Distance factory by mode name."""
-    if mode == "cardinality-difference":
-        return CardinalityDistance()
-    if mode == "anomaly-count-difference":
-        return AnomalyCountDistance(**kwargs)
-    raise ValueError(f"unknown distance mode {mode!r}")
-
-
 def _subsets_lex(ts: tuple[float, ...]) -> list[tuple[float, ...]]:
     """All subsets of a timestamp tuple, lexicographically sorted."""
     if len(ts) > _MAX_OBSERVED_FOR_SUBSETS:
@@ -286,18 +273,13 @@ def _joint_weights(prior: TracePrior, mech: Mechanism, obs: tuple) -> tuple[dict
     return weights, normalizer
 
 
-def posterior(prior: TracePrior, mech: Mechanism, observed, candidate) -> float:
-    """p(candidate | observed) by Bayes over the prior support.
-
-    Zero for candidates not contained in the observation. Raises
-    InconsistentObservationError when nothing in the support can have
-    produced the observation.
-    """
-    return posterior_table(prior, mech, observed).get(_ts(candidate), 0.0)
-
-
 def posterior_table(prior: TracePrior, mech: Mechanism, observed) -> dict[tuple, float]:
-    """Full posterior over support traces for one observation."""
+    """p(R | observed) by Bayes, over the support traces R contained in the
+    observation (every other trace has posterior zero).
+
+    Raises InconsistentObservationError when nothing in the support can
+    have produced the observation.
+    """
     weights, normalizer = _joint_weights(prior, mech, _ts(observed))
     return {r: w / normalizer for r, w in weights.items()}
 
@@ -345,26 +327,19 @@ def optimal_guess(prior: TracePrior, mech: Mechanism, observed, dist) -> tuple[t
     return best, cost / normalizer
 
 
-def average_error(prior: TracePrior, mech: Mechanism, dist,
-                  budget: int = 100_000, seed=0, method: str = "auto") -> float:
+def average_error(prior: TracePrior, mech: Mechanism, dist, method: str = "auto") -> float:
     """Expected distance achieved by an optimal guessing attacker.
 
-    method "exact" enumerates every reachable observation and every guess;
-    "mc" draws ``budget`` (real, observed) pairs and evaluates the exact
-    per-observation optimal guess on each; "auto" picks exact when no
-    output has more than 12 messages.
+    Enumerates every reachable observation and every guess; "auto" and
+    "exact" both mean this, as for :func:`conditional_entropy`.
+    :func:`average_error_mc` is the sampled estimate.
     """
-    if method == "auto":
-        largest = max(len(x) for r in prior.support for x, _ in mech.outputs(r))
-        method = "exact" if largest <= _MAX_EXACT_MESSAGES else "mc"
-    if method == "exact":
-        total = 0.0
-        for x, weights in _exact_joint(prior, mech).items():
-            total += _best_guess(weights, x, dist)[1]
-        return total
-    if method == "mc":
-        return average_error_mc(prior, mech, dist, budget, seed)[0]
-    raise ValueError(f"unknown method {method!r}")
+    if method not in ("auto", "exact"):
+        raise ValueError(f"unknown method {method!r}")
+    total = 0.0
+    for x, weights in _exact_joint(prior, mech).items():
+        total += _best_guess(weights, x, dist)[1]
+    return total
 
 
 def _sample_pairs(prior: TracePrior, mech: Mechanism, budget: int, rng):
@@ -444,10 +419,8 @@ def conditional_entropy_mc(prior: TracePrior, mech: Mechanism,
 
 @dataclass(frozen=True)
 class Fixture:
-    """A loaded prior/mechanism test instance."""
+    """A loaded prior/mechanism test instance; the tick and window are the prior's."""
 
-    tick: float
-    window: tuple[float, float]
     prior: TracePrior
     mechanism: Mechanism
     name: str = ""
@@ -500,4 +473,6 @@ def load_fixture(source) -> Fixture:
     support = {tuple(entry["trace"]): entry["p"] for entry in doc["prior"]}
     prior = TracePrior(support, window, tick)
     mech = _mechanism_from_spec(doc["mechanism"], prior)
-    return Fixture(tick, window, prior, mech, name)
+    for r in prior.support:
+        mech.outputs(r)  # a table without a row for a prior trace raises here
+    return Fixture(prior, mech, name)

@@ -22,9 +22,6 @@ from typing import Iterable
 import numpy as np
 
 __all__ = [
-    "OBF_NONE",
-    "OBF_WATERFILL",
-    "OBF_FAKE",
     "ACTIONS",
     "IntervalModel",
     "Run",
@@ -39,10 +36,7 @@ __all__ = [
 ]
 
 # Obfuscation action labels, in wire order (CSV uses the strings, Run stores codes).
-OBF_NONE = "none"
-OBF_WATERFILL = "waterfilled"
-OBF_FAKE = "fake-anomaly"
-ACTIONS = (OBF_NONE, OBF_WATERFILL, OBF_FAKE)
+ACTIONS = ("none", "waterfilled", "fake-anomaly")
 _ACTION_CODE = {name: i for i, name in enumerate(ACTIONS)}
 
 RUN_CSV_HEADER = "interval,slot,count,dummy_count,is_anomaly,anomaly_slot,obf_action"

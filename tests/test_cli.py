@@ -684,11 +684,20 @@ SMALL_FIXTURE = {"tick": 1.0, "window": [0.0, 3.0],
     {**SMALL_FIXTURE, "prior": 5},
     {**SMALL_FIXTURE, "prior": [{"trace": 5, "p": 1.0}]},
     [SMALL_FIXTURE],
-], ids=["short-window", "number-prior", "number-trace", "top-level-array"])
-def test_posterior_malformed_fixture_is_data_error(tmp_path, doc):
+    # a table with no row for the prior trace (2.0,); observing only traces
+    # that leave it out must not let the fixture through
+    {**SMALL_FIXTURE, "prior": [{"trace": [1.0], "p": 0.5}, {"trace": [2.0], "p": 0.5}],
+     "mechanism": {"type": "table", "rows": [
+         {"real": [1.0], "outputs": [{"observed": [1.0], "q": 1.0}]}]}},
+], ids=["short-window", "number-prior", "number-trace", "top-level-array",
+        "table-missing-row"])
+def test_posterior_malformed_fixture_is_data_error(tmp_path, capsys, doc):
     fixture = tmp_path / "bad.json"
     fixture.write_text(json.dumps(doc))
-    assert main(["posterior", str(fixture), "--seed", "0"]) == 3
+    for text in ("", "[posterior]\nobserved = 1.0, 3.0\n"):
+        cfg = _write(tmp_path, "post.cfg", text)
+        assert main(["posterior", str(fixture), "--config", cfg, "--seed", "0"]) == 3
+        assert "bad fixture" in capsys.readouterr().err
 
 
 SWEEP_CELL = "anomaly_rates = 0.2\nintensities = 10\nn_intervals = 1000\n"
@@ -729,6 +738,13 @@ SIMULATING = ("sweep", "simulate")
                  id="run-format-xml"),
     pytest.param("sweep", "[run]\nseed = 1.5\n[sweep]\n" + SWEEP_CELL, "run.seed",
                  id="run-seed-1.5"),
+    *(pytest.param(command, f"[run]\nseed = {value}\n[sweep]\n" + SWEEP_CELL, "run.seed",
+                   id=f"{command}-run-seed-{value}")
+      for value in (-1, 2**64) for command in ("solve", "sweep")),
+    *(pytest.param(command, f"[solver]\nbudget = {value}\n[sweep]\n" + SWEEP_CELL,
+                   "solver.budget" if command == "solve" else "budget",
+                   id=f"{command}-budget-{value}")
+      for value in ("-1", "nan") for command in ("solve", *SIMULATING)),
     pytest.param("solve", "[model]\nbase_rate = 1e300\nintensity = 1\nanomaly_rate = 0.2\n",
                  "base_rate", id="solve-base-rate-1e300"),
     *(pytest.param("analyze", f"[analyze]\nslot_width = {value}\n", "analyze.slot_width",
@@ -746,6 +762,17 @@ def test_unusable_config_values_are_config_errors(tmp_path, repo_root, capsys,
     assert main([command, *inputs[command], "--config", cfg, *seed,
                  "--out", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["solve", "sweep", "simulate"])
+def test_seed_outside_unsigned_64_bit_is_config_error(tmp_path, capsys, command, seed):
+    cfg = _write(tmp_path, "cell.cfg", "[sweep]\n" + SWEEP_CELL)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--seed", seed, "--out", str(out)]) == 2
+    assert "--seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([command, "--config", cfg, "--seed", str(2**64 - 1), "--out", str(out)]) == 0
 
 
 def test_costs_command(tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from lpwanleak import (
     COST_CSV_HEADER,
     SWEEP_CSV_HEADER,
+    DENOMINATOR_MODES,
     CostPoint,
     DegenerateMetricError,
     DetectorConfig,
@@ -195,7 +196,10 @@ def test_sweep_spec_validation():
     ({"intensities": (1e20,)}, "cell (R_p=0.2, I=1e+20): intensity"),
     # b is not, but the idealized waterfill total (S - 1) * w is
     ({"intensities": (1.1e18,)}, "Poisson rate of 9.9e+18"),
-], ids=["anomaly-rate", "detector", "denominator", "slot-rate", "waterfill-total"])
+    ({"budget": -1.0}, "budget must be >= 0, got -1.0"),
+    ({"budget": math.nan}, "budget must be >= 0, got nan"),
+], ids=["anomaly-rate", "detector", "denominator", "slot-rate", "waterfill-total",
+        "budget--1", "budget-nan"])
 def test_sweep_spec_rejects_what_its_cells_would(kwargs, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         SweepSpec(**{"anomaly_rates": (0.2,), "intensities": (10.0,),
@@ -208,7 +212,7 @@ def test_sweep_runs_up_to_the_poisson_rate_limit():
     for mode in ("idealized", "chi-square"):
         rec, = run_sweep(dataclasses.replace(spec, detector_mode=mode))
         assert not rec.error and math.isfinite(rec.realized_cost)
-    assert spec.knowledge.is_complete
+    assert spec.knowledge == KnowledgeModel.complete()
 
 
 def test_run_sweep_order_and_isolation(monkeypatch):
@@ -300,6 +304,12 @@ def test_cost_curves_grid():
     full = cost_curves([m40], [anomaly_dispersion(m40)])[0]
     assert full.fake_cost == pytest.approx(3.9, rel=1e-9)
     assert full.waterfill_cost == pytest.approx(7.02, rel=1e-9)
+    # at the full target k = anomaly dispersion a point costs what costs() does
+    for denom in DENOMINATOR_MODES:
+        for m in (m10, m40):
+            point, = cost_curves([m], [anomaly_dispersion(m)], denom)
+            cm = costs(m, denom)
+            assert (point.fake_cost, point.waterfill_cost) == (cm.fake_cost, cm.waterfill_cost)
 
 
 def test_cost_curves_infeasible_and_validation():

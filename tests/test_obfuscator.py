@@ -24,7 +24,6 @@ from lpwanleak import (
     expected_dispersion_waterfill,
     gen_run,
     power_cost,
-    power_ok,
     solve_fake_rate,
     solve_strategy,
     solve_waterfill_rate,
@@ -118,8 +117,7 @@ def test_injected_dispersion_targets_mc():
 
 
 def test_knowledge_model():
-    assert KnowledgeModel.complete().is_complete
-    assert not KnowledgeModel(0.7, 0.99).is_complete
+    assert KnowledgeModel.complete() == KnowledgeModel(1.0, 1.0) == KnowledgeModel()
     with pytest.raises(ValueError):
         KnowledgeModel(1.2, 1.0)
     with pytest.raises(ValueError):
@@ -158,10 +156,12 @@ def test_power_cost_and_budget_boundary():
     c = power_cost(0.5, 0.25, cm, 0.2)
     want = 0.2 * 0.5 * cm.waterfill_cost + 0.8 * 0.25 * cm.fake_cost
     assert c == pytest.approx(want, rel=1e-12)
-    strat = Strategy(0.0, 1.0, 0.0, 0.0, True)
+    # a strategy priced exactly at the budget is feasible: the solver keeps it
     budget = power_cost(0.0, 1.0, cm, 0.2)
-    assert power_ok(strat, cm, 0.2, budget)  # boundary counts as feasible
-    assert not power_ok(strat, cm, 0.2, budget * 0.999)
+    s = solve_strategy(M10, budget=budget, cost_model=cm)
+    assert s.feasible_optimal and (s.p_waterfill, s.p_fake) == (0.0, 1.0)
+    assert s.cost == budget
+    assert not solve_strategy(M10, budget=budget * 0.999, cost_model=cm).feasible_optimal
 
 
 def test_solve_strategy_feasible_cell():
@@ -222,8 +222,9 @@ def test_solve_strategy_empty_zero_bias_family():
 
 
 def test_solve_strategy_rejects_negative_budget():
-    with pytest.raises(ValueError):
-        solve_strategy(M10, budget=-1.0)
+    for budget in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            solve_strategy(M10, budget=budget)
 
 
 def test_apply_strategy_only_adds_and_keeps_truth():
@@ -428,7 +429,7 @@ def test_solve_strategy_matches_scan_oracles(slots, lam, intensity, rp, tpr, tnr
     a, b = rp * cm.waterfill_cost, (1.0 - rp) * cm.fake_cost
     budget = share * (a + b)
     s = solve_strategy(model, KnowledgeModel(tpr, tnr), budget, cm)
-    assert power_ok(s, cm, rp, budget)
+    assert power_cost(s.p_waterfill, s.p_fake, cm, rp) <= budget
     # the endpoint path reports the analytic zero, the search path its score
     assert s.epsilon == (0.0 if s.feasible_optimal
                          else epsilon_of(rp, s.p_waterfill, s.p_fake, tpr, tnr))
@@ -464,7 +465,7 @@ def test_solve_strategy_subnormal_anomaly_rate():
     budget = 0.01190911098548986
     s = solve_strategy(model, KnowledgeModel(0.5, 0.0), budget, cm)
     assert 0.0 <= s.p_waterfill <= 1.0 and 0.0 <= s.p_fake <= 1.0
-    assert power_ok(s, cm, model.anomaly_rate, budget)
+    assert power_cost(s.p_waterfill, s.p_fake, cm, model.anomaly_rate) <= budget
 
 
 def test_solve_strategy_over_budget_guard_keeps_the_least_bias():
@@ -475,6 +476,6 @@ def test_solve_strategy_over_budget_guard_keeps_the_least_bias():
     cm = costs(model)
     budget = 1.711478825712905
     s = solve_strategy(model, KnowledgeModel(1.4e-45, 0.0), budget, cm)
-    assert power_ok(s, cm, model.anomaly_rate, budget)
+    assert power_cost(s.p_waterfill, s.p_fake, cm, model.anomaly_rate) <= budget
     assert s.p_waterfill == 1.0
     assert s.epsilon == 3.186036161109378e43

@@ -3,12 +3,15 @@
 `perfbench/tracer.py` times a run by replacing functions where their
 callers look them up (`lpwanleak.cli.sweep_to_csv`, ...). Its own tests are
 not collected here, so this file runs its `instrument` with a tracer that
-only looks each name up: a renamed or dropped name fails here, not first in
-a benchmark run.
+only looks each name up, checks the argument positions its wrappers read,
+and runs the trace-mc job on one fixture: a renamed or dropped name or a
+reordered signature fails here, not first in a benchmark run.
 """
 
 import importlib
 import importlib.util
+import inspect
+import json
 
 import pytest
 
@@ -19,12 +22,16 @@ from conftest import ROOT
 LIBRARY_MODULES = ("traffic", "attacker", "obfuscator", "traces", "experiment")
 
 
-def _load_tracer():
+def _load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer():
+    return _load_perfbench("tracer")
 
 
 def test_benchmark_tracer_finds_every_wrapped_name():
@@ -38,6 +45,30 @@ def test_benchmark_tracer_finds_every_wrapped_name():
     tracer.instrument(LookupOnly())
     assert ("lpwanleak.cli", "sweep_to_csv", lpwanleak.sweep_to_csv) in looked_up
     assert all(callable(fn) for _, _, fn in looked_up)
+
+
+@pytest.mark.parametrize("fn,position,name", [
+    (lpwanleak.run_cell, 6, "seed"),
+    (lpwanleak.average_error_mc, 3, "budget"),
+    (lpwanleak.conditional_entropy_mc, 2, "budget"),
+])
+def test_benchmark_tracer_argument_positions(fn, position, name):
+    # the tracer's span attributes read these arguments by position or name
+    assert list(inspect.signature(fn).parameters)[position] == name
+
+
+def test_benchmark_tracemc_job_runs(tmp_path):
+    out = tmp_path / "tracemc.json"
+    fixture = ROOT / "fixtures" / "fillto_two_messages.json"
+    job = _load_perfbench("tracemc_job")
+    assert job.main(["--budget", "200", "--seed", "1", "--out", str(out), str(fixture)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["budget"], doc["seed"]) == (200, 1)
+    row, = doc["priors"]
+    assert row["average_error"] == pytest.approx(0.4)
+    assert abs(row["average_error_mc"] - 0.4) <= 4 * row["average_error_se"]
+    assert abs(row["conditional_entropy_mc"] - row["conditional_entropy"]) \
+        <= 4 * row["conditional_entropy_se"]
 
 
 @pytest.mark.parametrize("name", LIBRARY_MODULES + ("cli",))

@@ -22,11 +22,9 @@ from lpwanleak import (
     chi_square_threshold,
     conditional_entropy,
     conditional_entropy_mc,
-    distance,
     enumerate_observables,
     load_fixture,
     optimal_guess,
-    posterior,
     posterior_table,
     run_dispersion,
 )
@@ -107,9 +105,6 @@ def test_table_mechanism():
 def test_cardinality_distance():
     assert CARD((1.0, 2.0), ()) == 2.0
     assert CARD((1.0,), (2.0,)) == 0.0
-    assert distance("cardinality-difference")((1.0,), ()) == 1.0
-    with pytest.raises(ValueError):
-        distance("hamming")
 
 
 def test_anomaly_count_distance():
@@ -124,9 +119,6 @@ def test_anomaly_count_distance():
     assert d(burst, ()) == 1.0
     assert d(burst, burst) == 0.0
     assert d((), ()) == 0.0  # empty intervals never flag
-    via_factory = distance("anomaly-count-difference", window=window,
-                           slot_width=1.0, slots=10)
-    assert via_factory(burst, ()) == 1.0
     # two full intervals; messages before the window or past the last full
     # interval are ignored
     two = AnomalyCountDistance((0.0, 25.0), slot_width=1.0, slots=10, alpha=0.05)
@@ -150,17 +142,17 @@ def test_anomaly_count_distance():
 
 
 def test_posterior_values():
-    assert posterior(PRIOR, FILL, (1.0, 2.0), (1.0,)) == pytest.approx(0.6)
-    assert posterior(PRIOR, FILL, (1.0, 2.0), (1.0, 2.0)) == pytest.approx(0.4)
-    # candidates outside the observation have zero posterior
-    assert posterior(PRIOR, FILL, (1.0, 2.0), (0.0,)) == 0.0
-    # empty trace is a subset but carries no prior mass here
-    assert posterior(PRIOR, FILL, (1.0, 2.0), ()) == 0.0
+    table = posterior_table(PRIOR, FILL, (2.0, 1.0))  # any order of the observation
+    assert table[(1.0,)] == pytest.approx(0.6)
+    assert table[(1.0, 2.0)] == pytest.approx(0.4)
+    # candidates outside the observation have zero posterior, and so does
+    # the empty trace, a subset that carries no prior mass here
+    assert set(table) == {(1.0,), (1.0, 2.0)}
 
 
 def test_posterior_inconsistent_observation():
     with pytest.raises(InconsistentObservationError):
-        posterior(PRIOR, FILL, (0.5,), (1.0,))
+        posterior_table(PRIOR, FILL, (0.5,))
     with pytest.raises(InconsistentObservationError):
         posterior_table(PRIOR, FILL, (1.0,))  # fill-to never emits a bare {1}
 
@@ -294,7 +286,7 @@ def test_load_fixture_forms(repo_root):
     doc = json.loads(path.read_text())
     fx3 = load_fixture(doc)
     assert fx3.prior.support == fx.prior.support
-    assert posterior(fx.prior, fx.mechanism, (1.0, 2.0), (1.0,)) == pytest.approx(0.6)
+    assert posterior_table(fx.prior, fx.mechanism, (1.0, 2.0))[(1.0,)] == pytest.approx(0.6)
 
 
 def test_load_fixture_mechanism_specs():
@@ -308,6 +300,10 @@ def test_load_fixture_mechanism_specs():
                   "outputs": [{"observed": [1.0], "q": 0.5},
                               {"observed": [1.0, 2.0], "q": 0.5}]}]}})
     assert q(table.mechanism, (1.0, 2.0), (1.0,)) == 0.5
+    with pytest.raises(ValueError, match=r"no row for real trace \(2\.0,\)"):
+        load_fixture({**base, "prior": [{"trace": [1.0], "p": 0.5}, {"trace": [2.0], "p": 0.5}],
+                      "mechanism": {"type": "table", "rows": [
+                          {"real": [1.0], "outputs": [{"observed": [1.0], "q": 1.0}]}]}})
     with pytest.raises(ValueError):
         load_fixture({**base, "mechanism": {"type": "wormhole"}})
     with pytest.raises(ValueError):
