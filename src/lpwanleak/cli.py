@@ -114,6 +114,8 @@ def _parse_value(raw: str, lineno: int):
             start, end, step = (float(p) for p in parts)
         except ValueError:
             return _parse_scalar(raw)
+        if not all(map(math.isfinite, (start, end, step))):
+            raise ConfigError(f"config line {lineno}: range start, end and step must be finite")
         if step <= 0:
             raise ConfigError(f"config line {lineno}: range step must be positive")
         n = int(round((end - start) / step))
@@ -182,9 +184,10 @@ class Config:
             raise ConfigError(f"config key '{section}.{key}' must be an integer, got {v!r}")
         return v
 
-    def get_str(self, section, key, default=_MISSING) -> str:
+    def get_str(self, section, key, default=_MISSING) -> str | None:
+        # a None default marks an optional key: None when it is missing
         v = self.get(section, key, default)
-        if not isinstance(v, str):
+        if not isinstance(v, str) and v is not None:
             raise ConfigError(f"config key '{section}.{key}' must be a string, got {v!r}")
         return v
 
@@ -338,7 +341,7 @@ def _resolve_seed(args, cfg: Config) -> int:
 
 
 def _resolve_out(args, cfg: Config) -> str | None:
-    return args.out if args.out is not None else cfg.get("run", "out", None)
+    return args.out if args.out is not None else cfg.get_str("run", "out", None)
 
 
 def _resolve_format(args, cfg: Config, default: str) -> str:
@@ -467,8 +470,9 @@ def cmd_sweep(args, cfg: Config) -> int:
     spec = _sweep_spec_from(cfg, seed)
     if single_cell and (len(spec.anomaly_rates) != 1 or len(spec.intensities) != 1):
         raise ConfigError("simulate needs a single-cell grid (one anomaly rate, one intensity)")
-    records = run_sweep(spec)
     out = _resolve_out(args, cfg)
+    dump = cfg.get_str("simulate", "dump_run", None)
+    records = run_sweep(spec)
     if fmt == "csv":
         sweep_to_csv(records, _csv_file(out), comment=_provenance(cfg, seed))
     else:
@@ -476,10 +480,8 @@ def cmd_sweep(args, cfg: Config) -> int:
     failed = [r for r in records if r.error]
     for r in failed:
         print(f"lpwanleak: error R_p={r.r_p!r} I={r.intensity!r}: {r.error}", file=sys.stderr)
-    if single_cell and not failed:
-        dump = cfg.get("simulate", "dump_run", None)
-        if dump is not None:
-            _dump_single_run(spec, str(dump), _provenance(cfg, seed))
+    if single_cell and not failed and dump is not None:
+        _dump_single_run(spec, dump, _provenance(cfg, seed))
     return 3 if failed else 0
 
 
@@ -503,6 +505,7 @@ def cmd_analyze(args, cfg: Config) -> int:
                           f"got {slot_width!r}")
     slots = cfg.get_int("analyze", "slots", 10)
     alpha = cfg.get_float("analyze", "alpha", 0.05)
+    out = _resolve_out(args, cfg)
     timestamps = read_trace_csv(path, None if device is None else str(device))
     # after the read: loading scipy.special first adds about 20 MB to the reader's peak RSS
     thr = _wrap_value_error(lambda: chi_square_threshold(slots, alpha), "analyze")
@@ -512,7 +515,6 @@ def cmd_analyze(args, cfg: Config) -> int:
         raise DataError(f"{path}: {exc}") from exc
     _, _, d = run_dispersion(counts)
     flagged = (slots - 1) * d > thr  # an empty interval (D = nan) is never flagged
-    out = _resolve_out(args, cfg)
     rows = zip(range(len(d)), d.tolist(), flagged.tolist(), repeat(thr))
     if fmt == "csv":
         write_csv(_csv_file(out), _provenance(cfg, seed), ",".join(_ANALYZE_NAMES),

@@ -24,8 +24,7 @@ from .obfuscator import (DENOMINATOR_MODES, CostModel, InfeasibleTargetError,
                          KnowledgeModel, Strategy, apply_strategy, costs,
                          draw_actions, solve_fake_rate, solve_strategy,
                          solve_waterfill_rate)
-from .traffic import (IntervalModel, Run, as_rng, draw_anomaly_flags, gen_run,
-                      write_csv)
+from .traffic import IntervalModel, Run, draw_anomaly_flags, gen_run, write_csv
 
 __all__ = [
     "SWEEP_CSV_HEADER",
@@ -111,22 +110,16 @@ class MetricsReport:
 SWEEP_CSV_HEADER = ",".join(MetricsReport.NAMES[:_SWEEP_CSV_COLUMNS])
 
 
-def realized_cost(run: Run, cost_model: CostModel) -> tuple[float, float]:
-    """Mean per-interval relative dummy load of an obfuscated run, with SE.
+def realized_cost(action: np.ndarray, cost_model: CostModel) -> tuple[float, float]:
+    """Mean relative dummy cost of a cell's actions, with its SE.
 
-    Each interval's dummy total is divided by the normalizer of the action
-    applied to it (waterfilled intervals by the waterfill normalizer,
-    everything else by the baseline interval load).
+    An interval costs C_wf if it was waterfilled (action 1), C_f if faked
+    (action 2) and nothing otherwise: the expected dummy load of its action
+    over that action's normalizer. The SE is that of these per-interval
+    values.
     """
-    return _dummy_cost(run.dummy_counts.sum(axis=1), run.action, cost_model)
-
-
-def _dummy_cost(dummies: np.ndarray, action: np.ndarray,
-                cost_model: CostModel) -> tuple[float, float]:
-    # per-interval dummy totals over their action's normalizer: mean and SE
-    norm = np.where(action == 1, cost_model.waterfill_normalizer(),
-                    cost_model.fake_normalizer())
-    contrib = dummies / norm
+    contrib = np.select([action == 1, action == 2],
+                        [cost_model.waterfill_cost, cost_model.fake_cost], 0.0)
     n = contrib.size
     se = float(contrib.std(ddof=1) / math.sqrt(n)) if n > 1 else _NAN
     return float(contrib.mean()), se
@@ -162,25 +155,6 @@ def _solved(model: IntervalModel, knowledge: KnowledgeModel, budget: float,
     return strat, cm
 
 
-def _labels(model: IntervalModel, strat: Strategy, knowledge: KnowledgeModel,
-            cm: CostModel, n_intervals: int, base: tuple[int, ...]):
-    """(is_anomaly, action, per-row dummy totals) of the cell's run, no counts.
-
-    is_anomaly and action equal the columns of the run :func:`simulate_run`
-    builds from the same seed: they are the first draws of its streams.
-    The dummy totals follow the action codes on base + (1,): a waterfilled
-    row draws Poisson((S - 1) * waterfill rate), the sum of its filled
-    slots, and a faked row Poisson(fake rate). They match the obfuscated
-    run's totals in distribution, not value by value.
-    """
-    is_anomaly = draw_anomaly_flags(model, n_intervals, base + (0,))
-    rng = as_rng(base + (1,))
-    action = draw_actions(is_anomaly, strat, knowledge, rng)
-    rates = np.select([action == 1, action == 2],
-                      [(model.slots - 1) * cm.waterfill_rate, cm.fake_rate], 0.0)
-    return is_anomaly, action, rng.poisson(rates)
-
-
 def simulate_run(model: IntervalModel, knowledge: KnowledgeModel, budget: float,
                  n_intervals: int, seed, strategy: Strategy | None = None,
                  cost_denominator: str = "base-plus-anomaly"
@@ -191,8 +165,9 @@ def simulate_run(model: IntervalModel, knowledge: KnowledgeModel, budget: float,
     the cell seed tuple ``base`` (a contract the tests pin): base + (0,)
     generates, its first n draws being the anomaly flags; base + (1,)
     obfuscates, its first two n-draws being the prediction and action
-    coins. :func:`run_cell` guesses on base + (2,) and calibrates the
-    chi-square detector on base + (3,) and base + (4,).
+    coins. An idealized :func:`run_cell` draws those 3n coins and nothing
+    else; it guesses on base + (2,), and the chi-square detector calibrates
+    on base + (3,) and base + (4,).
     """
     base = _seed_tuple(seed)
     strat, cm = _solved(model, knowledge, budget, strategy, cost_denominator)
@@ -210,11 +185,9 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
     Streams are those of :func:`simulate_run`. The idealized detector reads
     only labels, so that mode draws no counts: it takes the flags and action
     codes from the first draws of base + (0,) and base + (1,), which equal
-    the columns of the run :func:`simulate_run` builds, and its four metric
-    fields equal that run's bit for bit. Its ``realized_cost`` comes from
-    per-row dummy totals drawn next on base + (1,), Poisson((S - 1) * w)
-    for a waterfilled row and Poisson(fake rate) for a faked one, so it
-    equals the full run's in distribution only.
+    the columns of the run :func:`simulate_run` builds, so every metric
+    field equals that run's bit for bit. ``realized_cost`` is
+    :func:`realized_cost` of the action codes in both modes.
 
     The chi-square detector reads the counts of the full run. Its
     class-conditional flag rates are not analytic, so that mode first
@@ -234,7 +207,8 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
     if detector_mode == "idealized":
         cfg = DetectorConfig.idealized(model.anomaly_rate, strat.p_waterfill,
                                        strat.p_fake, knowledge.tpr, knowledge.tnr)
-        truth, action, dummies = _labels(model, strat, knowledge, cm, n_intervals, base)
+        truth = draw_anomaly_flags(model, n_intervals, base + (0,))
+        action = draw_actions(truth, strat, knowledge, base + (1,))
         verdicts = idealized_verdicts(truth, action, cfg)
     elif detector_mode == "chi-square":
         _, _, obf = simulate_run(model, knowledge, budget, n_intervals, base, strat,
@@ -247,7 +221,7 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
         fb = float(cal_flags[~cal.is_anomaly].mean()) if (~cal.is_anomaly).any() else _NAN
         cfg = DetectorConfig.chi_square(model.anomaly_rate, alpha, fa, fb)
         verdicts = test_run(obf, cfg)
-        truth, action, dummies = obf.is_anomaly, obf.action, obf.dummy_counts.sum(axis=1)
+        truth, action = obf.is_anomaly, obf.action
     else:
         raise ValueError(f"detector mode must be one of {DETECTOR_MODES}, got {detector_mode!r}")
 
@@ -262,7 +236,7 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
             guess_err = guess_se = _NAN
 
     ce, ce_se = _empirical_ce_bits(truth, verdicts.flagged)
-    rcost, rcost_se = _dummy_cost(dummies, action, cm)
+    rcost, rcost_se = realized_cost(action, cm)
 
     return MetricsReport(
         r_p=model.anomaly_rate, intensity=model.intensity, slots=model.slots,
@@ -282,7 +256,8 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
 class SweepSpec:
     """Grid description for :func:`run_sweep`. It rejects, before any cell
     runs, every value a cell would reject, including a cell whose largest
-    Poisson draw (b, the fake rate or (S - 1) * w) is over numpy's limit."""
+    Poisson rate (b, the fake rate, or the waterfill total (S - 1) * w of
+    one interval) is over numpy's limit."""
 
     anomaly_rates: tuple[float, ...]
     intensities: tuple[float, ...]
@@ -418,8 +393,8 @@ def cost_curves(models: Sequence[IntervalModel], shifts: Sequence[float],
     rather than dropped.
     """
     for k in shifts:
-        if k < 1.0:
-            raise ValueError(f"shift grid must be >= 1, got {k}")
+        if not 1.0 <= k < math.inf:
+            raise ValueError(f"shift grid must be finite and >= 1, got {k}")
     points = []
     for model in models:
         for k in map(float, shifts):

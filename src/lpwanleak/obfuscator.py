@@ -149,6 +149,10 @@ class CostModel:
       counting the boosted slot's baseline share;
     * "interval-expected": (S-1) * lam + anomaly slot rate — the exact
       expected message count of an anomalous interval.
+
+    So each cost is the expected dummy load of one interval under its
+    action, relative to its normalizer: what the solver prices and what
+    ``experiment.realized_cost`` charges each faked or waterfilled interval.
     """
 
     model: IntervalModel
@@ -161,22 +165,18 @@ class CostModel:
             raise ValueError(f"denominator must be one of {DENOMINATOR_MODES}, "
                              f"got {self.denominator!r}")
 
-    def waterfill_normalizer(self) -> float:
-        m = self.model
-        if self.denominator == "base-plus-anomaly":
-            return m.base_rate * m.slots + m.anomaly_slot_rate
-        return (m.slots - 1) * m.base_rate + m.anomaly_slot_rate
-
-    def fake_normalizer(self) -> float:
-        return self.model.base_rate * self.model.slots
-
     @property
     def fake_cost(self) -> float:
-        return self.fake_rate / self.fake_normalizer()
+        return self.fake_rate / (self.model.base_rate * self.model.slots)
 
     @property
     def waterfill_cost(self) -> float:
-        return self.waterfill_rate * (self.model.slots - 1) / self.waterfill_normalizer()
+        m = self.model
+        if self.denominator == "base-plus-anomaly":
+            norm = m.base_rate * m.slots + m.anomaly_slot_rate
+        else:
+            norm = (m.slots - 1) * m.base_rate + m.anomaly_slot_rate
+        return self.waterfill_rate * (m.slots - 1) / norm
 
 
 def costs(model: IntervalModel, denominator: str = "base-plus-anomaly") -> CostModel:

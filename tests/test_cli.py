@@ -82,6 +82,12 @@ def test_parse_config_dotted_keys_outside_section():
     ("[model]\nslots =\n", "empty value"),
     ("[sweep]\nanomaly_rates = 0.1:0.95:0.2\n", "off the step grid"),
     ("[sweep]\nintensities = 1:2:0\n", "step must be positive"),
+    ("[sweep]\nintensities = 1:nan:1\n", "must be finite"),
+    ("[sweep]\nintensities = nan:1:1\n", "must be finite"),
+    ("[sweep]\nintensities = 0:1:nan\n", "must be finite"),
+    ("[sweep]\nintensities = 0:inf:1\n", "must be finite"),
+    ("[sweep]\nintensities = 0:1:inf\n", "must be finite"),
+    ("[sweep]\nintensities = -inf:1:1\n", "must be finite"),
     ("[model]\nslots\n", "expected key = value"),
 ])
 def test_parse_config_errors(text, fragment):
@@ -745,6 +751,14 @@ SIMULATING = ("sweep", "simulate")
                    "solver.budget" if command == "solve" else "budget",
                    id=f"{command}-budget-{value}")
       for value in ("-1", "nan") for command in ("solve", *SIMULATING)),
+    *(pytest.param("costs", f"[costs]\nshifts = 1, {value}\n", "shift",
+                   id=f"costs-shifts-{value}") for value in ("nan", "inf")),
+    # an output path must be a string, not a number or a bool that open() takes as an fd
+    *(pytest.param(command, f"[run]\nout = {value}\n[sweep]\n" + SWEEP_CELL, "run.out",
+                   id=f"{command}-run-out-{value}")
+      for value in ("7", "2", "true") for command in ("solve", "sweep")),
+    pytest.param("simulate", "[simulate]\ndump_run = 7\n[sweep]\n" + SWEEP_CELL,
+                 "simulate.dump_run", id="simulate-dump-run-7"),
     pytest.param("solve", "[model]\nbase_rate = 1e300\nintensity = 1\nanomaly_rate = 0.2\n",
                  "base_rate", id="solve-base-rate-1e300"),
     *(pytest.param("analyze", f"[analyze]\nslot_width = {value}\n", "analyze.slot_width",
@@ -757,10 +771,10 @@ def test_unusable_config_values_are_config_errors(tmp_path, repo_root, capsys,
     inputs = {"analyze": [str(trace)], "sweep": [], "simulate": [], "solve": [], "costs": [],
               "posterior": [str(repo_root / "fixtures" / "fillto_two_messages.json")]}
     cfg = _write(tmp_path, "bad.cfg", text)
-    # a --seed flag would override the config's run.seed
+    # a --seed or --out flag would override the config's run.seed or run.out
     seed = [] if "seed =" in text else ["--seed", "0"]
-    assert main([command, *inputs[command], "--config", cfg, *seed,
-                 "--out", str(tmp_path / "out")]) == 2
+    out = [] if "out =" in text else ["--out", str(tmp_path / "out")]
+    assert main([command, *inputs[command], "--config", cfg, *seed, *out]) == 2
     assert field in capsys.readouterr().err
 
 

@@ -53,17 +53,15 @@ def test_binary_entropy():
 
 
 def test_realized_cost_hand_case():
-    counts = np.full((3, 10), 5, dtype=int)
-    dummy = np.zeros((3, 10), dtype=int)
-    dummy[0, :9] = 1          # waterfilled row, 9 dummies
-    dummy[1, 4] = 4           # faked row, 4 dummies
-    run = Run(counts, dummy, np.array([True, False, False]),
-              np.array([9, -1, -1]), np.array([1, 2, 0]))
+    # waterfilled, faked, untouched, faked: C_wf, C_f, 0, C_f per interval
     cm = costs(IntervalModel(10, 1.0, 40.0, 0.2))
-    mean, se = realized_cost(run, cm)
-    want = (9 / 50.0 + 4 / 10.0 + 0.0) / 3
-    assert mean == pytest.approx(want, rel=1e-12)
-    assert se > 0
+    vals = np.array([cm.waterfill_cost, cm.fake_cost, 0.0, cm.fake_cost])
+    mean, se = realized_cost(np.array([1, 2, 0, 2], dtype=np.int8), cm)
+    assert mean == pytest.approx(vals.mean(), rel=1e-12)
+    assert se == pytest.approx(vals.std(ddof=1) / 2.0, rel=1e-12)
+    assert realized_cost(np.zeros(5, dtype=np.int8), cm) == (0.0, 0.0)
+    mean, se = realized_cost(np.array([2]), cm)
+    assert mean == cm.fake_cost and math.isnan(se)
 
 
 def test_run_cell_deterministic():
@@ -89,8 +87,8 @@ def test_run_cell_feasible_statistics():
 
 
 def test_run_cell_waterfill_cost_statistics():
-    # a search-path cell that waterfills and fakes: the realized dummy load,
-    # drawn per row in idealized mode, must match the analytic cost
+    # a search-path cell that waterfills and fakes: the realized cost of its
+    # actions must match the analytic cost
     model = IntervalModel(10, 1.0, 40.0, 0.2)
     r = run_cell(model, budget=1.0, n_intervals=100_000, seed=3)
     assert not r.feasible_optimal and not r.error
@@ -101,7 +99,7 @@ def test_run_cell_waterfill_cost_statistics():
 
 def _full_path_metrics(model, knowledge, budget, n, seed, strategy):
     # idealized scoring of the full count run, stage by stage
-    strat, _, obf = simulate_run(model, knowledge, budget, n, seed, strategy)
+    strat, cm, obf = simulate_run(model, knowledge, budget, n, seed, strategy)
     cfg = DetectorConfig.idealized(model.anomaly_rate, strat.p_waterfill, strat.p_fake,
                                    knowledge.tpr, knowledge.tnr)
     verdicts = classify_run(obf, cfg)
@@ -111,7 +109,8 @@ def _full_path_metrics(model, knowledge, budget, n, seed, strategy):
         err_se = guessing_error_se(err, int(obf.is_anomaly.sum()))
     except DegenerateMetricError:
         err = err_se = math.nan
-    return (err, err_se) + _empirical_ce_bits(obf.is_anomaly, verdicts.flagged)
+    return ((err, err_se) + _empirical_ce_bits(obf.is_anomaly, verdicts.flagged)
+            + realized_cost(obf.action, cm))
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,15 +130,17 @@ def _full_path_metrics(model, knowledge, budget, n, seed, strategy):
          budget=0.01190911098548986, strategy=None, n=1, seed=0)
 def test_run_cell_idealized_metrics_equal_the_full_path(slots, intensity, rp, tpr, tnr,
                                                         budget, strategy, n, seed):
-    # idealized cells draw labels only; every metric field must still equal
-    # the one the full count run gives, bit for bit (nan equal to nan)
+    # idealized cells draw labels only; every metric field, realized cost
+    # included, must still equal the one the full count run gives, bit for
+    # bit (nan equal to nan)
     model = IntervalModel(slots, 1.0, intensity, rp)
     knowledge = KnowledgeModel(tpr, tnr)
     strat = None if strategy is None else Strategy(*strategy, 0.0, 0.0, False)
     base = (seed, 1, 2)
     r = run_cell(model, knowledge, budget, n_intervals=n, seed=base, strategy=strat)
     want = _full_path_metrics(model, knowledge, budget, n, base, strat)
-    got = (r.guess_err, r.guess_err_se, r.ce_bits, r.ce_bits_se)
+    got = (r.guess_err, r.guess_err_se, r.ce_bits, r.ce_bits_se,
+           r.realized_cost, r.realized_cost_se)
     assert np.array_equal(np.array(got), np.array(want), equal_nan=True), (got, want)
 
 
@@ -194,7 +195,7 @@ def test_sweep_spec_validation():
     ({"cost_denominator": "bogus"}, "cost_denominator"),
     # the anomalous slot rate b is over numpy's Poisson limit
     ({"intensities": (1e20,)}, "cell (R_p=0.2, I=1e+20): intensity"),
-    # b is not, but the idealized waterfill total (S - 1) * w is
+    # b is not, but the waterfill total (S - 1) * w is
     ({"intensities": (1.1e18,)}, "Poisson rate of 9.9e+18"),
     ({"budget": -1.0}, "budget must be >= 0, got -1.0"),
     ({"budget": math.nan}, "budget must be >= 0, got nan"),
@@ -304,6 +305,10 @@ def test_cost_curves_grid():
     full = cost_curves([m40], [anomaly_dispersion(m40)])[0]
     assert full.fake_cost == pytest.approx(3.9, rel=1e-9)
     assert full.waterfill_cost == pytest.approx(7.02, rel=1e-9)
+    # nan passes a bare k < 1 check, and inf would be a row of inf and nan
+    for k in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            cost_curves([m10], [1.0, k])
     # at the full target k = anomaly dispersion a point costs what costs() does
     for denom in DENOMINATOR_MODES:
         for m in (m10, m40):

@@ -269,6 +269,23 @@ def test_apply_strategy_fake_hits_single_slot():
     assert np.all((obf.dummy_counts > 0).sum(axis=1) <= 1)
 
 
+def test_apply_strategy_dummy_totals_match_the_action_rates():
+    # A waterfilled row fills S - 1 slots at rate w and a faked row bursts
+    # one slot at the fake rate, whether or not the predictor was right.
+    # Incomplete knowledge puts mispredicted rows in both groups. Each
+    # group's mean dummy total must lie within 3 sigma of its rate.
+    cm = costs(M40)
+    obf = apply_strategy(gen_run(M40, 40_000, 11), Strategy(0.7, 0.4, 0.0, 0.0, False),
+                         KnowledgeModel(0.7, 0.9), cm, 12)
+    totals = obf.dummy_counts.sum(axis=1)
+    for code, rate, mispredicted in ((1, (M40.slots - 1) * cm.waterfill_rate, False),
+                                     (2, cm.fake_rate, True)):
+        rows = obf.action == code
+        assert np.any(rows & (obf.is_anomaly == mispredicted))
+        got = totals[rows]
+        assert abs(got.mean() - rate) <= 3 * got.std(ddof=1) / math.sqrt(got.size), code
+
+
 def test_apply_strategy_class_rates():
     model = IntervalModel(5, 1.0, 10.0, 0.5)
     run = gen_run(model, 40_000, 8)
