@@ -283,13 +283,12 @@ def guessing_error_se(err: float, n_anomalies: int) -> float:
     return float(np.sqrt(max(err * (1.0 - err), 0.0) / n_anomalies))
 
 
-def bin_timestamps(timestamps, slot_width: float, slots: int,
-                   origin: float | None = None) -> np.ndarray:
+def bin_timestamps(timestamps, slot_width: float, slots: int) -> np.ndarray:
     """Bin sorted timestamps into (intervals, slots) counts.
 
-    ``origin`` anchors the slot grid; None anchors at the first message's
-    slot start (sensible for epoch-scale external traces). The trailing
-    partial interval is dropped: the dispersion test needs full intervals.
+    The slot grid starts at the first message's slot start (sensible for
+    epoch-scale external traces). The trailing partial interval is dropped:
+    the dispersion test needs full intervals.
     """
     ts = np.asarray(timestamps, dtype=float)
     if ts.size == 0:
@@ -298,8 +297,7 @@ def bin_timestamps(timestamps, slot_width: float, slots: int,
         raise ValueError("timestamps must be sorted")
     if not slot_width > 0 or slots < 2:
         raise ValueError("need slot_width > 0 and slots >= 2")
-    if origin is None:
-        origin = np.floor(ts[0] / slot_width) * slot_width
+    origin = np.floor(ts[0] / slot_width) * slot_width
     idx = np.floor((ts - origin) / slot_width).astype(np.int64)
     if np.any(idx < 0):
         raise ValueError("timestamps precede the binning origin")

@@ -8,11 +8,12 @@ metrics and a ``# error`` line after the CSV rows (the ``error`` field in
 JSON); the error also goes to stderr and the exit code is 3.
 
 The config file is a small TOML-like format: `[section]` headers, one
-`key = value` per line, full-line # comments. Values are ints, floats,
-true/false, bare or quoted strings, comma lists, or inclusive numeric
-ranges written start:end:step. Dotted keys (`model.slots = 10`) work
-anywhere and name the section explicitly. Unknown keys are rejected, not
-ignored, so typos fail fast. CLI flags override file values.
+`key = value` per line, full-line # comments. KNOWN_KEYS gives each key one
+type: an integer, a number, a number list (a comma list, an inclusive range
+start:end:step, or one number) or a string (quoted if it reads as a number
+or true/false). Dotted keys (`model.slots = 10`) name the section anywhere.
+Unknown keys and wrongly typed values fail with their line number when the
+file is read, so typos fail fast. CLI flags override file values.
 
 Every output starts with provenance: a comment line (CSV) or "meta"
 object (JSON) recording tool version, config hash, and the resolved seed.
@@ -23,6 +24,7 @@ be reproduced after the fact.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -62,18 +64,24 @@ class DataError(Exception):
     """Bad input data (trace files, fixtures); exit code 3."""
 
 
-# every accepted config key, by section; anything else is a hard error
+# every accepted config key and its type, by section; anything else is a
+# hard error. tuple is a number list: a comma list, a range or one number.
 KNOWN_KEYS = {
-    "model": {"slots", "base_rate", "intensity", "anomaly_rate"},
-    "knowledge": {"tpr", "tnr"},
-    "solver": {"budget", "cost_denominator"},
-    "sweep": {"anomaly_rates", "intensities", "n_intervals", "detector", "alpha"},
-    "run": {"seed", "out", "format"},
-    "simulate": {"dump_run"},
-    "analyze": {"input", "device", "slot_width", "slots", "alpha"},
-    "posterior": {"fixture", "observed"},
-    "costs": {"shifts", "base_rates", "intensities", "slots", "denominator"},
+    "model": {"slots": int, "base_rate": float, "intensity": float, "anomaly_rate": float},
+    "knowledge": {"tpr": float, "tnr": float},
+    "solver": {"budget": float, "cost_denominator": str},
+    "sweep": {"anomaly_rates": tuple, "intensities": tuple, "n_intervals": int,
+              "detector": str, "alpha": float},
+    "run": {"seed": int, "out": str, "format": str},
+    "simulate": {"dump_run": str},
+    "analyze": {"input": str, "device": str, "slot_width": float, "slots": int,
+                "alpha": float},
+    "posterior": {"fixture": str, "observed": tuple},
+    "costs": {"shifts": tuple, "base_rates": tuple, "intensities": tuple, "slots": int,
+              "denominator": str},
 }
+_TYPE_NAMES = {int: "an integer", float: "a number", tuple: "a number or a number list",
+               str: "a string (quote one that reads as a number or true/false)"}
 
 _MISSING = object()
 _FORMATS = ("csv", "json")
@@ -125,8 +133,25 @@ def _parse_value(raw: str, lineno: int):
     return _parse_scalar(raw)
 
 
+def _as_type(kind: type, value):
+    """A parsed value as the declared type ``kind``; None when it is not one."""
+    # type(), not isinstance(): true and false are not numbers
+    try:
+        if kind is tuple:
+            items = value if isinstance(value, tuple) else (value,)
+            if all(type(v) in (int, float) for v in items):
+                return tuple(map(float, items))
+        elif type(value) in ((int, float) if kind is float else (kind,)):
+            return kind(value)
+    except OverflowError:  # an integer literal past the largest double
+        pass
+    return None
+
+
 def parse_config(text: str) -> dict[str, dict]:
-    """Parse config text into {section: {key: value}}, validating key names."""
+    """Parse config text into {section: {key: value}}, checking each key's
+    name and its value's type against KNOWN_KEYS. Values keep their written
+    form (an int literal stays an int), which the config hash reads."""
     sections: dict[str, dict] = {}
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -154,56 +179,29 @@ def parse_config(text: str) -> dict[str, dict]:
         sec = sections.setdefault(sect, {})
         if key in sec:
             raise ConfigError(f"config line {lineno}: duplicate config key '{sect}.{key}'")
-        sec[key] = _parse_value(raw, lineno)
+        value = _parse_value(raw, lineno)
+        kind = KNOWN_KEYS[sect][key]
+        if _as_type(kind, value) is None:
+            raise ConfigError(f"config line {lineno}: config key '{sect}.{key}' must be "
+                              f"{_TYPE_NAMES[kind]}, got {raw.strip()!r}")
+        sec[key] = value
     return sections
 
 
 class Config:
-    """Typed access to parsed config sections, naming fields in errors."""
+    """Typed access to the sections parse_config returns, naming fields in errors."""
 
     def __init__(self, sections: dict[str, dict]):
         self.sections = sections
 
     def get(self, section: str, key: str, default=_MISSING):
+        """``section.key`` as its type in KNOWN_KEYS; ``default`` when it is unset."""
         val = self.sections.get(section, {}).get(key, _MISSING)
         if val is _MISSING:
             if default is _MISSING:
                 raise ConfigError(f"missing required config key '{section}.{key}'")
             return default
-        return val
-
-    def get_float(self, section, key, default=_MISSING) -> float:
-        v = self.get(section, key, default)
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"config key '{section}.{key}' must be a number, got {v!r}")
-        return float(v)
-
-    def get_int(self, section, key, default=_MISSING) -> int:
-        v = self.get(section, key, default)
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"config key '{section}.{key}' must be an integer, got {v!r}")
-        return v
-
-    def get_str(self, section, key, default=_MISSING) -> str | None:
-        # a None default marks an optional key: None when it is missing
-        v = self.get(section, key, default)
-        if not isinstance(v, str) and v is not None:
-            raise ConfigError(f"config key '{section}.{key}' must be a string, got {v!r}")
-        return v
-
-    def get_floats(self, section, key, default=_MISSING) -> tuple[float, ...]:
-        v = self.get(section, key, default)
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            return (float(v),)
-        if isinstance(v, tuple):
-            out = []
-            for item in v:
-                if isinstance(item, bool) or not isinstance(item, (int, float)):
-                    raise ConfigError(
-                        f"config key '{section}.{key}' must be numeric, got {item!r}")
-                out.append(float(item))
-            return tuple(out)
-        raise ConfigError(f"config key '{section}.{key}' must be a number list, got {v!r}")
+        return _as_type(KNOWN_KEYS[section][key], val)
 
     def hash(self) -> str:
         canon = json.dumps(self.sections, sort_keys=True, default=list,
@@ -327,21 +325,27 @@ def write_trace_csv(path, timestamps, device: str = "dev0", comment=None) -> Non
 
 
 def _resolve_seed(args, cfg: Config) -> int:
-    if args.seed is not None:
-        seed, source = args.seed, "--seed"
-    elif cfg.get("run", "seed", None) is not None:
-        seed, source = cfg.get_int("run", "seed"), "config key 'run.seed'"
-    else:
+    seed = args.seed if args.seed is not None else cfg.get("run", "seed", None)
+    if seed is None:
         seed = int.from_bytes(os.urandom(8), "big")
         print(f"lpwanleak: no seed given; using {seed}", file=sys.stderr)
-        return seed
-    if not 0 <= seed < 2**64:
+    elif not 0 <= seed < 2**64:
+        source = "--seed" if args.seed is not None else "config key 'run.seed'"
         raise ConfigError(f"{source} must be an unsigned 64-bit integer, got {seed}")
     return seed
 
 
-def _resolve_out(args, cfg: Config) -> str | None:
-    return args.out if args.out is not None else cfg.get_str("run", "out", None)
+def _open_out(args, cfg: Config):
+    """Open --out (else run.out) for writing, or stdout. Commands that simulate
+    or read a trace open it first, so an unwritable path fails before the work
+    (and a run that fails later leaves the file empty, as a shell redirect does)."""
+    path = args.out if args.out is not None else cfg.get("run", "out", None)
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot open output {path}: {exc.strerror}") from exc
 
 
 def _resolve_format(args, cfg: Config, default: str) -> str:
@@ -360,26 +364,13 @@ def _meta(cfg: Config, seed: int) -> dict:
             "config_hash": cfg.hash(), "seed": seed}
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
-def _emit_json(cfg: Config, seed: int, key: str, rows, out: str | None) -> None:
-    _emit(json.dumps({"meta": _meta(cfg, seed), key: rows}, indent=2) + "\n", out)
+def _emit_json(cfg: Config, seed: int, key: str, rows, out) -> None:
+    out.write(json.dumps({"meta": _meta(cfg, seed), key: rows}, indent=2) + "\n")
 
 
 def _json_rows(records) -> list[dict]:
     # a record's JSON keys are its class's output names, in field order
     return [dict(zip(r.NAMES, astuple(r))) for r in records]
-
-
-def _csv_file(out: str | None):
-    # what the CSV writers take: the --out path, or stdout
-    return sys.stdout if out is None else out
 
 
 def _wrap_value_error(build, field_hint: str):
@@ -391,17 +382,19 @@ def _wrap_value_error(build, field_hint: str):
 
 def _knowledge_from(cfg: Config) -> KnowledgeModel:
     return _wrap_value_error(
-        lambda: KnowledgeModel(cfg.get_float("knowledge", "tpr", 1.0),
-                               cfg.get_float("knowledge", "tnr", 1.0)),
+        lambda: KnowledgeModel(cfg.get("knowledge", "tpr", 1.0),
+                               cfg.get("knowledge", "tnr", 1.0)),
         "knowledge")
 
 
 def _grid_from(cfg: Config, model_key: str, sweep_key: str) -> tuple[float, ...]:
     # grids live in [sweep]; a scalar in [model] doubles as a 1-point grid
-    if cfg.get("sweep", sweep_key, None) is not None:
-        return cfg.get_floats("sweep", sweep_key)
-    if cfg.get("model", model_key, None) is not None:
-        return (cfg.get_float("model", model_key),)
+    grid = cfg.get("sweep", sweep_key, None)
+    if grid is not None:
+        return grid
+    scalar = cfg.get("model", model_key, None)
+    if scalar is not None:
+        return (scalar,)
     raise ConfigError(f"missing required config key 'model.{model_key}' (or 'sweep.{sweep_key}')")
 
 
@@ -416,8 +409,8 @@ def _model_from(cfg: Config) -> IntervalModel:
     intensity = _scalar_from(cfg, "intensity", "intensities")
     anomaly_rate = _scalar_from(cfg, "anomaly_rate", "anomaly_rates")
     return _wrap_value_error(
-        lambda: IntervalModel(cfg.get_int("model", "slots", 10),
-                              cfg.get_float("model", "base_rate", 1.0),
+        lambda: IntervalModel(cfg.get("model", "slots", 10),
+                              cfg.get("model", "base_rate", 1.0),
                               intensity, anomaly_rate),
         "model")
 
@@ -430,53 +423,51 @@ def _sweep_spec_from(cfg: Config, seed: int) -> SweepSpec:
         lambda: SweepSpec(
             anomaly_rates=rates,
             intensities=intensities,
-            slots=cfg.get_int("model", "slots", 10),
-            base_rate=cfg.get_float("model", "base_rate", 1.0),
+            slots=cfg.get("model", "slots", 10),
+            base_rate=cfg.get("model", "base_rate", 1.0),
             knowledge=_knowledge_from(cfg),
-            budget=cfg.get_float("solver", "budget", 1.0),
-            detector_mode=cfg.get_str("sweep", "detector", "idealized"),
-            alpha=cfg.get_float("sweep", "alpha", 0.05),
-            n_intervals=cfg.get_int("sweep", "n_intervals", 100_000),
+            budget=cfg.get("solver", "budget", 1.0),
+            detector_mode=cfg.get("sweep", "detector", "idealized"),
+            alpha=cfg.get("sweep", "alpha", 0.05),
+            n_intervals=cfg.get("sweep", "n_intervals", 100_000),
             seed=seed,
-            cost_denominator=cfg.get_str("solver", "cost_denominator",
-                                         "base-plus-anomaly")),
+            cost_denominator=cfg.get("solver", "cost_denominator", "base-plus-anomaly")),
         "sweep")
 
 
-def cmd_solve(args, cfg: Config) -> int:
-    seed = _resolve_seed(args, cfg)
+def cmd_solve(args, cfg: Config, seed: int) -> int:
     # json-only command: a config run.format is a generic preference and is
     # ignored here, but an explicit contradictory flag is an error
     if args.format not in (None, "json"):
         raise ConfigError("solve emits json only")
     model = _model_from(cfg)
     knowledge = _knowledge_from(cfg)
-    denom = cfg.get_str("solver", "cost_denominator", "base-plus-anomaly")
+    denom = cfg.get("solver", "cost_denominator", "base-plus-anomaly")
     cm = _wrap_value_error(lambda: costs(model, denom), "solver.cost_denominator")
-    budget = cfg.get_float("solver", "budget", 1.0)
+    budget = cfg.get("solver", "budget", 1.0)
     strat = _wrap_value_error(lambda: solve_strategy(model, knowledge, budget, cm),
                               "solver.budget")
     doc = strategy_json(strat, model, knowledge)
     doc["meta"] = _meta(cfg, seed)
-    _emit(json.dumps(doc, indent=2) + "\n", _resolve_out(args, cfg))
+    with _open_out(args, cfg) as out:
+        out.write(json.dumps(doc, indent=2) + "\n")
     return 0
 
 
-def cmd_sweep(args, cfg: Config) -> int:
+def cmd_sweep(args, cfg: Config, seed: int) -> int:
     # simulate is a sweep of one cell that may also dump its run
     single_cell = args.command == "simulate"
-    seed = _resolve_seed(args, cfg)
     fmt = _resolve_format(args, cfg, "csv")
     spec = _sweep_spec_from(cfg, seed)
     if single_cell and (len(spec.anomaly_rates) != 1 or len(spec.intensities) != 1):
         raise ConfigError("simulate needs a single-cell grid (one anomaly rate, one intensity)")
-    out = _resolve_out(args, cfg)
-    dump = cfg.get_str("simulate", "dump_run", None)
-    records = run_sweep(spec)
-    if fmt == "csv":
-        sweep_to_csv(records, _csv_file(out), comment=_provenance(cfg, seed))
-    else:
-        _emit_json(cfg, seed, "rows", _json_rows(records), out)
+    dump = cfg.get("simulate", "dump_run", None)
+    with _open_out(args, cfg) as out:
+        records = run_sweep(spec)
+        if fmt == "csv":
+            sweep_to_csv(records, out, comment=_provenance(cfg, seed))
+        else:
+            _emit_json(cfg, seed, "rows", _json_rows(records), out)
     failed = [r for r in records if r.error]
     for r in failed:
         print(f"lpwanleak: error R_p={r.r_p!r} I={r.intensity!r}: {r.error}", file=sys.stderr)
@@ -494,40 +485,41 @@ def _dump_single_run(spec: SweepSpec, path: str, provenance: str) -> None:
     run_to_csv(obf, path, comment=provenance)
 
 
-def cmd_analyze(args, cfg: Config) -> int:
-    seed = _resolve_seed(args, cfg)
+def cmd_analyze(args, cfg: Config, seed: int) -> int:
     fmt = _resolve_format(args, cfg, "csv")
-    path = args.input if args.input else cfg.get_str("analyze", "input")
+    path = args.input if args.input else cfg.get("analyze", "input")
     device = cfg.get("analyze", "device", None)
-    slot_width = cfg.get_float("analyze", "slot_width", 1.0)
+    slot_width = cfg.get("analyze", "slot_width", 1.0)
     if not 0 < slot_width < math.inf:
         raise ConfigError(f"config key 'analyze.slot_width' must be > 0 and finite, "
                           f"got {slot_width!r}")
-    slots = cfg.get_int("analyze", "slots", 10)
-    alpha = cfg.get_float("analyze", "alpha", 0.05)
-    out = _resolve_out(args, cfg)
-    timestamps = read_trace_csv(path, None if device is None else str(device))
-    # after the read: loading scipy.special first adds about 20 MB to the reader's peak RSS
-    thr = _wrap_value_error(lambda: chi_square_threshold(slots, alpha), "analyze")
-    try:
-        counts = bin_timestamps(timestamps, slot_width, slots)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    _, _, d = run_dispersion(counts)
-    flagged = (slots - 1) * d > thr  # an empty interval (D = nan) is never flagged
-    rows = zip(range(len(d)), d.tolist(), flagged.tolist(), repeat(thr))
-    if fmt == "csv":
-        write_csv(_csv_file(out), _provenance(cfg, seed), ",".join(_ANALYZE_NAMES),
-                  (f"{i},{di!r},{int(fi)},{t!r}" for i, di, fi, t in rows))
-    else:
-        _emit_json(cfg, seed, "rows", [dict(zip(_ANALYZE_NAMES, row)) for row in rows], out)
+    slots = cfg.get("analyze", "slots", 10)
+    alpha = cfg.get("analyze", "alpha", 0.05)
+    with _open_out(args, cfg) as out:
+        timestamps = read_trace_csv(path, device)
+        # after the read: loading scipy.special first adds about 20 MB to the reader's peak RSS
+        thr = _wrap_value_error(lambda: chi_square_threshold(slots, alpha), "analyze")
+        try:
+            counts = bin_timestamps(timestamps, slot_width, slots)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+        _, _, d = run_dispersion(counts)
+        flagged = (slots - 1) * d > thr  # an empty interval (D = nan) is never flagged
+        rows = zip(range(len(d)), d.tolist(), flagged.tolist(), repeat(thr))
+        if fmt == "csv":
+            write_csv(out, _provenance(cfg, seed), ",".join(_ANALYZE_NAMES),
+                      (f"{i},{di!r},{int(fi)},{t!r}" for i, di, fi, t in rows))
+        else:
+            _emit_json(cfg, seed, "rows", [dict(zip(_ANALYZE_NAMES, row)) for row in rows], out)
     return 0
 
 
-def cmd_posterior(args, cfg: Config) -> int:
-    seed = _resolve_seed(args, cfg)
+def cmd_posterior(args, cfg: Config, seed: int) -> int:
     fmt = _resolve_format(args, cfg, "json")
-    path = args.input if args.input else cfg.get_str("posterior", "fixture")
+    path = args.input if args.input else cfg.get("posterior", "fixture")
+    observed = cfg.get("posterior", "observed", None)
+    if observed is not None and len(set(observed)) < len(observed):
+        raise ConfigError(f"config key 'posterior.observed' repeats a timestamp, got {observed}")
     try:
         fixture = load_fixture(path)
     except OSError as exc:
@@ -536,12 +528,8 @@ def cmd_posterior(args, cfg: Config) -> int:
         # a document of the wrong shape: a missing key, a short list, a
         # number where a list belongs, a top-level array
         raise DataError(f"bad fixture {path}: {exc}") from exc
-    observed_cfg = cfg.get("posterior", "observed", None)
-    if observed_cfg is not None:
-        if not isinstance(observed_cfg, tuple):
-            observed_cfg = (observed_cfg,)
-        targets = [_wrap_value_error(lambda: tuple(float(t) for t in observed_cfg),
-                                     "posterior.observed")]
+    if observed is not None:
+        targets = [observed]
     else:
         targets = sorted(enumerate_observables(fixture.prior, fixture.mechanism))
     tables = []
@@ -551,36 +539,36 @@ def cmd_posterior(args, cfg: Config) -> int:
         except InconsistentObservationError as exc:
             raise DataError(f"{path}: {exc}") from exc
         tables.append((obs, table))
-    out = _resolve_out(args, cfg)
-    if fmt == "json":
-        _emit_json(cfg, seed, "tables",
-                   [{"observed": list(obs),
-                     "posterior": [{"trace": list(r), "p": p} for r, p in sorted(table.items())]}
-                    for obs, table in tables], out)
-    else:
-        write_csv(_csv_file(out), _provenance(cfg, seed), "observed,candidate,posterior",
-                  (f"{';'.join(map(repr, obs))},{';'.join(map(repr, r))},{p!r}"
-                   for obs, table in tables for r, p in sorted(table.items())))
+    with _open_out(args, cfg) as out:
+        if fmt == "json":
+            _emit_json(cfg, seed, "tables",
+                       [{"observed": list(obs),
+                         "posterior": [{"trace": list(r), "p": p}
+                                       for r, p in sorted(table.items())]}
+                        for obs, table in tables], out)
+        else:
+            write_csv(out, _provenance(cfg, seed), "observed,candidate,posterior",
+                      (f"{';'.join(map(repr, obs))},{';'.join(map(repr, r))},{p!r}"
+                       for obs, table in tables for r, p in sorted(table.items())))
     return 0
 
 
-def cmd_costs(args, cfg: Config) -> int:
-    seed = _resolve_seed(args, cfg)
+def cmd_costs(args, cfg: Config, seed: int) -> int:
     fmt = _resolve_format(args, cfg, "csv")
-    shifts = cfg.get_floats("costs", "shifts")
-    base_rates = cfg.get_floats("costs", "base_rates", (1.0,))
-    intensities = cfg.get_floats("costs", "intensities", (10.0,))
-    slots = cfg.get_int("costs", "slots", 10)
-    denom = cfg.get_str("costs", "denominator", "base-plus-anomaly")
+    shifts = cfg.get("costs", "shifts")
+    base_rates = cfg.get("costs", "base_rates", (1.0,))
+    intensities = cfg.get("costs", "intensities", (10.0,))
+    slots = cfg.get("costs", "slots", 10)
+    denom = cfg.get("costs", "denominator", "base-plus-anomaly")
     models = [_wrap_value_error(lambda: IntervalModel(slots, lam, inten, 0.0),
                                 f"costs model (lambda={lam}, I={inten})")
               for lam, inten in product(base_rates, intensities)]
     points = _wrap_value_error(lambda: cost_curves(models, shifts, denom), "costs")
-    out = _resolve_out(args, cfg)
-    if fmt == "csv":
-        cost_curves_to_csv(points, _csv_file(out), comment=_provenance(cfg, seed))
-    else:
-        _emit_json(cfg, seed, "rows", _json_rows(points), out)
+    with _open_out(args, cfg) as out:
+        if fmt == "csv":
+            cost_curves_to_csv(points, out, comment=_provenance(cfg, seed))
+        else:
+            _emit_json(cfg, seed, "rows", _json_rows(points), out)
     return 0
 
 
@@ -617,7 +605,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        return args.fn(args, cfg)
+        return args.fn(args, cfg, _resolve_seed(args, cfg))
     except ConfigError as exc:
         print(f"lpwanleak: config error: {exc}", file=sys.stderr)
         return 2

@@ -148,18 +148,10 @@ def _empirical_ce_bits(truth: np.ndarray, cls: np.ndarray) -> tuple[float, float
     return ce, se
 
 
-def _solved(model: IntervalModel, knowledge: KnowledgeModel, budget: float,
-            strategy: Strategy | None, cost_denominator: str) -> tuple[Strategy, CostModel]:
-    cm = costs(model, cost_denominator)
-    strat = strategy if strategy is not None else solve_strategy(model, knowledge, budget, cm)
-    return strat, cm
-
-
 def simulate_run(model: IntervalModel, knowledge: KnowledgeModel, budget: float,
-                 n_intervals: int, seed, strategy: Strategy | None = None,
-                 cost_denominator: str = "base-plus-anomaly"
+                 n_intervals: int, seed, cost_denominator: str = "base-plus-anomaly"
                  ) -> tuple[Strategy, CostModel, Run]:
-    """Solve (unless ``strategy`` is given), generate and obfuscate one cell.
+    """Solve, generate and obfuscate one cell.
 
     Returns the strategy, the cost model and the obfuscated run. Streams of
     the cell seed tuple ``base`` (a contract the tests pin): base + (0,)
@@ -170,7 +162,8 @@ def simulate_run(model: IntervalModel, knowledge: KnowledgeModel, budget: float,
     on base + (3,) and base + (4,).
     """
     base = _seed_tuple(seed)
-    strat, cm = _solved(model, knowledge, budget, strategy, cost_denominator)
+    cm = costs(model, cost_denominator)
+    strat = solve_strategy(model, knowledge, budget, cm)
     run = gen_run(model, n_intervals, base + (0,))
     return strat, cm, apply_strategy(run, strat, knowledge, cm, base + (1,))
 
@@ -178,9 +171,8 @@ def simulate_run(model: IntervalModel, knowledge: KnowledgeModel, budget: float,
 def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
              budget: float = 1.0, detector_mode: str = "idealized",
              alpha: float = 0.05, n_intervals: int = 100_000, seed=0,
-             strategy: Strategy | None = None,
              cost_denominator: str = "base-plus-anomaly") -> MetricsReport:
-    """Simulate one cell end to end under a solved (or given) strategy.
+    """Simulate one cell end to end under its solved strategy.
 
     Streams are those of :func:`simulate_run`. The idealized detector reads
     only labels, so that mode draws no counts: it takes the flags and action
@@ -202,7 +194,8 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
     """
     knowledge = knowledge or KnowledgeModel.complete()
     base = _seed_tuple(seed)
-    strat, cm = _solved(model, knowledge, budget, strategy, cost_denominator)
+    cm = costs(model, cost_denominator)
+    strat = solve_strategy(model, knowledge, budget, cm)
 
     if detector_mode == "idealized":
         cfg = DetectorConfig.idealized(model.anomaly_rate, strat.p_waterfill,
@@ -211,8 +204,8 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
         action = draw_actions(truth, strat, knowledge, base + (1,))
         verdicts = idealized_verdicts(truth, action, cfg)
     elif detector_mode == "chi-square":
-        _, _, obf = simulate_run(model, knowledge, budget, n_intervals, base, strat,
-                                 cost_denominator)
+        obf = apply_strategy(gen_run(model, n_intervals, base + (0,)), strat, knowledge, cm,
+                             base + (1,))
         cal = gen_run(model, n_intervals, base + (3,))
         cal_obf = apply_strategy(cal, strat, knowledge, cm, base + (4,))
         blind = DetectorConfig.chi_square(model.anomaly_rate, alpha)

@@ -209,7 +209,7 @@ def test_bin_timestamps():
     ts = [0.2, 0.7, 1.1, 3.9]
     out = bin_timestamps(ts, slot_width=1.0, slots=2)
     assert out.tolist() == [[2, 1], [0, 1]]
-    # origin anchors the grid; epoch-scale times work through the default
+    # the grid starts at the first message's slot, so epoch-scale times work
     out = bin_timestamps([10.2, 10.8, 11.5], slot_width=1.0, slots=2)
     assert out.tolist() == [[2, 1]]
     with pytest.raises(ValueError):
@@ -218,8 +218,6 @@ def test_bin_timestamps():
         bin_timestamps([2.0, 1.0], 1.0, 2)
     with pytest.raises(ValueError):
         bin_timestamps([0.5], 1.0, 2)  # less than one full interval
-    with pytest.raises(ValueError):
-        bin_timestamps([5.0, 6.0], 1.0, 2, origin=10.0)
 
 
 @settings(max_examples=40, deadline=None)

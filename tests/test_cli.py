@@ -39,7 +39,7 @@ from lpwanleak.cli import (
     write_trace_csv,
 )
 
-from conftest import ROOT
+from conftest import CONFIG_DIR, ROOT
 
 GOOD_CONFIG = """\
 # comment line
@@ -98,21 +98,75 @@ def test_parse_config_errors(text, fragment):
 
 
 def test_config_typed_getters():
-    cfg = Config(parse_config(GOOD_CONFIG))
-    assert cfg.get_int("model", "slots") == 10
-    assert cfg.get_float("model", "base_rate") == 1.5
-    assert cfg.get_floats("model", "base_rate") == (1.5,)
-    assert cfg.get_floats("sweep", "anomaly_rates") == (0.1, 0.2, 0.3)
-    assert cfg.get_str("sweep", "detector") == "idealized"
+    cfg = Config(parse_config(GOOD_CONFIG + "[costs]\nshifts = 2\nslots = 4\n"))
+    assert cfg.get("model", "slots") == 10
+    assert cfg.get("model", "base_rate") == 1.5
+    assert cfg.get("sweep", "anomaly_rates") == (0.1, 0.2, 0.3)
+    assert cfg.get("sweep", "detector") == "idealized"
+    # each value comes back as its declared type: one number as a number
+    # list, an int literal as a float where the key is a number
+    assert cfg.get("costs", "shifts") == (2.0,)
+    assert type(cfg.get("costs", "shifts")[0]) is float
+    assert type(cfg.get("costs", "slots")) is int
+    int_rate = Config(parse_config("[model]\nbase_rate = 2\n")).get("model", "base_rate")
+    assert type(int_rate) is float
     assert cfg.get("model", "intensity", None) is None
     with pytest.raises(ConfigError):
         cfg.get("model", "intensity")
-    with pytest.raises(ConfigError):
-        cfg.get_int("model", "base_rate")
-    with pytest.raises(ConfigError):
-        cfg.get_float("sweep", "detector")
-    with pytest.raises(ConfigError):
-        cfg.get_str("model", "slots")
+    # a value of the wrong type is rejected as the file is read
+    for text in ("[model]\nslots = 1.5\n", "[sweep]\nalpha = idealized\n",
+                 "[sweep]\ndetector = 10\n"):
+        with pytest.raises(ConfigError):
+            parse_config(text)
+
+
+@pytest.mark.parametrize("text,key,written,line", [
+    ("[model]\nslots = 1.5\n", "model.slots", "1.5", 2),
+    ("[model]\nslots = true\n", "model.slots", "true", 2),
+    ("[model]\nbase_rate = 1, 2\n", "model.base_rate", "1, 2", 2),
+    ("[model]\nintensity = 10:40:10\n", "model.intensity", "10:40:10", 2),
+    ("[knowledge]\ntpr = high\n", "knowledge.tpr", "high", 2),
+    ("[run]\nseed = 1.5\n", "run.seed", "1.5", 2),
+    ("[run]\nout = 7\n", "run.out", "7", 2),
+    ("[sweep]\nintensities = 10, abc\n", "sweep.intensities", "10, abc", 2),
+    ("[sweep]\nintensities = 40    # comma list\n", "sweep.intensities",
+     "40    # comma list", 2),
+    # the section a key sits in is not the command that reads it
+    ("[sweep]\nintensities = 10\n\n[analyze]\nslots = abc\n", "analyze.slots", "abc", 5),
+    ("[posterior]\nobserved = true\n", "posterior.observed", "true", 2),
+    ("# a sensor\nanalyze.device = 007\n", "analyze.device", "007", 2),
+    ("[analyze]\ndevice = 42\n", "analyze.device", "42", 2),
+    ("[analyze]\ninput = false\n", "analyze.input", "false", 2),
+    # an integer literal past the largest double is not a number either
+    ("[model]\nintensity = 1" + "0" * 400 + "\n", "model.intensity", "1" + "0" * 400, 2),
+    ("[costs]\nshifts = 1, 1" + "0" * 400 + "\n", "costs.shifts", "1, 1" + "0" * 400, 2),
+], ids=["slots-float", "slots-bool", "base-rate-list", "intensity-range", "tpr-word",
+        "seed-float", "out-number", "intensities-word", "intensities-inline-comment",
+        "other-command-section", "observed-bool", "device-007", "device-42", "input-bool",
+        "intensity-huge-int", "shifts-huge-int"])
+def test_parse_config_type_errors_name_line_key_and_value(text, key, written, line):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    msg = str(err.value)
+    assert msg.startswith(f"config line {line}: config key '{key}' must be ")
+    assert msg.endswith(f"got {written!r}")
+    if key in ("analyze.device", "analyze.input", "run.out"):
+        assert "quote" in msg
+
+
+# each shipped config's hash, which every output's provenance line carries
+SHIPPED_CONFIG_HASHES = {"cost_curves": "6a947616d194", "figure_repro": "e45601a0bc13",
+                         "figure_repro_incomplete": "165f7d88af48",
+                         "single_cell": "82f3c6c22397"}
+
+
+def test_readme_and_shipped_configs_parse():
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("### Config format", 1)[1].split("```ini\n", 1)[1].split("```")[0]
+    assert Config(parse_config(example)).get("sweep", "intensities") == (10.0, 20.0, 30.0, 40.0)
+    hashes = {path.stem: Config(parse_config(path.read_text())).hash()
+              for path in sorted(CONFIG_DIR.glob("*.cfg"))}
+    assert hashes == SHIPPED_CONFIG_HASHES
 
 
 def test_config_hash_is_stable_and_sensitive():
@@ -763,6 +817,20 @@ SIMULATING = ("sweep", "simulate")
                  "base_rate", id="solve-base-rate-1e300"),
     *(pytest.param("analyze", f"[analyze]\nslot_width = {value}\n", "analyze.slot_width",
                    id=f"analyze-slot-width-{value}") for value in ("0", "nan", "inf")),
+    # every key's type is checked as the file is read, in sections the
+    # command does not read too
+    pytest.param("sweep", "[sweep]\n" + SWEEP_CELL + "[analyze]\nslots = abc\n",
+                 "config line 6: config key 'analyze.slots'", id="sweep-analyze-slots-abc"),
+    pytest.param("posterior", "[posterior]\nobserved = true\n", "posterior.observed",
+                 id="posterior-observed-true"),
+    pytest.param("posterior", "[posterior]\nobserved = 1.0, 1.0\n", "posterior.observed",
+                 id="posterior-observed-repeated"),
+    # an output path that cannot be opened, found before any cell runs or
+    # any trace is read
+    *(pytest.param(command, f"[run]\nout = {{tmp}}/missing/x.csv\n{text}",
+                   "missing/x.csv: No such file or directory", id=f"{command}-run-out-missing")
+      for command, text in (("sweep", "[sweep]\n" + SWEEP_CELL), ("analyze", ""),
+                            ("costs", "[costs]\nshifts = 1, 2\n"))),
 ])
 def test_unusable_config_values_are_config_errors(tmp_path, repo_root, capsys,
                                                   command, text, field):
@@ -770,12 +838,45 @@ def test_unusable_config_values_are_config_errors(tmp_path, repo_root, capsys,
     write_trace_csv(trace, to_timestamps(gen_run(IntervalModel(10, 1.0, 40.0, 0.3), 20, 3)))
     inputs = {"analyze": [str(trace)], "sweep": [], "simulate": [], "solve": [], "costs": [],
               "posterior": [str(repo_root / "fixtures" / "fillto_two_messages.json")]}
-    cfg = _write(tmp_path, "bad.cfg", text)
+    cfg = _write(tmp_path, "bad.cfg", text.replace("{tmp}", str(tmp_path)))
     # a --seed or --out flag would override the config's run.seed or run.out
     seed = [] if "seed =" in text else ["--seed", "0"]
     out = [] if "out =" in text else ["--out", str(tmp_path / "out")]
     assert main([command, *inputs[command], "--config", cfg, *seed, *out]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,text", [
+    ("sweep", "[sweep]\n" + SWEEP_CELL),
+    ("analyze", ""),
+    ("costs", "[costs]\nshifts = 1, 2\n"),
+])
+def test_unopenable_output_is_config_error_before_the_work(tmp_path, monkeypatch, capsys,
+                                                          command, text):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the output was opened")
+
+    # the sweep and the trace read come after the output is opened
+    monkeypatch.setattr(cli, "run_sweep", never)
+    monkeypatch.setattr(cli, "read_trace_csv", never)
+    trace = tmp_path / "trace.csv"
+    write_trace_csv(trace, [0.5, 1.5, 2.5])
+    cfg = _write(tmp_path, "run.cfg", text)
+    inputs = [str(trace)] if command == "analyze" else []
+    out = tmp_path / "missing" / "x.csv"
+    assert main([command, *inputs, "--config", cfg, "--seed", "0", "--out", str(out)]) == 2
+    assert f"cannot open output {out}: No such file or directory" in capsys.readouterr().err
+
+
+def test_numeric_device_id_must_be_quoted(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    write_trace_csv(trace, to_timestamps(gen_run(IntervalModel(10, 1.0, 40.0, 0.3), 5, 3)),
+                    device="007")
+    for written, rc in (("007", 2), ('"007"', 0), ("'007'", 0)):
+        cfg = _write(tmp_path, "dev.cfg", f"[analyze]\ndevice = {written}\n")
+        assert main(["analyze", str(trace), "--config", cfg, "--seed", "0"]) == rc
+        err = capsys.readouterr().err
+        assert ("quote" in err) == (rc == 2)
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -4,6 +4,8 @@ import dataclasses
 import io
 import math
 import re
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from lpwanleak import (
     simulate_run,
     sweep_to_csv,
 )
+from lpwanleak import experiment
 from lpwanleak import test_run as classify_run
 from lpwanleak.experiment import _empirical_ce_bits
 
@@ -97,9 +100,14 @@ def test_run_cell_waterfill_cost_statistics():
     assert abs(r.realized_cost - r.cost) <= 4 * r.realized_cost_se
 
 
-def _full_path_metrics(model, knowledge, budget, n, seed, strategy):
+def _given_strategy(strat):
+    # run_cell and simulate_run look the solver up in lpwanleak.experiment
+    return mock.patch.object(experiment, "solve_strategy", lambda *args: strat)
+
+
+def _full_path_metrics(model, knowledge, budget, n, seed):
     # idealized scoring of the full count run, stage by stage
-    strat, cm, obf = simulate_run(model, knowledge, budget, n, seed, strategy)
+    strat, cm, obf = simulate_run(model, knowledge, budget, n, seed)
     cfg = DetectorConfig.idealized(model.anomaly_rate, strat.p_waterfill, strat.p_fake,
                                    knowledge.tpr, knowledge.tnr)
     verdicts = classify_run(obf, cfg)
@@ -135,18 +143,19 @@ def test_run_cell_idealized_metrics_equal_the_full_path(slots, intensity, rp, tp
     # bit (nan equal to nan)
     model = IntervalModel(slots, 1.0, intensity, rp)
     knowledge = KnowledgeModel(tpr, tnr)
-    strat = None if strategy is None else Strategy(*strategy, 0.0, 0.0, False)
     base = (seed, 1, 2)
-    r = run_cell(model, knowledge, budget, n_intervals=n, seed=base, strategy=strat)
-    want = _full_path_metrics(model, knowledge, budget, n, base, strat)
+    with (nullcontext() if strategy is None
+          else _given_strategy(Strategy(*strategy, 0.0, 0.0, False))):
+        r = run_cell(model, knowledge, budget, n_intervals=n, seed=base)
+        want = _full_path_metrics(model, knowledge, budget, n, base)
     got = (r.guess_err, r.guess_err_se, r.ce_bits, r.ce_bits_se,
            r.realized_cost, r.realized_cost_se)
     assert np.array_equal(np.array(got), np.array(want), equal_nan=True), (got, want)
 
 
 def test_run_cell_without_obfuscation_leaks_everything():
-    noop = Strategy(0.0, 0.0, 0.0, 0.0, False)
-    r = run_cell(FEASIBLE, n_intervals=5000, seed=2, strategy=noop)
+    with _given_strategy(Strategy(0.0, 0.0, 0.0, 0.0, False)):
+        r = run_cell(FEASIBLE, n_intervals=5000, seed=2)
     # deterministic classifier separates the classes perfectly
     assert r.guess_err == 0.0
     assert r.ce_bits == 0.0
@@ -217,8 +226,6 @@ def test_sweep_runs_up_to_the_poisson_rate_limit():
 
 
 def test_run_sweep_order_and_isolation(monkeypatch):
-    import lpwanleak.experiment as experiment
-
     spec = SweepSpec(anomaly_rates=(0.2, 0.5), intensities=(10.0, 40.0),
                      n_intervals=1000, seed=7)
     recs = run_sweep(spec)
