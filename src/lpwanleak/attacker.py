@@ -297,10 +297,11 @@ def bin_timestamps(timestamps, slot_width: float, slots: int) -> np.ndarray:
         raise ValueError("timestamps must be sorted")
     if not slot_width > 0 or slots < 2:
         raise ValueError("need slot_width > 0 and slots >= 2")
-    origin = np.floor(ts[0] / slot_width) * slot_width
-    idx = np.floor((ts - origin) / slot_width).astype(np.int64)
-    if np.any(idx < 0):
-        raise ValueError("timestamps precede the binning origin")
+    # slot numbers on the grid of multiples of slot_width, counted from the
+    # first message's; sorted input gives non-decreasing numbers, so none is
+    # negative (an origin computed as a time could round past ts[0])
+    slot = np.floor(ts / slot_width)
+    idx = (slot - slot[0]).astype(np.int64)
     n_full = int(idx.max() + 1) // slots
     if n_full == 0:
         raise ValueError(f"fewer than one full interval of {slots} slots")

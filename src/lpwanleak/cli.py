@@ -114,6 +114,9 @@ def _parse_value(raw: str, lineno: int):
     raw = raw.strip()
     if not raw:
         raise ConfigError(f"config line {lineno}: empty value")
+    # one quoted string is taken whole, commas and colons included
+    if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "'\"" and raw[0] not in raw[1:-1]:
+        return raw[1:-1]
     if "," in raw:
         return tuple(_parse_scalar(part) for part in raw.split(","))
     if raw.count(":") == 2:

@@ -17,14 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .attacker import (DETECTOR_MODES, DegenerateMetricError, DetectorConfig,
-                       guess_run, guessing_error, guessing_error_se,
-                       idealized_verdicts, test_run)
+# guess_run is not called here; the benchmark's tracer wraps it under this name
+from .attacker import (DETECTOR_MODES, DetectorConfig, class_posteriors, guess_run,
+                       guessing_error_se, test_run)
 from .obfuscator import (DENOMINATOR_MODES, CostModel, InfeasibleTargetError,
                          KnowledgeModel, Strategy, apply_strategy, costs,
                          draw_actions, solve_fake_rate, solve_strategy,
                          solve_waterfill_rate)
-from .traffic import IntervalModel, Run, draw_anomaly_flags, gen_run, write_csv
+from .traffic import IntervalModel, Run, as_rng, draw_anomaly_flags, gen_run, write_csv
 
 __all__ = [
     "SWEEP_CSV_HEADER",
@@ -118,34 +118,63 @@ def realized_cost(action: np.ndarray, cost_model: CostModel) -> tuple[float, flo
     over that action's normalizer. The SE is that of these per-interval
     values.
     """
-    contrib = np.select([action == 1, action == 2],
-                        [cost_model.waterfill_cost, cost_model.fake_cost], 0.0)
+    contrib = np.array([0.0, cost_model.waterfill_cost, cost_model.fake_cost])[action]
     n = contrib.size
     se = float(contrib.std(ddof=1) / math.sqrt(n)) if n > 1 else _NAN
     return float(contrib.mean()), se
 
 
-def _empirical_ce_bits(truth: np.ndarray, cls: np.ndarray) -> tuple[float, float]:
-    """Plug-in H(truth | class) in bits from the empirical 2x2 joint.
+# The six (truth, action) classes of an interval, code = 3 * truth + action,
+# as (truth, the bit the idealized detector flags it with): a real anomaly
+# is flagged unless waterfilled, a baseline only when faked (see
+# attacker.idealized_verdicts).
+_CLASS_BITS = ((0, 0), (0, 0), (0, 1), (1, 1), (1, 0), (1, 1))
+# the twelve classes 2 * code + bit of a detector that reads counts
+_COUNTED_CLASS_BITS = tuple((t, f) for t, _ in _CLASS_BITS for f in (0, 1))
 
-    Equals the mean over intervals of -log2 p_hat(t_i | c_i), so the SE is
-    the standard error of those per-interval values.
+
+def _score(code: np.ndarray, flagged, cfg: DetectorConfig, seed) -> tuple[float, ...]:
+    """(guess_err, guess_err_se, ce_bits, ce_bits_se) of a cell's class codes.
+
+    ``flagged`` is the detector's bit per interval, or None for the
+    idealized detector, whose bit each class fixes. The guesses are
+    :func:`guess_run`'s on ``seed``: an interval is guessed anomalous when
+    its uniform is below the posterior of its bit. So one bincount over the
+    classes and the two miss bits (uniform >= either posterior) counts every
+    (truth, bit) pair and every miss. ce_bits is the plug-in H(truth | bit):
+    the mean of -log2 p_hat(truth | bit), gathered per interval so that its
+    SE is that of the per-interval values.
     """
-    n = truth.size
-    vals = np.empty(n)
-    for c in (False, True):
-        cmask = cls == c
-        nc = int(cmask.sum())
-        if nc == 0:
-            continue
-        for t in (False, True):
-            mask = cmask & (truth == t)
-            nt = int(mask.sum())
-            if nt:
-                vals[mask] = -math.log2(nt / nc)
-    ce = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else _NAN
-    return ce, se
+    if flagged is None:
+        cls, bits = code, _CLASS_BITS
+    else:
+        cls, bits = 2 * code + flagged, _COUNTED_CLASS_BITS
+    p_flag, p_unflag, _ = class_posteriors(cfg.anomaly_rate, 1.0 - cfg.flag_rate_anomaly,
+                                           cfg.flag_rate_baseline)
+    u = as_rng(seed).random(cls.size)
+    key = 4 * cls + 2 * (u >= p_flag).view(np.int8) + (u >= p_unflag).view(np.int8)
+    del u
+    k = np.bincount(key, minlength=4 * len(bits)).reshape(-1, 2, 2)
+    del key
+    # per class: its count, and its misses, read off the miss bit of its own bit
+    n_cls = k.sum(axis=(1, 2)).tolist()
+    miss = np.where([f for _, f in bits], k[:, 1].sum(1), k[:, :, 1].sum(1)).tolist()
+    joint, misses = [[0, 0], [0, 0]], 0  # intervals by (truth, bit); anomalies missed
+    for (t, f), nc, m in zip(bits, n_cls, miss):
+        joint[t][f] += nc
+        misses += t * m
+    n_anom = joint[1][0] + joint[1][1]
+    if n_anom == 0 or any(math.isnan((p_unflag, p_flag)[f]) for (_, f), nc in zip(bits, n_cls)
+                          if nc):
+        guess_err = guess_se = _NAN
+    else:
+        guess_err = misses / n_anom
+        guess_se = guessing_error_se(guess_err, n_anom)
+    vals = np.array([-math.log2(joint[t][f] / (joint[0][f] + joint[1][f])) if joint[t][f]
+                     else 0.0 for t, f in bits])[cls]
+    n = vals.size
+    ce_se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else _NAN
+    return guess_err, guess_se, float(vals.mean()), ce_se
 
 
 def simulate_run(model: IntervalModel, knowledge: KnowledgeModel, budget: float,
@@ -155,11 +184,11 @@ def simulate_run(model: IntervalModel, knowledge: KnowledgeModel, budget: float,
 
     Returns the strategy, the cost model and the obfuscated run. Streams of
     the cell seed tuple ``base`` (a contract the tests pin): base + (0,)
-    generates, its first n draws being the anomaly flags; base + (1,)
-    obfuscates, its first two n-draws being the prediction and action
-    coins. An idealized :func:`run_cell` draws those 3n coins and nothing
-    else; it guesses on base + (2,), and the chi-square detector calibrates
-    on base + (3,) and base + (4,).
+    generates, its first n draws being the anomaly coins; base + (1,)
+    obfuscates, its first 2n draws being the prediction coins and then the
+    action coins. An idealized :func:`run_cell` draws those 3n coins and no
+    counts; every cell guesses on base + (2,), and the chi-square detector
+    calibrates on base + (3,) and base + (4,).
     """
     base = _seed_tuple(seed)
     cm = costs(model, cost_denominator)
@@ -174,11 +203,15 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
              cost_denominator: str = "base-plus-anomaly") -> MetricsReport:
     """Simulate one cell end to end under its solved strategy.
 
-    Streams are those of :func:`simulate_run`. The idealized detector reads
-    only labels, so that mode draws no counts: it takes the flags and action
-    codes from the first draws of base + (0,) and base + (1,), which equal
-    the columns of the run :func:`simulate_run` builds, so every metric
-    field equals that run's bit for bit. ``realized_cost`` is
+    Streams are those of :func:`simulate_run`. A cell's state is one int8
+    column of class codes, 3 * truth + action: the six (truth, action)
+    classes. The idealized detector reads only labels, so that mode draws
+    no counts: it takes the anomaly flags and action codes from the first
+    draws of base + (0,) and base + (1,), which equal the columns of the run
+    :func:`simulate_run` builds, and each class fixes its flag bit, so every
+    metric field equals that run's bit for bit. Both modes score the codes
+    (beside the count test's flags in chi-square mode) with one bincount
+    that also counts the guesses drawn on base + (2,). ``realized_cost`` is
     :func:`realized_cost` of the action codes in both modes.
 
     The chi-square detector reads the counts of the full run. Its
@@ -202,7 +235,7 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
                                        strat.p_fake, knowledge.tpr, knowledge.tnr)
         truth = draw_anomaly_flags(model, n_intervals, base + (0,))
         action = draw_actions(truth, strat, knowledge, base + (1,))
-        verdicts = idealized_verdicts(truth, action, cfg)
+        flagged = None
     elif detector_mode == "chi-square":
         obf = apply_strategy(gen_run(model, n_intervals, base + (0,)), strat, knowledge, cm,
                              base + (1,))
@@ -213,22 +246,13 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
         fa = float(cal_flags[cal.is_anomaly].mean()) if cal.is_anomaly.any() else _NAN
         fb = float(cal_flags[~cal.is_anomaly].mean()) if (~cal.is_anomaly).any() else _NAN
         cfg = DetectorConfig.chi_square(model.anomaly_rate, alpha, fa, fb)
-        verdicts = test_run(obf, cfg)
+        flagged = test_run(obf, cfg).flagged
         truth, action = obf.is_anomaly, obf.action
     else:
         raise ValueError(f"detector mode must be one of {DETECTOR_MODES}, got {detector_mode!r}")
 
-    if np.any(np.isnan(verdicts.posterior_anomaly)):
-        guess_err = guess_se = _NAN
-    else:
-        guesses = guess_run(verdicts.posterior_anomaly, base + (2,))
-        try:
-            guess_err = guessing_error(guesses, truth)
-            guess_se = guessing_error_se(guess_err, int(truth.sum()))
-        except DegenerateMetricError:
-            guess_err = guess_se = _NAN
-
-    ce, ce_se = _empirical_ce_bits(truth, verdicts.flagged)
+    guess_err, guess_se, ce, ce_se = _score(3 * truth.view(np.int8) + action, flagged, cfg,
+                                            base + (2,))
     rcost, rcost_se = realized_cost(action, cm)
 
     return MetricsReport(

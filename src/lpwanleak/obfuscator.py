@@ -360,23 +360,22 @@ def draw_actions(is_anomaly, strategy: Strategy, knowledge: KnowledgeModel,
     """Per-interval action codes (indices into ACTIONS) under a strategy.
 
     Draws two uniforms per interval from ``rng``, all predictions first,
-    then all action coins: the predictor is right with probability tpr on
+    then all action coins (one draw of 2n doubles, which are the doubles of
+    two draws of n): the predictor is right with probability tpr on
     anomalies and tnr on baselines; a predicted anomaly is waterfilled with
     probability p_waterfill, a predicted baseline faked with p_fake.
     :func:`apply_strategy` makes these its first two draws, so the labels
     of an obfuscated run can be had from its seed without its counts.
     """
-    rng = as_rng(rng)
     is_anomaly = np.asarray(is_anomaly, dtype=bool)
     n = is_anomaly.size
-    u_pred = rng.random(n)
-    u_act = rng.random(n)
-    correct = u_pred < np.where(is_anomaly, knowledge.tpr, knowledge.tnr)
-    predicted_anom = np.where(correct, is_anomaly, ~is_anomaly)
-    action = np.zeros(n, dtype=np.int8)
-    action[predicted_anom & (u_act < strategy.p_waterfill)] = 1   # waterfilled
-    action[~predicted_anom & (u_act < strategy.p_fake)] = 2       # fake-anomaly
-    return action
+    u = as_rng(rng).random(2 * n)
+    u_pred, u_act = u[:n], u[n:]
+    # bool algebra rather than np.where, which is several times slower here
+    predicted = (is_anomaly & (u_pred < knowledge.tpr)) | (~is_anomaly & (u_pred >= knowledge.tnr))
+    waterfilled = predicted & (u_act < strategy.p_waterfill)
+    faked = ~predicted & (u_act < strategy.p_fake)
+    return waterfilled.view(np.int8) + 2 * faked.view(np.int8)  # codes 1 and 2 of ACTIONS
 
 
 def apply_strategy(run: Run, strategy: Strategy, knowledge: KnowledgeModel,

@@ -220,6 +220,17 @@ def test_bin_timestamps():
         bin_timestamps([0.5], 1.0, 2)  # less than one full interval
 
 
+def test_bin_timestamps_origin_never_passes_the_first_message():
+    # floor(1.7 / 0.1) * 0.1 is 1.7000000000000002, past the first message;
+    # slot numbers counted from the first message's cannot go negative
+    ts = [1.7, 1.75, 1.8, 1.85, 1.9]
+    assert bin_timestamps(ts, slot_width=0.1, slots=2).tolist() == [[2, 3]]
+    # shifting a trace by whole slots leaves its counts alone
+    ts = np.sort(np.random.default_rng(5).uniform(0.0, 40.0, 300))
+    for shift in (1.75, 66_500_000.0):
+        assert np.array_equal(bin_timestamps(ts + shift, 0.25, 4), bin_timestamps(ts, 0.25, 4))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     rp=st.floats(0.05, 0.95),

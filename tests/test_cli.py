@@ -169,6 +169,33 @@ def test_readme_and_shipped_configs_parse():
     assert hashes == SHIPPED_CONFIG_HASHES
 
 
+@pytest.mark.parametrize("written,value", [
+    ('"a,b.csv"', "a,b.csv"),
+    ("'a,b.csv'", "a,b.csv"),
+    ('"x:y:z"', "x:y:z"),
+    ('" 1, 2 "', " 1, 2 "),
+], ids=["double-comma", "single-comma", "colons", "spaces-kept"])
+def test_quoted_string_is_one_value(written, value):
+    # a quoted value is read whole: its commas do not make it a list
+    assert parse_config(f"[run]\nout = {written}\n") == {"run": {"out": value}}
+
+
+def test_quoted_output_path_with_a_comma(tmp_path):
+    out = tmp_path / "a,b.csv"
+    cfg = _write(tmp_path, "sweep.cfg", f"""\
+[sweep]
+anomaly_rates = 0.2
+intensities = 10
+n_intervals = 1000
+[run]
+out = "{out}"
+""")
+    assert main(["sweep", "--config", cfg, "--seed", "9"]) == 0
+    assert out.read_text().splitlines()[1] == SWEEP_CSV_HEADER
+    # shipped configs quote no comma, so their hashes stay as pinned
+    test_readme_and_shipped_configs_parse()
+
+
 def test_config_hash_is_stable_and_sensitive():
     a = Config(parse_config(GOOD_CONFIG))
     b = Config(parse_config(GOOD_CONFIG))

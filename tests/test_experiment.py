@@ -5,6 +5,7 @@ import io
 import math
 import re
 from contextlib import nullcontext
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -27,13 +28,16 @@ from lpwanleak import (
     SweepSpec,
     anomaly_dispersion,
     binary_entropy_bits,
+    class_posteriors,
     cost_curves,
     cost_curves_to_csv,
     costs,
+    draw_actions,
     feasible_region,
     guess_run,
     guessing_error,
     guessing_error_se,
+    idealized_verdicts,
     realized_cost,
     run_cell,
     run_sweep,
@@ -42,7 +46,7 @@ from lpwanleak import (
 )
 from lpwanleak import experiment
 from lpwanleak import test_run as classify_run
-from lpwanleak.experiment import _empirical_ce_bits
+from scoring_oracles import empirical_ce_bits, select_realized_cost, where_draw_actions
 
 FEASIBLE = IntervalModel(10, 1.0, 10.0, 0.5)
 
@@ -117,7 +121,7 @@ def _full_path_metrics(model, knowledge, budget, n, seed):
         err_se = guessing_error_se(err, int(obf.is_anomaly.sum()))
     except DegenerateMetricError:
         err = err_se = math.nan
-    return ((err, err_se) + _empirical_ce_bits(obf.is_anomaly, verdicts.flagged)
+    return ((err, err_se) + empirical_ce_bits(obf.is_anomaly, verdicts.flagged)
             + realized_cost(obf.action, cm))
 
 
@@ -151,6 +155,123 @@ def test_run_cell_idealized_metrics_equal_the_full_path(slots, intensity, rp, tp
     got = (r.guess_err, r.guess_err_se, r.ce_bits, r.ce_bits_se,
            r.realized_cost, r.realized_cost_se)
     assert np.array_equal(np.array(got), np.array(want), equal_nan=True), (got, want)
+
+
+def _same_bits(got, want) -> bool:
+    # equal floats with equal signs (0.0 is not -0.0), or nan for nan
+    return len(got) == len(want) and all(
+        (math.isnan(g) and math.isnan(w)) or (g == w and math.copysign(1, g) == math.copysign(1, w))
+        for g, w in zip(got, want))
+
+
+_POSTERIOR = st.floats(0.0, 1.0) | st.just(math.nan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    columns=st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+        st.lists(st.booleans(), min_size=n, max_size=n))),
+    mode=st.sampled_from(["idealized", "chi-square"]),
+    rp=st.floats(0.0, 1.0),
+    flag_rates=st.tuples(_POSTERIOR, _POSTERIOR),
+    forced=st.none() | st.tuples(_POSTERIOR, _POSTERIOR),
+    cost=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# n = 1; no anomalies; all anomalies; one (truth, action) class only
+@example(columns=([True], [1], [False]), mode="idealized", rp=0.3, flag_rates=(0.5, 0.5),
+         forced=None, cost=(1.0, 2.0), seed=0)
+@example(columns=([False] * 5, [0, 1, 2, 0, 2], [True, False, True, False, False]),
+         mode="chi-square", rp=0.3, flag_rates=(0.6, 0.1), forced=None, cost=(1.0, 2.0), seed=1)
+@example(columns=([True] * 5, [0, 1, 2, 1, 1], [True, True, False, True, False]),
+         mode="idealized", rp=0.3, flag_rates=(0.6, 0.1), forced=None, cost=(1.0, 2.0), seed=2)
+@example(columns=([True] * 4, [1] * 4, [False] * 4), mode="chi-square", rp=0.5,
+         flag_rates=(0.5, 0.5), forced=None, cost=(1.0, 2.0), seed=3)
+# a nan posterior in a class that does not occur, then in one that does
+@example(columns=([True, False, True], [0, 0, 2], [True, True, True]), mode="chi-square",
+         rp=0.5, flag_rates=(0.5, 0.5), forced=(0.4, math.nan), cost=(1.0, 2.0), seed=4)
+@example(columns=([True, False, True], [0, 0, 2], [True, False, True]), mode="chi-square",
+         rp=0.5, flag_rates=(0.5, 0.5), forced=(0.4, math.nan), cost=(1.0, 2.0), seed=4)
+# idealized: every interval flagged, the unflagged posterior nan
+@example(columns=([True, False], [0, 2], [False, False]), mode="idealized", rp=0.5,
+         flag_rates=(0.5, 0.5), forced=(0.7, math.nan), cost=(1.0, 2.0), seed=5)
+def test_score_equals_the_mask_oracles(columns, mode, rp, flag_rates, forced, cost, seed):
+    # the one-pass scorer against guess_run + guessing_error, the mask-loop
+    # entropy and the np.select cost, bit for bit, on arbitrary label and
+    # flag columns; ``forced`` replaces the config's two posteriors
+    truth, action, flagged = (np.array(c) for c in columns)
+    action = action.astype(np.int8)
+    cfg = DetectorConfig(mode, rp, 0.05, *flag_rates)
+    p_flag, p_unflag = forced or class_posteriors(rp, 1.0 - flag_rates[0], flag_rates[1])[:2]
+    if mode == "idealized":
+        flagged, column = idealized_verdicts(truth, action, cfg).flagged, None
+    else:
+        column = flagged
+    posterior = np.where(flagged, p_flag, p_unflag)
+    want = (math.nan, math.nan)
+    if not np.isnan(posterior).any():
+        guesses = guess_run(posterior, (seed, 2))
+        try:
+            err = guessing_error(guesses, truth)
+            want = (err, guessing_error_se(err, int(truth.sum())))
+        except DegenerateMetricError:
+            pass
+    want += empirical_ce_bits(truth, flagged)
+    code = 3 * truth.view(np.int8) + action
+    with (nullcontext() if forced is None else
+          mock.patch.object(experiment, "class_posteriors", lambda *a: (*forced, 0.0))):
+        got = experiment._score(code, column, cfg, (seed, 2))
+    assert _same_bits(got, want), (got, want)
+    cm = SimpleNamespace(waterfill_cost=cost[0], fake_cost=cost[1])
+    got, want = realized_cost(action, cm), select_realized_cost(action, cm)
+    assert _same_bits(got, want), (got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    truth=st.lists(st.booleans(), max_size=50),
+    rates=st.tuples(*[st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)] * 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_draw_actions_equals_the_where_oracle(truth, rates, seed):
+    # same codes, and the generator left where two draws of n leave it
+    tpr, tnr, pw, pf = rates
+    args = (np.array(truth, dtype=bool), Strategy(pw, pf, 0.0, 0.0, False),
+            KnowledgeModel(tpr, tnr))
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = draw_actions(*args, rng)
+    want = where_draw_actions(*args, oracle_rng)
+    assert got.dtype == want.dtype == np.int8
+    assert np.array_equal(got, want)
+    assert rng.random() == oracle_rng.random()
+
+
+def test_class_table_flags_match_idealized_verdicts():
+    # one interval of each (truth, action) class, code = 3 * truth + action
+    cfg = DetectorConfig.idealized(0.3, 0.5, 0.5)
+    assert len(experiment._CLASS_BITS) == 6
+    for code, (truth, flag) in enumerate(experiment._CLASS_BITS):
+        verdicts = idealized_verdicts(np.array([code >= 3]), np.array([code % 3]), cfg)
+        assert (truth, verdicts.flagged.tolist()) == (code // 3, [bool(flag)])
+
+
+def test_idealized_cells_draw_no_counts(monkeypatch):
+    # an idealized cell reads labels only; any count draw or count test fails it
+    def refuse(*args, **kwargs):
+        raise AssertionError("an idealized cell drew or tested counts")
+
+    for name in ("gen_run", "apply_strategy", "test_run"):
+        monkeypatch.setattr(experiment, name, refuse)
+    for knowledge in (KnowledgeModel.complete(), KnowledgeModel(0.7, 0.99)):
+        r = run_cell(IntervalModel(10, 1.0, 40.0, 0.2), knowledge, n_intervals=2000, seed=3)
+        assert not r.error and math.isfinite(r.guess_err) and math.isfinite(r.realized_cost)
+        recs = run_sweep(SweepSpec(anomaly_rates=(0.0, 0.2, 0.5, 1.0), intensities=(10.0, 40.0),
+                                   knowledge=knowledge, n_intervals=1000, seed=4))
+        assert [r.error for r in recs] == [""] * 8
+    with pytest.raises(AssertionError, match="drew or tested counts"):
+        run_cell(FEASIBLE, detector_mode="chi-square", n_intervals=1000)
 
 
 def test_run_cell_without_obfuscation_leaks_everything():
