@@ -298,8 +298,7 @@ def bin_timestamps(timestamps, slot_width: float, slots: int) -> np.ndarray:
     if not slot_width > 0 or slots < 2:
         raise ValueError("need slot_width > 0 and slots >= 2")
     # slot numbers on the grid of multiples of slot_width, counted from the
-    # first message's; sorted input gives non-decreasing numbers, so none is
-    # negative (an origin computed as a time could round past ts[0])
+    # first message's: non-decreasing for sorted input, so never negative
     slot = np.floor(ts / slot_width)
     idx = (slot - slot[0]).astype(np.int64)
     n_full = int(idx.max() + 1) // slots

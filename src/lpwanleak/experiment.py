@@ -116,8 +116,11 @@ def realized_cost(action: np.ndarray, cost_model: CostModel) -> tuple[float, flo
     An interval costs C_wf if it was waterfilled (action 1), C_f if faked
     (action 2) and nothing otherwise: the expected dummy load of its action
     over that action's normalizer. The SE is that of these per-interval
-    values.
+    values. A code outside ACTIONS is a ValueError.
     """
+    action = np.asarray(action)
+    if action.size and not (action.min() >= 0 and action.max() <= 2):
+        raise ValueError("action codes must be 0, 1 or 2 (indices into ACTIONS)")
     contrib = np.array([0.0, cost_model.waterfill_cost, cost_model.fake_cost])[action]
     n = contrib.size
     se = float(contrib.std(ddof=1) / math.sqrt(n)) if n > 1 else _NAN

@@ -69,6 +69,10 @@ def test_realized_cost_hand_case():
     assert realized_cost(np.zeros(5, dtype=np.int8), cm) == (0.0, 0.0)
     mean, se = realized_cost(np.array([2]), cm)
     assert mean == cm.fake_cost and math.isnan(se)
+    # an unknown code is an error, not a plausible cost
+    for bad in ([0, -1], [3]):
+        with pytest.raises(ValueError, match="action codes"):
+            realized_cost(np.array(bad, dtype=np.int8), cm)
 
 
 def test_run_cell_deterministic():
