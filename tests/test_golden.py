@@ -1,7 +1,7 @@
 """Byte-for-byte goldens of the CSV outputs that share the package's writer.
 
-`tests/golden/` holds the costs, analyze and posterior CSVs of the command
-line and the trace CSV that `write_trace_csv` writes for analyze. The CLI
+`tests/golden/` holds the costs, analyze, posterior and chi-square sweep
+CSVs of the command line and the trace CSV that `write_trace_csv` writes for analyze. The CLI
 outputs are compared without their first line, the `# lpwanleak ...`
 provenance comment, which names the tool version and config hash; the trace
 CSV is compared whole. `trace_metrics.json` pins the exact and Monte-Carlo
@@ -45,6 +45,24 @@ slots = 10
 alpha = 0.05
 """
 
+# a chi-square sweep whose cells hold all six (truth, action) classes
+# between them, mispredicted intervals included
+CHISQ_CFG = """\
+[model]
+slots = 10
+base_rate = 1.0
+
+[knowledge]
+tpr = 0.7
+tnr = 0.99
+
+[sweep]
+anomaly_rates = 0.05, 0.2, 0.5, 0.9
+intensities = 10, 40
+n_intervals = 5000
+detector = chi-square
+"""
+
 
 def _cli_csv(out: pathlib.Path, *argv: str) -> str:
     assert main([*argv, "--seed", "5", "--out", str(out)]) == 0
@@ -61,6 +79,8 @@ def golden_outputs(tmp: pathlib.Path) -> dict[str, str]:
                     device="node-7", comment="seeded gen_run, 40 intervals")
     cfg = tmp / "analyze.cfg"
     cfg.write_text(ANALYZE_CFG)
+    chisq_cfg = tmp / "chisq.cfg"
+    chisq_cfg.write_text(CHISQ_CFG)
     return {
         "trace.csv": trace.read_text(),
         "analyze.csv": _cli_csv(tmp / "analyze.csv", "analyze", str(trace),
@@ -70,6 +90,8 @@ def golden_outputs(tmp: pathlib.Path) -> dict[str, str]:
         "posterior.csv": _cli_csv(tmp / "posterior.csv", "posterior",
                                   str(ROOT / "fixtures" / "table_noisy.json"),
                                   "--format", "csv"),
+        "chisq_sweep.csv": _cli_csv(tmp / "chisq_sweep.csv", "sweep", "--config",
+                                    str(chisq_cfg), "--format", "csv"),
     }
 
 
