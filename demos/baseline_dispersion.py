@@ -22,7 +22,7 @@ def baseline_demo(slots=10, lam=1.0, n=50_000):
     _, _, d = run_dispersion(run.counts)
     pooled = ensemble_dispersion(run.counts)
     cfg = DetectorConfig.chi_square(0.0)
-    flags = test_run(run, cfg).flagged
+    flags = test_run(run, cfg)
     print(f"S={slots} lambda={lam}  n={n} intervals")
     print(f"  pooled dispersion          {pooled:.4f}   (expect 1)")
     print(f"  mean per-interval D        {np.nanmean(d):.4f}")
@@ -34,7 +34,7 @@ def anomaly_demo(slots=10, lam=1.0, intensity=20.0, n=50_000):
     model = IntervalModel(slots, lam, intensity, 0.5)
     run = gen_run(model, n, SEED + 1)
     cfg = DetectorConfig.chi_square(0.5)
-    flags = test_run(run, cfg).flagged
+    flags = test_run(run, cfg)
     tpr = flags[run.is_anomaly].mean()
     fpr = flags[~run.is_anomaly].mean()
     print(f"\nwith anomalies: I={intensity}, half the intervals anomalous")

@@ -1,15 +1,16 @@
 """One simulation cell, end to end, with the intermediate objects shown.
 
 Model -> solved strategy -> generated run -> obfuscated run -> attacker
-verdicts -> metrics against the prior-only ideals. Also prints a few rows
-of the obfuscated run to show the bookkeeping columns (dummy share, action).
+flags and their posteriors -> metrics against the prior-only ideals. Also
+prints a few rows of the obfuscated run to show the bookkeeping columns
+(dummy share, action).
 """
 
 import io
 
 from lpwanleak import (DetectorConfig, IntervalModel, KnowledgeModel,
-                       apply_strategy, costs, gen_run, run_cell, run_to_csv,
-                       solve_strategy, test_run)
+                       apply_strategy, class_posteriors, costs, gen_run, run_cell,
+                       run_to_csv, solve_strategy, test_run)
 
 MODEL = IntervalModel(slots=10, base_rate=1.0, intensity=40.0, anomaly_rate=0.2)
 KNOWLEDGE = KnowledgeModel.complete()
@@ -31,10 +32,11 @@ def show_pipeline():
 
     cfg = DetectorConfig.idealized(MODEL.anomaly_rate, strat.p_waterfill,
                                    strat.p_fake, KNOWLEDGE.tpr, KNOWLEDGE.tnr)
-    verdicts = test_run(obf, cfg)
-    print(f"attacker: flagged {int(verdicts.flagged.sum())} intervals; "
-          f"posterior {verdicts.posterior_anomaly.min():.3f} (unflagged) "
-          f"/ {verdicts.posterior_anomaly.max():.3f} (flagged)")
+    flagged = test_run(obf, cfg)
+    p_flag, p_unflag, _ = class_posteriors(cfg.anomaly_rate, 1.0 - cfg.flag_rate_anomaly,
+                                           cfg.flag_rate_baseline)
+    print(f"attacker: flagged {int(flagged.sum())} intervals; "
+          f"posterior {p_unflag:.3f} (unflagged) / {p_flag:.3f} (flagged)")
 
     buf = io.StringIO()
     run_to_csv(obf[:2], buf)

@@ -16,9 +16,10 @@ detector modes exist:
   closed-form class probabilities are the object of study; their expected
   metrics are :func:`idealized_metrics`.
 
-Verdicts carry a posterior anomaly probability computed from the prior
+A detector's verdict on a run is one bool flag per interval. The prior
 anomaly rate and the class-conditional flag rates the attacker is assumed
-to know. :func:`class_posteriors` is the one copy of that algebra; the
+to know (:class:`DetectorConfig`) feed the scorer's posteriors, one per
+flag value. :func:`class_posteriors` is the one copy of that algebra; the
 obfuscator scores its strategies with the same function.
 """
 
@@ -40,7 +41,6 @@ __all__ = [
     "class_posteriors",
     "idealized_metrics",
     "idealized_verdicts",
-    "RunVerdicts",
     "test_run",
     "guess_run",
     "guessing_error",
@@ -110,8 +110,9 @@ class DetectorConfig:
     """Detector mode plus the knowledge behind posterior computation.
 
     ``flag_rate_anomaly`` / ``flag_rate_baseline`` are the class-conditional
-    probabilities of being flagged, used to turn a verdict into a posterior
-    anomaly probability. They may be nan when unknown, in which case
+    probabilities of being flagged. They feed the scorer's posteriors (see
+    :func:`class_posteriors`): the anomaly probability of a flagged and of
+    an unflagged interval. They may be nan when unknown, in which case
     posteriors are nan as well.
     """
 
@@ -158,7 +159,9 @@ def class_posteriors(anomaly_rate: float, hidden, flagged_baseline):
 
     ``hidden`` is P(not flagged | anomaly), ``flagged_baseline`` is
     P(flagged | baseline); under an obfuscation strategy they are
-    tpr * p_waterfill and tnr * p_fake. A class of probability zero never
+    tpr * p_waterfill and tnr * p_fake. A truth class of prior weight zero
+    (anomaly_rate 0 or 1) adds nothing to either posterior, whatever its
+    rate, nan included. An observable class of probability zero never
     occurs; its posterior is reported as the prior by convention.
 
     epsilon = P(anomaly | flagged) / P(anomaly | not flagged) - 1 is the
@@ -171,11 +174,11 @@ def class_posteriors(anomaly_rate: float, hidden, flagged_baseline):
     rp = anomaly_rate
     x = np.asarray(hidden, dtype=float)
     y = np.asarray(flagged_baseline, dtype=float)
-    num_f = rp * (1.0 - x)
-    den_f = num_f + (1.0 - rp) * y  # P(flagged)
-    num_u = rp * x
-    den_u = num_u + (1.0 - rp) * (1.0 - y)
     with np.errstate(all="ignore"):
+        num_f = np.where(rp > 0, rp * (1.0 - x), 0.0)
+        den_f = num_f + np.where(rp < 1, (1.0 - rp) * y, 0.0)  # P(flagged)
+        num_u = np.where(rp > 0, rp * x, 0.0)
+        den_u = num_u + np.where(rp < 1, (1.0 - rp) * (1.0 - y), 0.0)
         p_flagged = np.where(den_f <= 0, rp, num_f / den_f)
         p_unflagged = np.where(den_u <= 0, rp, num_u / den_u)
         eps = np.where(p_unflagged <= 0, np.where(p_flagged > 0, np.inf, 0.0),
@@ -211,46 +214,35 @@ def idealized_metrics(anomaly_rate: float, hidden, flagged_baseline):
     return err, ce
 
 
-@dataclass(frozen=True)
-class RunVerdicts:
-    flagged: np.ndarray            # (n,) bool
-    posterior_anomaly: np.ndarray  # (n,) float
-
-
-def _verdicts(flagged, cfg: DetectorConfig) -> RunVerdicts:
-    # each class bit maps to its class posterior under the attacker's knowledge
-    p_flag, p_unflag, _ = class_posteriors(cfg.anomaly_rate, 1.0 - cfg.flag_rate_anomaly,
-                                           cfg.flag_rate_baseline)
-    return RunVerdicts(flagged, np.where(flagged, p_flag, p_unflag))
-
-
-def idealized_verdicts(is_anomaly, action, cfg: DetectorConfig) -> RunVerdicts:
-    """Idealized-mode verdicts from the construction labels alone.
+def idealized_verdicts(is_anomaly, action) -> np.ndarray:
+    """The idealized detector's flag column, from the construction labels alone.
 
     ``is_anomaly`` and ``action`` are a run's label columns (``action``
-    holds ACTIONS codes); no counts are needed, so a caller that only wants
-    this detector's verdicts can skip drawing them. A real anomaly looks
-    anomalous unless it was waterfilled; a baseline interval looks
-    anomalous exactly when it received a fake anomaly.
+    holds ACTIONS codes; one outside them is a ValueError); no counts are
+    needed, so a caller that only wants this detector's flags can skip
+    drawing them. A real anomaly is flagged unless it was waterfilled; a
+    baseline interval is flagged exactly when it received a fake anomaly.
     """
     action = np.asarray(action)
-    flagged = np.where(is_anomaly, action != 1,  # ACTIONS index of "waterfilled"
-                       action == 2)              # ACTIONS index of "fake-anomaly"
-    return _verdicts(flagged, cfg)
+    if action.size and not (action.min() >= 0 and action.max() <= 2):
+        raise ValueError("action codes must be 0, 1 or 2 (indices into ACTIONS)")
+    # ACTIONS indices: 0 "none", 2 "fake-anomaly" (bool algebra: np.where on
+    # bool columns takes about twenty times as long)
+    return (action == 2) | (np.asarray(is_anomaly, dtype=bool) & (action == 0))
 
 
-def test_run(run: Run, cfg: DetectorConfig) -> RunVerdicts:
-    """Classify every interval of a run.
+def test_run(run: Run, cfg: DetectorConfig) -> np.ndarray:
+    """Flag every interval of a run: one bool per interval.
 
     chi-square mode reads only ``run.counts``. Idealized mode derives the
-    class bits from the run's ground truth, because that detector is defined
-    by construction classes rather than by a statistic.
+    flags from the run's ground truth, because that detector is defined by
+    construction classes rather than by a statistic.
     """
     if cfg.mode == "idealized":
-        return idealized_verdicts(run.is_anomaly, run.action, cfg)
+        return idealized_verdicts(run.is_anomaly, run.action)
     _, _, d = run_dispersion(run.counts)
     thr = chi_square_threshold(run.slots, cfg.alpha)
-    return _verdicts((run.slots - 1) * d > thr, cfg)  # nan (empty interval): never flagged
+    return (run.slots - 1) * d > thr  # nan (empty interval): never flagged
 
 
 def guess_run(posterior_anomaly, seed) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 # guess_run is not called here; the benchmark's tracer wraps it under this name
 from .attacker import (DETECTOR_MODES, DetectorConfig, class_posteriors, guess_run,
-                       guessing_error_se, test_run)
+                       guessing_error_se, idealized_verdicts, test_run)
 from .obfuscator import (DENOMINATOR_MODES, CostModel, InfeasibleTargetError,
                          KnowledgeModel, Strategy, apply_strategy, costs,
                          draw_actions, solve_fake_rate, solve_strategy,
@@ -127,54 +127,37 @@ def realized_cost(action: np.ndarray, cost_model: CostModel) -> tuple[float, flo
     return float(contrib.mean()), se
 
 
-# The six (truth, action) classes of an interval, code = 3 * truth + action,
-# as (truth, the bit the idealized detector flags it with): a real anomaly
-# is flagged unless waterfilled, a baseline only when faked (see
-# attacker.idealized_verdicts).
-_CLASS_BITS = ((0, 0), (0, 0), (0, 1), (1, 1), (1, 0), (1, 1))
-# the twelve classes 2 * code + bit of a detector that reads counts
-_COUNTED_CLASS_BITS = tuple((t, f) for t, _ in _CLASS_BITS for f in (0, 1))
+def _score(truth: np.ndarray, flagged: np.ndarray, cfg: DetectorConfig,
+           seed) -> tuple[float, ...]:
+    """(guess_err, guess_err_se, ce_bits, ce_bits_se) of a cell's truth and
+    flag columns.
 
-
-def _score(code: np.ndarray, flagged, cfg: DetectorConfig, seed) -> tuple[float, ...]:
-    """(guess_err, guess_err_se, ce_bits, ce_bits_se) of a cell's class codes.
-
-    ``flagged`` is the detector's bit per interval, or None for the
-    idealized detector, whose bit each class fixes. The guesses are
-    :func:`guess_run`'s on ``seed``: an interval is guessed anomalous when
-    its uniform is below the posterior of its bit. So one bincount over the
-    classes and the two miss bits (uniform >= either posterior) counts every
-    (truth, bit) pair and every miss. ce_bits is the plug-in H(truth | bit):
-    the mean of -log2 p_hat(truth | bit), gathered per interval so that its
-    SE is that of the per-interval values.
+    The guesses are :func:`guess_run`'s on ``seed``: an interval is guessed
+    anomalous when its uniform is below the posterior of its flag. So one
+    bincount over the (truth, flag) classes and the two miss bits (uniform
+    >= either posterior) counts every class and every miss. ce_bits is the
+    plug-in H(truth | flag): the mean of -log2 p_hat(truth | flag), gathered
+    per interval so that its SE is that of the per-interval values.
     """
-    if flagged is None:
-        cls, bits = code, _CLASS_BITS
-    else:
-        cls, bits = 2 * code + flagged, _COUNTED_CLASS_BITS
     p_flag, p_unflag, _ = class_posteriors(cfg.anomaly_rate, 1.0 - cfg.flag_rate_anomaly,
                                            cfg.flag_rate_baseline)
+    cls = 2 * truth.view(np.int8) + flagged.view(np.int8)
     u = as_rng(seed).random(cls.size)
     key = 4 * cls + 2 * (u >= p_flag).view(np.int8) + (u >= p_unflag).view(np.int8)
     del u
-    k = np.bincount(key, minlength=4 * len(bits)).reshape(-1, 2, 2)
+    # axes: truth, flag, miss bit if flagged, miss bit if unflagged
+    k = np.bincount(key, minlength=16).reshape(2, 2, 2, 2)
     del key
-    # per class: its count, and its misses, read off the miss bit of its own bit
-    n_cls = k.sum(axis=(1, 2)).tolist()
-    miss = np.where([f for _, f in bits], k[:, 1].sum(1), k[:, :, 1].sum(1)).tolist()
-    joint, misses = [[0, 0], [0, 0]], 0  # intervals by (truth, bit); anomalies missed
-    for (t, f), nc, m in zip(bits, n_cls, miss):
-        joint[t][f] += nc
-        misses += t * m
-    n_anom = joint[1][0] + joint[1][1]
-    if n_anom == 0 or any(math.isnan((p_unflag, p_flag)[f]) for (_, f), nc in zip(bits, n_cls)
-                          if nc):
+    joint = k.sum(axis=(2, 3)).tolist()  # intervals by (truth, flag)
+    n_flag = [joint[0][f] + joint[1][f] for f in (0, 1)]
+    n_anom = sum(joint[1])
+    if n_anom == 0 or any(n and math.isnan(p) for n, p in zip(n_flag, (p_unflag, p_flag))):
         guess_err = guess_se = _NAN
     else:
-        guess_err = misses / n_anom
+        guess_err = int(k[1, 1, 1].sum() + k[1, 0, :, 1].sum()) / n_anom
         guess_se = guessing_error_se(guess_err, n_anom)
-    vals = np.array([-math.log2(joint[t][f] / (joint[0][f] + joint[1][f])) if joint[t][f]
-                     else 0.0 for t, f in bits])[cls]
+    vals = np.array([-math.log2(joint[t][f] / n_flag[f]) if joint[t][f] else 0.0
+                     for t in (0, 1) for f in (0, 1)])[cls]
     n = vals.size
     ce_se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else _NAN
     return guess_err, guess_se, float(vals.mean()), ce_se
@@ -206,16 +189,15 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
              cost_denominator: str = "base-plus-anomaly") -> MetricsReport:
     """Simulate one cell end to end under its solved strategy.
 
-    Streams are those of :func:`simulate_run`. A cell's state is one int8
-    column of class codes, 3 * truth + action: the six (truth, action)
-    classes. The idealized detector reads only labels, so that mode draws
-    no counts: it takes the anomaly flags and action codes from the first
-    draws of base + (0,) and base + (1,), which equal the columns of the run
-    :func:`simulate_run` builds, and each class fixes its flag bit, so every
-    metric field equals that run's bit for bit. Both modes score the codes
-    (beside the count test's flags in chi-square mode) with one bincount
-    that also counts the guesses drawn on base + (2,). ``realized_cost`` is
-    :func:`realized_cost` of the action codes in both modes.
+    Streams are those of :func:`simulate_run`. The idealized detector reads
+    only labels, so that mode draws no counts: it takes the anomaly flags
+    and action codes from the first draws of base + (0,) and base + (1,),
+    which equal the columns of the run :func:`simulate_run` builds, and
+    flags them with :func:`idealized_verdicts`, so every metric field
+    equals that run's bit for bit. Both modes score the truth and flag
+    columns with one bincount that also counts the guesses drawn on
+    base + (2,). ``realized_cost`` is :func:`realized_cost` of the action
+    codes in both modes.
 
     The chi-square detector reads the counts of the full run. Its
     class-conditional flag rates are not analytic, so that mode first
@@ -238,24 +220,23 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
                                        strat.p_fake, knowledge.tpr, knowledge.tnr)
         truth = draw_anomaly_flags(model, n_intervals, base + (0,))
         action = draw_actions(truth, strat, knowledge, base + (1,))
-        flagged = None
+        flagged = idealized_verdicts(truth, action)
     elif detector_mode == "chi-square":
         obf = apply_strategy(gen_run(model, n_intervals, base + (0,)), strat, knowledge, cm,
                              base + (1,))
         cal = gen_run(model, n_intervals, base + (3,))
         cal_obf = apply_strategy(cal, strat, knowledge, cm, base + (4,))
         blind = DetectorConfig.chi_square(model.anomaly_rate, alpha)
-        cal_flags = test_run(cal_obf, blind).flagged
+        cal_flags = test_run(cal_obf, blind)
         fa = float(cal_flags[cal.is_anomaly].mean()) if cal.is_anomaly.any() else _NAN
         fb = float(cal_flags[~cal.is_anomaly].mean()) if (~cal.is_anomaly).any() else _NAN
         cfg = DetectorConfig.chi_square(model.anomaly_rate, alpha, fa, fb)
-        flagged = test_run(obf, cfg).flagged
+        flagged = test_run(obf, cfg)
         truth, action = obf.is_anomaly, obf.action
     else:
         raise ValueError(f"detector mode must be one of {DETECTOR_MODES}, got {detector_mode!r}")
 
-    guess_err, guess_se, ce, ce_se = _score(3 * truth.view(np.int8) + action, flagged, cfg,
-                                            base + (2,))
+    guess_err, guess_se, ce, ce_se = _score(truth, flagged, cfg, base + (2,))
     rcost, rcost_se = realized_cost(action, cm)
 
     return MetricsReport(

@@ -1,8 +1,7 @@
 """Reference forms of a cell's labels and metrics, one mask at a time.
 
-These are the forms ``lpwanleak`` used before a cell was scored from its
-(truth, action) class codes in one pass; the tests hold the package to
-them bit for bit.
+These are the forms ``lpwanleak`` used before a cell was scored in one
+pass; the tests hold the package to them bit for bit.
 """
 
 import math

@@ -110,7 +110,7 @@ def test_criterion_1_baseline_dispersion_and_false_positive_rate():
             run = gen_run(model, N_INTERVALS, (SEED, 1, si, li))
             _, _, d = run_dispersion(run.counts)
             mean_d = float(np.nanmean(d))
-            fpr = float(np.mean(classify_run(run, cfg).flagged))
+            fpr = float(np.mean(classify_run(run, cfg)))
             exact = dispersion_test_size(slots, lam, crit)
             sigma = math.sqrt(exact.size * (1.0 - exact.size) / N_INTERVALS)
             z = (fpr - exact.size) / sigma

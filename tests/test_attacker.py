@@ -103,6 +103,9 @@ def test_class_posteriors_bayes():
     assert p_f == pytest.approx(0.2)
     # unknown rates propagate as nan
     assert all(np.isnan(v) for v in class_posteriors(0.2, np.nan, np.nan))
+    # ... except the rate of a truth class of prior weight zero, which adds nothing
+    assert [float(v) for v in class_posteriors(1.0, 0.3, np.nan)] == [1.0, 1.0, 0.0]
+    assert [float(v) for v in class_posteriors(0.0, np.nan, 0.2)] == [0.0, 0.0, 0.0]
     # broadcasting over a rate grid matches the pointwise values
     grid = class_posteriors(0.2, np.array([[0.1], [0.5]]), np.array([[0.05, 0.3]]))
     for k in range(3):
@@ -146,12 +149,10 @@ def test_test_run_chi_square():
     counts = np.array([flat, burst, zero])
     run = Run(counts, np.zeros_like(counts), np.zeros(3, dtype=bool),
               np.full(3, -1), np.zeros(3, dtype=int))
-    v = classify_run(run, cfg)
+    flagged = classify_run(run, cfg)
     assert 9 * np.var(burst, ddof=1) / np.mean(burst) > chi_square_threshold(10, 0.05)
     # all-zero intervals are never flagged
-    assert v.flagged.tolist() == [False, True, False]
-    p_f, p_u, _ = class_posteriors(0.2, 1.0 - 0.9, 0.05)
-    assert v.posterior_anomaly.tolist() == [p_u, p_f, p_u]
+    assert flagged.dtype == bool and flagged.tolist() == [False, True, False]
 
 
 def test_test_run_idealized_posteriors():
@@ -159,22 +160,31 @@ def test_test_run_idealized_posteriors():
     counts = np.ones((2, 10), dtype=int)
     run = Run(counts, np.zeros_like(counts), np.array([True, False]),
               np.array([3, -1]), np.zeros(2, dtype=int))
-    v = classify_run(run, cfg)
-    assert v.flagged.tolist() == [True, False]
-    p_f, p_u, _ = class_posteriors(0.2, 0.5, 0.1)
-    assert v.posterior_anomaly == pytest.approx([p_f, p_u], rel=1e-15)
+    flagged = classify_run(run, cfg)
+    assert flagged.dtype == bool and flagged.tolist() == [True, False]
+    # the config's flag rates give the strategy's posterior of each flag value
+    p_f, p_u, _ = class_posteriors(cfg.anomaly_rate, 1.0 - cfg.flag_rate_anomaly,
+                                   cfg.flag_rate_baseline)
+    want_f, want_u, _ = class_posteriors(0.2, 0.5, 0.1)
+    assert np.where(flagged, p_f, p_u) == pytest.approx([want_f, want_u], rel=1e-15)
 
 
 def test_observable_class_cases():
-    # anomaly, waterfilled anomaly, baseline, faked baseline
-    counts = np.ones((4, 3), dtype=int) * 2
+    # one interval of each (truth, action) class in code order 3 * truth + action:
+    # baseline untouched, waterfilled, faked; anomaly untouched, waterfilled, faked
+    counts = np.ones((6, 3), dtype=int) * 2
     run = Run(counts, np.zeros_like(counts),
-              np.array([True, True, False, False]),
-              np.array([0, 1, -1, -1]),
-              np.array([0, 1, 0, 2]))
-    cfg = DetectorConfig.idealized(0.5, 0.5, 0.5)
-    assert idealized_verdicts(run.is_anomaly, run.action, cfg).flagged.tolist() \
-        == [True, False, False, True]
+              np.array([False, False, False, True, True, True]),
+              np.array([-1, -1, -1, 0, 1, 2]),
+              np.array([0, 1, 2, 0, 1, 2]))
+    flags = [False, False, True, True, False, True]
+    assert idealized_verdicts(run.is_anomaly, run.action).tolist() == flags
+    assert classify_run(run, DetectorConfig.idealized(0.5, 0.5, 0.5)).tolist() == flags
+    assert idealized_verdicts(np.array([], dtype=bool), np.array([], dtype=int)).size == 0
+    # an unknown action code is an error, not a plausible flag
+    for bad in ([7, -1, -3], [0, 3], [-1]):
+        with pytest.raises(ValueError, match="action codes"):
+            idealized_verdicts(np.ones(len(bad), dtype=bool), np.array(bad))
 
 
 def test_guess_run_rules():
@@ -245,9 +255,9 @@ def test_bin_timestamps_origin_never_passes_the_first_message():
 )
 def test_idealized_verdicts_and_guesses_ignore_counts(rp, intensity, n, scale, pw, pf,
                                                       tpr, tnr, seed):
-    # seed-stream contract: in idealized mode the verdicts, the posteriors and
-    # the guesses drawn on stream (..., 2) depend on the labels only, so a
-    # cell may skip drawing the count matrices without moving any of them
+    # seed-stream contract: in idealized mode the flags and the guesses drawn
+    # on stream (..., 2) from their posteriors depend on the labels only, so
+    # a cell may skip drawing the count matrices without moving any of them
     model = IntervalModel(6, 1.0, intensity, rp)
     knowledge = KnowledgeModel(tpr, tnr)
     base = (seed, 0, 0)
@@ -256,8 +266,8 @@ def test_idealized_verdicts_and_guesses_ignore_counts(rp, intensity, n, scale, p
     other = Run(obf.counts * scale + 1, obf.dummy_counts, obf.is_anomaly,
                 obf.anomaly_slot, obf.action)
     cfg = DetectorConfig.idealized(rp, pw, pf, tpr, tnr)
-    verdicts = [classify_run(r, cfg) for r in (obf, other)]
-    assert np.array_equal(verdicts[0].flagged, verdicts[1].flagged)
-    assert np.array_equal(verdicts[0].posterior_anomaly, verdicts[1].posterior_anomaly)
-    guesses = [guess_run(v.posterior_anomaly, base + (2,)) for v in verdicts]
+    flags = [classify_run(r, cfg) for r in (obf, other)]
+    assert np.array_equal(flags[0], flags[1])
+    p_flag, p_unflag, _ = class_posteriors(rp, tpr * pw, tnr * pf)
+    guesses = [guess_run(np.where(f, p_flag, p_unflag), base + (2,)) for f in flags]
     assert np.array_equal(guesses[0], guesses[1])

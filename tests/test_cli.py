@@ -20,6 +20,7 @@ from lpwanleak import (
     IntervalModel,
     bin_timestamps,
     chi_square_threshold,
+    class_posteriors,
     cost_curves,
     gen_run,
     guess_run,
@@ -652,7 +653,9 @@ seed = 11
     assert row["feasible_optimal"] == "0"
     cfg = DetectorConfig.idealized(*(float(row[k]) for k in ("R_p", "P_wf", "P_f",
                                                             "P_tp", "P_tn")))
-    guesses = guess_run(classify_run(run, cfg).posterior_anomaly, (11, 0, 0, 2))
+    p_flag, p_unflag, _ = class_posteriors(cfg.anomaly_rate, 1.0 - cfg.flag_rate_anomaly,
+                                           cfg.flag_rate_baseline)
+    guesses = guess_run(np.where(classify_run(run, cfg), p_flag, p_unflag), (11, 0, 0, 2))
     assert repr(guessing_error(guesses, run.is_anomaly)) == row["guess_err"]
     # simulate insists on a single cell
     multi = _write(tmp_path, "sim2.cfg", """\

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from lpwanleak import (
     COST_CSV_HEADER,
+    DETECTOR_MODES,
     SWEEP_CSV_HEADER,
     DENOMINATOR_MODES,
     CostPoint,
@@ -118,14 +119,16 @@ def _full_path_metrics(model, knowledge, budget, n, seed):
     strat, cm, obf = simulate_run(model, knowledge, budget, n, seed)
     cfg = DetectorConfig.idealized(model.anomaly_rate, strat.p_waterfill, strat.p_fake,
                                    knowledge.tpr, knowledge.tnr)
-    verdicts = classify_run(obf, cfg)
-    guesses = guess_run(verdicts.posterior_anomaly, seed + (2,))
+    flagged = classify_run(obf, cfg)
+    p_flag, p_unflag, _ = class_posteriors(cfg.anomaly_rate, 1.0 - cfg.flag_rate_anomaly,
+                                           cfg.flag_rate_baseline)
+    guesses = guess_run(np.where(flagged, p_flag, p_unflag), seed + (2,))
     try:
         err = guessing_error(guesses, obf.is_anomaly)
         err_se = guessing_error_se(err, int(obf.is_anomaly.sum()))
     except DegenerateMetricError:
         err = err_se = math.nan
-    return ((err, err_se) + empirical_ce_bits(obf.is_anomaly, verdicts.flagged)
+    return ((err, err_se) + empirical_ce_bits(obf.is_anomaly, flagged)
             + realized_cost(obf.action, cm))
 
 
@@ -210,9 +213,7 @@ def test_score_equals_the_mask_oracles(columns, mode, rp, flag_rates, forced, co
     cfg = DetectorConfig(mode, rp, 0.05, *flag_rates)
     p_flag, p_unflag = forced or class_posteriors(rp, 1.0 - flag_rates[0], flag_rates[1])[:2]
     if mode == "idealized":
-        flagged, column = idealized_verdicts(truth, action, cfg).flagged, None
-    else:
-        column = flagged
+        flagged = idealized_verdicts(truth, action)
     posterior = np.where(flagged, p_flag, p_unflag)
     want = (math.nan, math.nan)
     if not np.isnan(posterior).any():
@@ -223,10 +224,9 @@ def test_score_equals_the_mask_oracles(columns, mode, rp, flag_rates, forced, co
         except DegenerateMetricError:
             pass
     want += empirical_ce_bits(truth, flagged)
-    code = 3 * truth.view(np.int8) + action
     with (nullcontext() if forced is None else
           mock.patch.object(experiment, "class_posteriors", lambda *a: (*forced, 0.0))):
-        got = experiment._score(code, column, cfg, (seed, 2))
+        got = experiment._score(truth, flagged, cfg, (seed, 2))
     assert _same_bits(got, want), (got, want)
     cm = SimpleNamespace(waterfill_cost=cost[0], fake_cost=cost[1])
     got, want = realized_cost(action, cm), select_realized_cost(action, cm)
@@ -250,15 +250,6 @@ def test_draw_actions_equals_the_where_oracle(truth, rates, seed):
     assert got.dtype == want.dtype == np.int8
     assert np.array_equal(got, want)
     assert rng.random() == oracle_rng.random()
-
-
-def test_class_table_flags_match_idealized_verdicts():
-    # one interval of each (truth, action) class, code = 3 * truth + action
-    cfg = DetectorConfig.idealized(0.3, 0.5, 0.5)
-    assert len(experiment._CLASS_BITS) == 6
-    for code, (truth, flag) in enumerate(experiment._CLASS_BITS):
-        verdicts = idealized_verdicts(np.array([code >= 3]), np.array([code % 3]), cfg)
-        assert (truth, verdicts.flagged.tolist()) == (code // 3, [bool(flag)])
 
 
 def test_idealized_cells_draw_no_counts(monkeypatch):
@@ -299,11 +290,21 @@ def test_run_cell_chi_square_mode():
 
 
 def test_run_cell_degenerate_rate():
-    r = run_cell(IntervalModel(10, 1.0, 10.0, 0.0), n_intervals=2000, seed=4)
-    assert r.degenerate
-    assert np.isnan(r.guess_err)
-    assert r.ideal_guess_err == 1.0
-    assert r.ideal_ce_bits == 0.0
+    for mode in DETECTOR_MODES:
+        # no anomalies: the guessing error on anomalies is undefined
+        r = run_cell(IntervalModel(10, 1.0, 10.0, 0.0), detector_mode=mode,
+                     n_intervals=2000, seed=4)
+        assert r.degenerate
+        assert np.isnan(r.guess_err)
+        assert r.ideal_guess_err == 1.0
+        assert r.ideal_ce_bits == 0.0
+        # only anomalies: every guess hits, although the chi-square
+        # calibration saw no baseline to measure a baseline flag rate on
+        r = run_cell(IntervalModel(10, 1.0, 10.0, 1.0), detector_mode=mode,
+                     n_intervals=2000, seed=4)
+        assert r.degenerate and not r.error
+        assert (r.guess_err, r.guess_err_se) == (0.0, 0.0)
+        assert (r.ce_bits, r.ideal_guess_err, r.ideal_ce_bits) == (0.0, 0.0, 0.0)
 
 
 def test_run_cell_rejects_unknown_detector():
