@@ -65,10 +65,6 @@ def _ts(trace) -> tuple[float, ...]:
     return ts
 
 
-def _is_subset(small: tuple, big: tuple) -> bool:
-    return set(small) <= set(big)
-
-
 class TracePrior:
     """Finite-support prior over real traces.
 
@@ -177,7 +173,7 @@ class TableMechanism(Mechanism):
                 if q == 0.0:
                     continue
                 x = _ts(obs)
-                if not _is_subset(r, x):
+                if not set(x).issuperset(r):
                     raise ValueError(f"mechanism output {x} does not contain real trace {r}")
                 row[x] = row.get(x, 0.0) + q
             total = math.fsum(row.values())
@@ -196,8 +192,21 @@ class TableMechanism(Mechanism):
 class CardinalityDistance:
     """d(R, R') = absolute difference in message counts."""
 
+    def __init__(self):
+        # message count per tuple already checked, so a guess loop does not
+        # re-sort the same traces on every call
+        self._sizes: dict[tuple, int] = {}
+
+    def _size(self, trace) -> int:
+        if isinstance(trace, tuple) and trace in self._sizes:
+            return self._sizes[trace]
+        n = len(_ts(trace))
+        if isinstance(trace, tuple):
+            self._sizes[trace] = n
+        return n
+
     def __call__(self, a, b) -> float:
-        return float(abs(len(_ts(a)) - len(_ts(b))))
+        return float(abs(self._size(a) - self._size(b)))
 
 
 class AnomalyCountDistance:
@@ -260,10 +269,11 @@ def _joint_weights(prior: TracePrior, mech: Mechanism, obs: tuple) -> tuple[dict
     have produced the observation.
     """
     weights: dict[tuple, float] = {}
+    have = set(obs)
     for r in prior.support:
-        if not _is_subset(r, obs):
+        if not have.issuperset(r):
             continue
-        w = prior.mass(r) * dict(mech.outputs(r)).get(obs, 0.0)
+        w = prior._table[r] * dict(mech.outputs(r)).get(obs, 0.0)
         if w > 0:
             weights[r] = w
     normalizer = math.fsum(weights.values())
@@ -346,30 +356,54 @@ def _sample_pairs(prior: TracePrior, mech: Mechanism, budget: int, rng):
     """Draw (real, observed) pairs: (support indices, observation ids, observations).
 
     The stream is one choice of every real, then one choice of outputs per
-    distinct real that has more than one, reals in ascending order.
+    distinct real that has more than one, reals in ascending order, each
+    real's samples in ascending sample order.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     r_idx = rng.choice(len(prior.support), size=budget, p=prior._probs)
     x_idx = np.empty(budget, dtype=np.int64)
     ids: dict[tuple, int] = {}
-    for i in np.unique(r_idx):
-        rows = np.flatnonzero(r_idx == i)
+    # one stable sort groups the samples by real, keeping sample order; on
+    # indices of 16 bits or fewer numpy sorts by radix
+    counts = np.bincount(r_idx)
+    order = np.argsort(r_idx.astype(np.min_scalar_type(len(prior.support) - 1)), kind="stable")
+    ends = np.cumsum(counts)
+    for i in np.flatnonzero(counts):
+        rows = order[ends[i] - counts[i]:ends[i]]
         outs = mech.outputs(prior.support[int(i)])
-        picks = (np.zeros(rows.size, dtype=np.int64) if len(outs) == 1 else
-                 rng.choice(len(outs), size=rows.size, p=np.array([q for _, q in outs])))
-        for k in np.unique(picks):
-            x_idx[rows[picks == k]] = ids.setdefault(outs[int(k)][0], len(ids))
+        if len(outs) == 1:
+            x_idx[rows] = ids.setdefault(outs[0][0], len(ids))
+            continue
+        picks = rng.choice(len(outs), size=rows.size, p=np.array([q for _, q in outs]))
+        lut = np.zeros(len(outs), dtype=np.int64)
+        for k in np.flatnonzero(np.bincount(picks)):
+            lut[k] = ids.setdefault(outs[int(k)][0], len(ids))
+        x_idx[rows] = lut[picks]
     return r_idx, x_idx, list(ids)
 
 
 def _sample_mean(r_idx: np.ndarray, x_idx: np.ndarray, value) -> tuple[float, float]:
-    """Mean of value(r, x) over the pairs and its SE, one call per distinct pair."""
+    """Mean of value(r, x) over the pairs and its SE, one call per distinct pair.
+
+    value is called in ascending (r, x) order. When the (r, x) grid has no
+    more cells than there are samples, the values are gathered through a
+    dense table over it; otherwise the distinct pairs are found by sorting.
+    """
     width = int(x_idx.max()) + 1
     pair = r_idx * width + x_idx
-    keys = np.unique(pair)
-    vals = np.array([value(int(k) // width, int(k) % width) for k in keys])
-    vals = vals[np.searchsorted(keys, pair)]
+    cells = (int(r_idx.max()) + 1) * width
+    if cells <= pair.size:
+        seen = np.zeros(cells, dtype=bool)
+        seen[pair] = True
+        keys = np.flatnonzero(seen)
+        table = np.empty(cells)
+        table[keys] = [value(int(k) // width, int(k) % width) for k in keys]
+        vals = table[pair]
+    else:
+        keys = np.unique(pair)
+        vals = np.array([value(int(k) // width, int(k) % width) for k in keys])
+        vals = vals[np.searchsorted(keys, pair)]
     n = vals.size
     se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
     return float(vals.mean()), se

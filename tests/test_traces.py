@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpwanleak import (
@@ -28,6 +28,8 @@ from lpwanleak import (
     posterior_table,
     run_dispersion,
 )
+from lpwanleak.traces import _sample_mean, _sample_pairs
+from trace_oracles import flatnonzero_sample_pairs, searchsorted_sample_mean
 
 WINDOW = (0.0, 3.0)
 # two-trace prior: {1} at 0.6, {1,2} at 0.4, filled to {1,2}
@@ -105,6 +107,30 @@ def test_table_mechanism():
 def test_cardinality_distance():
     assert CARD((1.0, 2.0), ()) == 2.0
     assert CARD((1.0,), (2.0,)) == 0.0
+
+
+def test_cardinality_distance_contract():
+    # the per-trace size cache changes no answer: duplicates still raise,
+    # on every call, lists still work, and a fresh instance agrees
+    d = CardinalityDistance()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="duplicate"):
+            d([1.0, 1.0], ())
+        with pytest.raises(ValueError, match="duplicate"):
+            d((), (2.0, 2.0))
+    pairs = [((1.0, 2.0, 3.0), ()), ([3.0, 1.0], (2.0,)), ((2.0, 1.0), [1.0, 2.0]),
+             ((1, 2), (1.0, 2.0, 3.0)), ((), [])]
+    first = [d(a, b) for a, b in pairs]
+    assert first == [3.0, 1.0, 0.0, 1.0, 0.0]
+    assert all(type(v) is float for v in first)
+    assert [d(a, b) for a, b in pairs] == first
+    assert [CardinalityDistance()(a, b) for a, b in pairs] == first
+    # AnomalyCountDistance answers as before, fresh or cached, list or tuple
+    anom = AnomalyCountDistance((0.0, 10.0), slot_width=1.0, slots=10, alpha=0.05)
+    burst = [2.0 + 0.05 * k for k in range(12)]
+    assert [anom(burst, ()), anom(tuple(burst), []), anom(burst, burst)] == [1.0, 1.0, 0.0]
+    with pytest.raises(ValueError, match="duplicate"):
+        anom([1.0, 1.0], ())
 
 
 def test_anomaly_count_distance():
@@ -339,3 +365,66 @@ def test_fill_to_posterior_properties(prior):
         assert ae <= fixed + 1e-12
     ce = conditional_entropy(prior, mech, method="exact")
     assert -1e-12 <= ce <= prior.entropy_bits() + 1e-9
+
+
+# 8-tick grid: a trace is a bit mask over it
+_TICKS = tuple(float(t) for t in range(8))
+
+
+def _trace(mask: int) -> tuple[float, ...]:
+    return tuple(t for b, t in enumerate(_TICKS) if mask >> b & 1)
+
+
+@st.composite
+def sampler_cases(draw):
+    """(prior, table mechanism, budget, seed): 1-40 reals with 1-4 outputs
+    each; a real of mass 1e-12 next to integer weights is never drawn."""
+    reals = draw(st.lists(st.integers(0, 255), min_size=1, max_size=40, unique=True))
+    weights = draw(st.lists(st.integers(1, 9) | st.just(1e-12),
+                            min_size=len(reals), max_size=len(reals)))
+    rows = {}
+    for m in reals:
+        extras = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4))
+        outs = sorted({m | e for e in extras})
+        qs = draw(st.lists(st.integers(1, 9), min_size=len(outs), max_size=len(outs)))
+        rows[_trace(m)] = {_trace(o): w / sum(qs) for o, w in zip(outs, qs)}
+    total = sum(weights)
+    prior = TracePrior({_trace(m): w / total for m, w in zip(reals, weights)}, (0.0, 7.0))
+    budget = draw(st.just(1) | st.integers(1, 3000))
+    return prior, TableMechanism(rows), budget, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=sampler_cases())
+# one real, one output, one sample: the dense gather on a 1-cell grid, nan SE
+@example(case=(TracePrior({(1.0,): 1.0}, (0.0, 7.0)), TableMechanism({(1.0,): {(1.0,): 1.0}}),
+               1, 0))
+# a never-drawn real of tiny mass between two drawn ones, many samples
+@example(case=(TracePrior({(0.0,): 0.5 - 5e-13, (1.0,): 1e-12, (2.0,): 0.5 - 5e-13},
+                          (0.0, 7.0)),
+               TableMechanism({(0.0,): {(0.0,): 0.5, (0.0, 3.0): 0.5},
+                               (1.0,): {(1.0,): 0.5, (1.0, 3.0): 0.5},
+                               (2.0,): {(2.0, 3.0): 1.0}}), 3000, 1))
+def test_sampler_equals_the_per_real_oracle(case):
+    # the grouped sampler draws the same stream and writes the same ids as
+    # the per-real flatnonzero loop, and the gathered mean keeps every bit
+    prior, mech, budget, seed = case
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    r_idx, x_idx, observations = _sample_pairs(prior, mech, budget, rng)
+    want_r, want_x, want_obs = flatnonzero_sample_pairs(prior, mech, budget, oracle_rng)
+    assert r_idx.dtype == want_r.dtype and np.array_equal(r_idx, want_r)
+    assert x_idx.dtype == want_x.dtype and np.array_equal(x_idx, want_x)
+    assert observations == want_obs
+    assert rng.random() == oracle_rng.random()
+    for value in (lambda r, x: CARD(prior.support[r], observations[x]),
+                  lambda r, x: math.sin(1.7 * r + 0.3 * x) * 10.0 ** (r % 7 - 3)):
+        calls, oracle_calls = [], []
+        got = _sample_mean(r_idx, x_idx, lambda r, x: calls.append((r, x)) or value(r, x))
+        want = searchsorted_sample_mean(want_r, want_x,
+                                        lambda r, x: oracle_calls.append((r, x)) or value(r, x))
+        assert calls == oracle_calls
+        assert got[0] == want[0]
+        if budget == 1:
+            assert math.isnan(got[1]) and math.isnan(want[1])
+        else:
+            assert got[1] == want[1]
