@@ -371,23 +371,6 @@ def _emit_json(cfg: Config, seed: int, key: str, rows, out) -> None:
     out.write(json.dumps({"meta": _meta(cfg, seed), key: rows}, indent=2) + "\n")
 
 
-def _emit_json_columns(cfg: Config, seed: int, key: str, names, columns, out) -> None:
-    """``_emit_json`` of the records ``dict(zip(names, row))`` over the rows of
-    ``columns`` (lists), in the same bytes, without building the records.
-
-    Each column goes through json's C encoder in one call (float repr, NaN,
-    true/false), which the indenting encoder would otherwise run per value.
-    """
-    head = json.dumps({"meta": _meta(cfg, seed), key: []}, indent=2)
-    body = "[]"
-    if columns[0]:
-        cells = [json.dumps(c)[1:-1].split(", ") for c in columns]
-        fields = ",\n".join(f'      {json.dumps(name).replace("%", "%%")}: %s' for name in names)
-        record = "    {\n" + fields + "\n    }"
-        body = "[\n" + ",\n".join(map(record.__mod__, zip(*cells))) + "\n  ]"
-    out.write(head.removesuffix("[]\n}") + body + "\n}\n")
-
-
 def _json_rows(records) -> list[dict]:
     # a record's JSON keys are its class's output names, in field order
     return [dict(zip(r.NAMES, astuple(r))) for r in records]
@@ -525,14 +508,12 @@ def cmd_analyze(args, cfg: Config, seed: int) -> int:
             raise DataError(f"{path}: {exc}") from exc
         _, _, d = run_dispersion(counts)
         flagged = (slots - 1) * d > thr  # an empty interval (D = nan) is never flagged
+        rows = zip(range(len(d)), d.tolist(), flagged.tolist(), repeat(thr))
         if fmt == "csv":
-            rows = zip(range(len(d)), d.tolist(), flagged.tolist(), repeat(thr))
             write_csv(out, _provenance(cfg, seed), ",".join(_ANALYZE_NAMES),
                       (f"{i},{di!r},{int(fi)},{t!r}" for i, di, fi, t in rows))
         else:
-            _emit_json_columns(cfg, seed, "rows", _ANALYZE_NAMES,
-                               [list(range(len(d))), d.tolist(), flagged.tolist(),
-                                [thr] * len(d)], out)
+            _emit_json(cfg, seed, "rows", [dict(zip(_ANALYZE_NAMES, row)) for row in rows], out)
     return 0
 
 

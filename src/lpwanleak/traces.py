@@ -353,16 +353,19 @@ def average_error(prior: TracePrior, mech: Mechanism, dist, method: str = "auto"
 
 
 def _sample_pairs(prior: TracePrior, mech: Mechanism, budget: int, rng):
-    """Draw (real, observed) pairs: (support indices, observation ids, observations).
+    """Draw (real, observed) pairs: (pair index per sample, the distinct
+    (support index, observation id) pairs, observations).
 
     The stream is one choice of every real, then one choice of outputs per
     distinct real that has more than one, reals in ascending order, each
-    real's samples in ascending sample order.
+    real's samples in ascending sample order. Pairs are listed by real,
+    then by output position.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     r_idx = rng.choice(len(prior.support), size=budget, p=prior._probs)
-    x_idx = np.empty(budget, dtype=np.int64)
+    p_idx = np.empty(budget, dtype=np.int64)
+    pairs: list[tuple[int, int]] = []
     ids: dict[tuple, int] = {}
     # one stable sort groups the samples by real, keeping sample order; on
     # indices of 16 bits or fewer numpy sorts by radix
@@ -372,38 +375,19 @@ def _sample_pairs(prior: TracePrior, mech: Mechanism, budget: int, rng):
     for i in np.flatnonzero(counts):
         rows = order[ends[i] - counts[i]:ends[i]]
         outs = mech.outputs(prior.support[int(i)])
-        if len(outs) == 1:
-            x_idx[rows] = ids.setdefault(outs[0][0], len(ids))
-            continue
-        picks = rng.choice(len(outs), size=rows.size, p=np.array([q for _, q in outs]))
+        picks = (np.zeros(rows.size, dtype=np.int64) if len(outs) == 1 else
+                 rng.choice(len(outs), size=rows.size, p=np.array([q for _, q in outs])))
         lut = np.zeros(len(outs), dtype=np.int64)
         for k in np.flatnonzero(np.bincount(picks)):
-            lut[k] = ids.setdefault(outs[int(k)][0], len(ids))
-        x_idx[rows] = lut[picks]
-    return r_idx, x_idx, list(ids)
+            lut[k] = len(pairs)
+            pairs.append((int(i), ids.setdefault(outs[int(k)][0], len(ids))))
+        p_idx[rows] = lut[picks]
+    return p_idx, pairs, list(ids)
 
 
-def _sample_mean(r_idx: np.ndarray, x_idx: np.ndarray, value) -> tuple[float, float]:
-    """Mean of value(r, x) over the pairs and its SE, one call per distinct pair.
-
-    value is called in ascending (r, x) order. When the (r, x) grid has no
-    more cells than there are samples, the values are gathered through a
-    dense table over it; otherwise the distinct pairs are found by sorting.
-    """
-    width = int(x_idx.max()) + 1
-    pair = r_idx * width + x_idx
-    cells = (int(r_idx.max()) + 1) * width
-    if cells <= pair.size:
-        seen = np.zeros(cells, dtype=bool)
-        seen[pair] = True
-        keys = np.flatnonzero(seen)
-        table = np.empty(cells)
-        table[keys] = [value(int(k) // width, int(k) % width) for k in keys]
-        vals = table[pair]
-    else:
-        keys = np.unique(pair)
-        vals = np.array([value(int(k) // width, int(k) % width) for k in keys])
-        vals = vals[np.searchsorted(keys, pair)]
+def _sample_mean(p_idx: np.ndarray, pairs: list[tuple[int, int]], value) -> tuple[float, float]:
+    """Mean of value(r, x) over the samples and its SE, one call per pair."""
+    vals = np.array([value(r, x) for r, x in pairs])[p_idx]
     n = vals.size
     se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
     return float(vals.mean()), se
@@ -412,9 +396,9 @@ def _sample_mean(r_idx: np.ndarray, x_idx: np.ndarray, value) -> tuple[float, fl
 def average_error_mc(prior: TracePrior, mech: Mechanism, dist,
                      budget: int = 100_000, seed=0) -> tuple[float, float]:
     """Monte-Carlo average error with its standard error."""
-    r_idx, x_idx, observations = _sample_pairs(prior, mech, budget, as_rng(seed))
+    p_idx, pairs, observations = _sample_pairs(prior, mech, budget, as_rng(seed))
     guess = [optimal_guess(prior, mech, x, dist)[0] for x in observations]
-    return _sample_mean(r_idx, x_idx, lambda r, x: dist(prior.support[r], guess[x]))
+    return _sample_mean(p_idx, pairs, lambda r, x: dist(prior.support[r], guess[x]))
 
 
 def conditional_entropy(prior: TracePrior, mech: Mechanism, method: str = "auto") -> float:
@@ -438,7 +422,7 @@ def conditional_entropy(prior: TracePrior, mech: Mechanism, method: str = "auto"
 def conditional_entropy_mc(prior: TracePrior, mech: Mechanism,
                            budget: int = 100_000, seed=0) -> tuple[float, float]:
     """Monte-Carlo conditional entropy (bits) with its standard error."""
-    r_idx, x_idx, observations = _sample_pairs(prior, mech, budget, as_rng(seed))
+    p_idx, pairs, observations = _sample_pairs(prior, mech, budget, as_rng(seed))
     post = [posterior_table(prior, mech, x) for x in observations]
 
     def surprisal(r: int, x: int) -> float:
@@ -448,7 +432,7 @@ def conditional_entropy_mc(prior: TracePrior, mech: Mechanism,
                 "sampled real trace has zero posterior; mechanism and prior disagree")
         return -math.log2(p)
 
-    return _sample_mean(r_idx, x_idx, surprisal)
+    return _sample_mean(p_idx, pairs, surprisal)
 
 
 @dataclass(frozen=True)

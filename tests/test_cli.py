@@ -1,12 +1,10 @@
 """Config parsing and CLI subcommand tests (driven through main())."""
 
-import io
 import json
 import math
 import subprocess
 import sys
 import tempfile
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -718,26 +716,11 @@ def test_analyze_empty_interval_is_never_flagged(tmp_path):
     doc = json.loads(text)
     assert [r["flagged"] for r in doc["rows"]] == [True, False, False]
     assert math.isnan(doc["rows"][1]["D"])
-    # the column writer emits exactly what the indenting encoder would
+    # the JSON rows carry the CSV's values, in the indenting encoder's bytes
     want = [dict(zip(("interval", "D", "flagged", "threshold"),
                      (int(r[0]), float(r[1]), r[2] == "1", float(r[3])))) for r in rows]
     assert text == json.dumps({"meta": doc["meta"], "rows": want}, indent=2) + "\n"
     assert '"D": NaN,' in text
-
-
-@pytest.mark.parametrize("columns", [
-    [[], [], []],
-    [[0], [math.nan], [False]],
-    [[0, 1, 2], [math.inf, -math.inf, 1e-300], [True, False, True]],
-    [[7, -1], [0.1 + 0.2, -0.0], [False, False]],
-])
-def test_json_columns_match_the_indenting_encoder(columns):
-    names = ("i", "x%s", "flag")
-    out = io.StringIO()
-    with mock.patch.object(cli, "_meta", lambda cfg, seed: {"seed": seed}):
-        cli._emit_json_columns(None, 3, "rows", names, columns, out)
-    rows = [dict(zip(names, row)) for row in zip(*columns)]
-    assert out.getvalue() == json.dumps({"meta": {"seed": 3}, "rows": rows}, indent=2) + "\n"
 
 
 def test_analyze_data_errors(tmp_path):

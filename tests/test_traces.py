@@ -29,7 +29,7 @@ from lpwanleak import (
     run_dispersion,
 )
 from lpwanleak.traces import _sample_mean, _sample_pairs
-from trace_oracles import flatnonzero_sample_pairs, searchsorted_sample_mean
+from trace_oracles import flatnonzero_sample_pairs
 
 WINDOW = (0.0, 3.0)
 # two-trace prior: {1} at 0.6, {1,2} at 0.4, filled to {1,2}
@@ -396,7 +396,7 @@ def sampler_cases(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(case=sampler_cases())
-# one real, one output, one sample: the dense gather on a 1-cell grid, nan SE
+# one real, one output, one sample: nan SE
 @example(case=(TracePrior({(1.0,): 1.0}, (0.0, 7.0)), TableMechanism({(1.0,): {(1.0,): 1.0}}),
                1, 0))
 # a never-drawn real of tiny mass between two drawn ones, many samples
@@ -406,25 +406,27 @@ def sampler_cases(draw):
                                (1.0,): {(1.0,): 0.5, (1.0, 3.0): 0.5},
                                (2.0,): {(2.0, 3.0): 1.0}}), 3000, 1))
 def test_sampler_equals_the_per_real_oracle(case):
-    # the grouped sampler draws the same stream and writes the same ids as
-    # the per-real flatnonzero loop, and the gathered mean keeps every bit
+    # the grouped sampler draws the same stream and writes the same (real,
+    # observation) per sample as the per-real flatnonzero loop, and the
+    # gathered mean keeps every bit of the mean over per-sample values
     prior, mech, budget, seed = case
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    r_idx, x_idx, observations = _sample_pairs(prior, mech, budget, rng)
+    p_idx, pairs, observations = _sample_pairs(prior, mech, budget, rng)
     want_r, want_x, want_obs = flatnonzero_sample_pairs(prior, mech, budget, oracle_rng)
-    assert r_idx.dtype == want_r.dtype and np.array_equal(r_idx, want_r)
-    assert x_idx.dtype == want_x.dtype and np.array_equal(x_idx, want_x)
+    assert p_idx.dtype == np.int64 and np.array_equal(np.unique(p_idx), np.arange(len(pairs)))
+    assert len(set(pairs)) == len(pairs) and pairs == sorted(pairs, key=lambda rx: rx[0])
+    r_of, x_of = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    assert np.array_equal(r_of[p_idx], want_r) and np.array_equal(x_of[p_idx], want_x)
     assert observations == want_obs
     assert rng.random() == oracle_rng.random()
     for value in (lambda r, x: CARD(prior.support[r], observations[x]),
                   lambda r, x: math.sin(1.7 * r + 0.3 * x) * 10.0 ** (r % 7 - 3)):
-        calls, oracle_calls = [], []
-        got = _sample_mean(r_idx, x_idx, lambda r, x: calls.append((r, x)) or value(r, x))
-        want = searchsorted_sample_mean(want_r, want_x,
-                                        lambda r, x: oracle_calls.append((r, x)) or value(r, x))
-        assert calls == oracle_calls
-        assert got[0] == want[0]
+        calls = []
+        mean, se = _sample_mean(p_idx, pairs, lambda r, x: calls.append((r, x)) or value(r, x))
+        assert calls == pairs
+        vals = np.array([value(r, x) for r, x in zip(want_r.tolist(), want_x.tolist())])
+        assert mean == float(vals.mean())
         if budget == 1:
-            assert math.isnan(got[1]) and math.isnan(want[1])
+            assert math.isnan(se)
         else:
-            assert got[1] == want[1]
+            assert se == float(np.std(vals, ddof=1) / math.sqrt(budget))

@@ -1,11 +1,9 @@
-"""Reference forms of the trace Monte-Carlo sampler, one real at a time.
+"""Reference form of the trace Monte-Carlo sampler, one real at a time.
 
-These are the forms ``lpwanleak.traces`` used before the samples were
-grouped in one pass; the tests hold the package to them bit for bit, and
-with them to the layout of the sampler's random stream.
+This is the form ``lpwanleak.traces`` used before the samples were grouped
+in one pass; the tests hold the package to it bit for bit, and with it to
+the layout of the sampler's random stream.
 """
-
-import math
 
 import numpy as np
 
@@ -27,15 +25,3 @@ def flatnonzero_sample_pairs(prior, mech, budget: int, rng):
             x_idx[rows[picks == k]] = ids.setdefault(outs[int(k)][0], len(ids))
     return r_idx, x_idx, list(ids)
 
-
-def searchsorted_sample_mean(r_idx: np.ndarray, x_idx: np.ndarray, value) -> tuple[float, float]:
-    """Mean of value(r, x) over the pairs and its SE, the distinct pairs
-    found with np.unique and mapped back with np.searchsorted."""
-    width = int(x_idx.max()) + 1
-    pair = r_idx * width + x_idx
-    keys = np.unique(pair)
-    vals = np.array([value(int(k) // width, int(k) % width) for k in keys])
-    vals = vals[np.searchsorted(keys, pair)]
-    n = vals.size
-    se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
-    return float(vals.mean()), se
