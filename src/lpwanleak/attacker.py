@@ -275,6 +275,15 @@ def guessing_error_se(err: float, n_anomalies: int) -> float:
     return float(np.sqrt(max(err * (1.0 - err), 0.0) / n_anomalies))
 
 
+def _mean_se(table, index) -> tuple[float, float]:
+    """Mean of the values ``table[index]`` and its standard error std(ddof=1) / sqrt(n)
+    (nan for one value): the one estimator behind every Monte-Carlo mean and SE."""
+    vals = np.array(table)[index]
+    n = vals.size
+    se = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else np.nan
+    return float(vals.mean()), se
+
+
 def bin_timestamps(timestamps, slot_width: float, slots: int) -> np.ndarray:
     """Bin sorted timestamps into (intervals, slots) counts.
 

@@ -212,14 +212,24 @@ class Config:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+@contextlib.contextmanager
+def _read_text(path, kind: str, error: type[Exception]):
+    """Open ``path`` as UTF-8 text, whatever the locale; a file that cannot be read,
+    or is not UTF-8, raises ``error`` (ConfigError or DataError) naming it as ``kind``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise error(f"cannot read {kind} {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"cannot read {kind} {path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def load_config(path: str | None) -> Config:
     if path is None:
         return Config({})
-    try:
-        with open(path) as fh:
-            return Config(parse_config(fh.read()))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    with _read_text(path, "config", ConfigError) as fh:
+        return Config(parse_config(fh.read()))
 
 
 def _line_blocks(path):
@@ -228,36 +238,24 @@ def _line_blocks(path):
     Each block is cut after its last newline, so the lines come out exactly
     as ``str.splitlines`` splits the whole text.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            tail = ""
-            while block := fh.read(_READ_BLOCK):
-                cut = block.rfind("\n") + 1
-                if cut:
-                    yield (tail + block[:cut]).splitlines()
-                    tail = block[cut:]
-                else:
-                    tail += block
-            if tail:
-                yield tail.splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read trace {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"cannot read trace {path}: not UTF-8 text ({exc.reason})") from exc
+    with _read_text(path, "trace", DataError) as fh:
+        tail = ""
+        while block := fh.read(_READ_BLOCK):
+            cut = block.rfind("\n") + 1
+            if cut:
+                yield (tail + block[:cut]).splitlines()
+                tail = block[cut:]
+            else:
+                tail += block
+        if tail:
+            yield tail.splitlines()
 
 
-def _check_row(path, lineno: int, line: str) -> None:
-    # the per-row rules, applied one line at a time only to find the first
-    # offending line of a block that failed to parse in bulk
-    parts = line.split(",")
-    if len(parts) != 2:
-        raise DataError(f"{path} line {lineno}: expected 2 fields, got {len(parts)}")
+def _timestamp(text: str) -> float:
     try:
-        ts = float(parts[0])
+        return float(text)
     except ValueError:
-        ts = math.nan
-    if not math.isfinite(ts):
-        raise DataError(f"{path} line {lineno}: bad timestamp {parts[0]!r}")
+        return math.nan
 
 
 def read_trace_csv(path, device: str | None = None) -> np.ndarray:
@@ -285,17 +283,23 @@ def read_trace_csv(path, device: str | None = None) -> np.ndarray:
         if not keep:
             continue
         rows = [stripped[i] for i in keep]
+        commas = list(map(str.count, rows, repeat(",")))
         fields = ",".join(rows).split(",")
+        # the rows before the first one without exactly one comma pair up as
+        # (timestamp, device) in fields; only a block with a bad row is scanned by row
+        paired = len(rows) if commas.count(1) == len(rows) else next(
+            k for k, c in enumerate(commas) if c != 1)
+        heads = fields[0:2 * paired:2]
         try:
-            if list(map(str.count, rows, repeat(","))).count(1) != len(rows):
-                raise ValueError("a row without exactly two fields")
-            ts = np.fromiter(map(float, fields[0::2]), float, len(rows))
-            if not np.isfinite(ts).all():
-                raise ValueError("a non-finite timestamp")
-        except ValueError:
-            for i in keep:
-                _check_row(path, first + i, stripped[i])
-            raise  # no row broke a rule: a bug in the bulk parse, not bad data
+            ts = np.fromiter(map(float, heads), float, paired)
+        except ValueError:  # a head that is not a number reads as nan
+            ts = np.fromiter(map(_timestamp, heads), float, paired)
+        finite = np.isfinite(ts)
+        k = paired if finite.all() else int(finite.argmin())  # the first bad row, if any
+        if k < len(rows):
+            rule = (f"bad timestamp {heads[k]!r}" if k < paired else
+                    f"expected 2 fields, got {commas[k] + 1}")
+            raise DataError(f"{path} line {first + keep[k]}: {rule}")
         devices = list(map(str.strip, fields[1::2]))
         for name in dict.fromkeys(devices):
             codes_of.setdefault(name, len(codes_of))
@@ -338,15 +342,15 @@ def _resolve_seed(args, cfg: Config) -> int:
     return seed
 
 
-def _open_out(args, cfg: Config):
-    """Open --out (else run.out) for writing, or stdout. Commands that simulate
-    or read a trace open it first, so an unwritable path fails before the work
-    (and a run that fails later leaves the file empty, as a shell redirect does)."""
-    path = args.out if args.out is not None else cfg.get("run", "out", None)
+def _open_out(path):
+    """Open an output path for writing; None is stdout. Commands open every
+    output (--out or run.out, and simulate.dump_run) before they run a cell
+    or read a trace, so an unwritable path fails before the work (and a run
+    that fails later leaves the file empty, as a shell redirect does)."""
     if path is None:
         return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w")
+        return open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot open output {path}: {exc.strerror}") from exc
 
@@ -452,7 +456,7 @@ def cmd_solve(args, cfg: Config, seed: int) -> int:
                               "solver.budget")
     doc = strategy_json(strat, model, knowledge)
     doc["meta"] = _meta(cfg, seed)
-    with _open_out(args, cfg) as out:
+    with _open_out(args.out) as out:
         out.write(json.dumps(doc, indent=2) + "\n")
     return 0
 
@@ -464,28 +468,25 @@ def cmd_sweep(args, cfg: Config, seed: int) -> int:
     spec = _sweep_spec_from(cfg, seed)
     if single_cell and (len(spec.anomaly_rates) != 1 or len(spec.intensities) != 1):
         raise ConfigError("simulate needs a single-cell grid (one anomaly rate, one intensity)")
-    dump = cfg.get("simulate", "dump_run", None)
-    with _open_out(args, cfg) as out:
+    dump = cfg.get("simulate", "dump_run", None) if single_cell else None
+    with (_open_out(args.out) as out,
+          contextlib.nullcontext() if dump is None else _open_out(dump) as dump_fh):
         records = run_sweep(spec)
         if fmt == "csv":
             sweep_to_csv(records, out, comment=_provenance(cfg, seed))
         else:
             _emit_json(cfg, seed, "rows", _json_rows(records), out)
-    failed = [r for r in records if r.error]
+        failed = [r for r in records if r.error]
+        if dump_fh is not None and not failed:
+            # the run that run_sweep scored for its cell (0, 0), seed (spec.seed, 0, 0)
+            model = IntervalModel(spec.slots, spec.base_rate, spec.intensities[0],
+                                  spec.anomaly_rates[0])
+            _, _, obf = simulate_run(model, spec.knowledge, spec.budget, spec.n_intervals,
+                                     (spec.seed, 0, 0), cost_denominator=spec.cost_denominator)
+            run_to_csv(obf, dump_fh, comment=_provenance(cfg, seed))
     for r in failed:
         print(f"lpwanleak: error R_p={r.r_p!r} I={r.intensity!r}: {r.error}", file=sys.stderr)
-    if single_cell and not failed and dump is not None:
-        _dump_single_run(spec, dump, _provenance(cfg, seed))
     return 3 if failed else 0
-
-
-def _dump_single_run(spec: SweepSpec, path: str, provenance: str) -> None:
-    # the run that run_sweep scores for its cell (0, 0), seed (spec.seed, 0, 0)
-    model = IntervalModel(spec.slots, spec.base_rate, spec.intensities[0],
-                          spec.anomaly_rates[0])
-    _, _, obf = simulate_run(model, spec.knowledge, spec.budget, spec.n_intervals,
-                             (spec.seed, 0, 0), cost_denominator=spec.cost_denominator)
-    run_to_csv(obf, path, comment=provenance)
 
 
 def cmd_analyze(args, cfg: Config, seed: int) -> int:
@@ -498,7 +499,7 @@ def cmd_analyze(args, cfg: Config, seed: int) -> int:
                           f"got {slot_width!r}")
     slots = cfg.get("analyze", "slots", 10)
     alpha = cfg.get("analyze", "alpha", 0.05)
-    with _open_out(args, cfg) as out:
+    with _open_out(args.out) as out:
         timestamps = read_trace_csv(path, device)
         # after the read: loading scipy.special first adds about 20 MB to the reader's peak RSS
         thr = _wrap_value_error(lambda: chi_square_threshold(slots, alpha), "analyze")
@@ -524,9 +525,8 @@ def cmd_posterior(args, cfg: Config, seed: int) -> int:
     if observed is not None and len(set(observed)) < len(observed):
         raise ConfigError(f"config key 'posterior.observed' repeats a timestamp, got {observed}")
     try:
-        fixture = load_fixture(path)
-    except OSError as exc:
-        raise DataError(f"cannot read fixture {path}: {exc.strerror}") from exc
+        with _read_text(path, "fixture", DataError) as fh:
+            fixture = load_fixture(fh)
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         # a document of the wrong shape: a missing key, a short list, a
         # number where a list belongs, a top-level array
@@ -542,7 +542,7 @@ def cmd_posterior(args, cfg: Config, seed: int) -> int:
         except InconsistentObservationError as exc:
             raise DataError(f"{path}: {exc}") from exc
         tables.append((obs, table))
-    with _open_out(args, cfg) as out:
+    with _open_out(args.out) as out:
         if fmt == "json":
             _emit_json(cfg, seed, "tables",
                        [{"observed": list(obs),
@@ -567,7 +567,7 @@ def cmd_costs(args, cfg: Config, seed: int) -> int:
                                 f"costs model (lambda={lam}, I={inten})")
               for lam, inten in product(base_rates, intensities)]
     points = _wrap_value_error(lambda: cost_curves(models, shifts, denom), "costs")
-    with _open_out(args, cfg) as out:
+    with _open_out(args.out) as out:
         if fmt == "csv":
             cost_curves_to_csv(points, out, comment=_provenance(cfg, seed))
         else:
@@ -608,6 +608,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.out is None:  # a flag overrides its config key
+            args.out = cfg.get("run", "out", None)
         return args.fn(args, cfg, _resolve_seed(args, cfg))
     except ConfigError as exc:
         print(f"lpwanleak: config error: {exc}", file=sys.stderr)

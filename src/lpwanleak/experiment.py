@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 # guess_run is not called here; the benchmark's tracer wraps it under this name
-from .attacker import (DETECTOR_MODES, DetectorConfig, class_posteriors, guess_run,
-                       guessing_error_se, idealized_verdicts, test_run)
+from .attacker import (DETECTOR_MODES, DetectorConfig, _mean_se, class_posteriors,
+                       guess_run, guessing_error_se, idealized_verdicts, test_run)
 from .obfuscator import (DENOMINATOR_MODES, CostModel, InfeasibleTargetError,
                          KnowledgeModel, Strategy, apply_strategy, costs,
                          draw_actions, solve_fake_rate, solve_strategy,
@@ -121,10 +121,7 @@ def realized_cost(action: np.ndarray, cost_model: CostModel) -> tuple[float, flo
     action = np.asarray(action)
     if action.size and not (action.min() >= 0 and action.max() <= 2):
         raise ValueError("action codes must be 0, 1 or 2 (indices into ACTIONS)")
-    contrib = np.array([0.0, cost_model.waterfill_cost, cost_model.fake_cost])[action]
-    n = contrib.size
-    se = float(contrib.std(ddof=1) / math.sqrt(n)) if n > 1 else _NAN
-    return float(contrib.mean()), se
+    return _mean_se([0.0, cost_model.waterfill_cost, cost_model.fake_cost], action)
 
 
 def _score(truth: np.ndarray, flagged: np.ndarray, cfg: DetectorConfig,
@@ -156,11 +153,9 @@ def _score(truth: np.ndarray, flagged: np.ndarray, cfg: DetectorConfig,
     else:
         guess_err = int(k[1, 1, 1].sum() + k[1, 0, :, 1].sum()) / n_anom
         guess_se = guessing_error_se(guess_err, n_anom)
-    vals = np.array([-math.log2(joint[t][f] / n_flag[f]) if joint[t][f] else 0.0
-                     for t in (0, 1) for f in (0, 1)])[cls]
-    n = vals.size
-    ce_se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else _NAN
-    return guess_err, guess_se, float(vals.mean()), ce_se
+    ce, ce_se = _mean_se([-math.log2(joint[t][f] / n_flag[f]) if joint[t][f] else 0.0
+                          for t in (0, 1) for f in (0, 1)], cls)
+    return guess_err, guess_se, ce, ce_se
 
 
 def simulate_run(model: IntervalModel, knowledge: KnowledgeModel, budget: float,
@@ -391,7 +386,8 @@ def cost_curves(models: Sequence[IntervalModel], shifts: Sequence[float],
 
     Fake anomalies can reach any k >= 1; waterfilling saturates at full
     suppression, beyond which the point is marked infeasible (nan cost)
-    rather than dropped.
+    rather than dropped. A shift whose fake rate or fake cost overflows to
+    inf is a ValueError.
     """
     for k in shifts:
         if not 1.0 <= k < math.inf:
@@ -404,6 +400,9 @@ def cost_curves(models: Sequence[IntervalModel], shifts: Sequence[float],
             except InfeasibleTargetError:
                 wf_rate, ok = _NAN, False
             cm = CostModel(model, solve_fake_rate(model, k), wf_rate, denominator)
+            if not math.isfinite(cm.fake_cost):  # an inf fake rate makes an inf cost
+                raise ValueError(f"shift {k!r} at lambda={model.base_rate!r}: fake rate "
+                                 f"{cm.fake_rate!r} and cost {cm.fake_cost!r} must be finite")
             points.append(CostPoint(k, cm.fake_cost, cm.waterfill_cost, model.base_rate,
                                     model.intensity, ok))
     return points

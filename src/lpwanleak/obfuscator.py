@@ -312,7 +312,7 @@ def solve_strategy(model: IntervalModel, knowledge: KnowledgeModel | None = None
     Otherwise the epsilon = 0 family is tpr * p_waterfill + tnr * p_fake = 1
     with both probabilities in [0, 1]; cost is linear along it, so only its
     endpoints can be cheapest. If an endpoint fits the budget the cheapest
-    one is returned as feasible-optimal.
+    one (then the least p_waterfill, then p_fake) is returned as feasible-optimal.
 
     If none fits (or the family is empty, tpr + tnr < 1), every affordable
     strategy has epsilon > 0, falling as tpr * p_waterfill or tnr * p_fake
@@ -333,18 +333,12 @@ def solve_strategy(model: IntervalModel, knowledge: KnowledgeModel | None = None
     y_lo = max(0.0, 1.0 - tpr)
     y_hi = min(tnr, 1.0)
     if y_lo <= y_hi:
-        cands = []
-        for y in {y_lo, y_hi}:
-            p_f = min(1.0, y / tnr) if tnr > 0 else 0.0
-            p_wf = min(1.0, (1.0 - y) / tpr) if tpr > 0 else 0.0
-            cands.append((p_wf, p_f))
-        best = None
-        for p_wf, p_f in sorted(set(cands)):
-            c = power_cost(p_wf, p_f, cm, rp)
-            if c <= budget and (best is None or c < best[0]):
-                best = (c, p_wf, p_f)
-        if best is not None:
-            c, p_wf, p_f = best
+        ends = [(min(1.0, (1.0 - y) / tpr) if tpr > 0 else 0.0,
+                 min(1.0, y / tnr) if tnr > 0 else 0.0) for y in (y_lo, y_hi)]
+        fits = [(c, p_wf, p_f) for p_wf, p_f in ends
+                if (c := power_cost(p_wf, p_f, cm, rp)) <= budget]
+        if fits:
+            c, p_wf, p_f = min(fits)
             return Strategy(p_wf, p_f, 0.0, c, True)
 
     points = [(0.0, 0.0)] + _frontier_candidates(rp, tpr, tnr, cm, budget)

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .attacker import chi_square_threshold, run_dispersion
+from .attacker import _mean_se, chi_square_threshold, run_dispersion
 from .traffic import as_rng
 
 __all__ = [
@@ -162,7 +162,7 @@ class TableMechanism(Mechanism):
     """
 
     def __init__(self, rows: Mapping):
-        table: dict[tuple, dict[tuple, float]] = {}
+        table: dict[tuple, list[tuple[tuple, float]]] = {}
         for real, outs in rows.items():
             r = _ts(real)
             row: dict[tuple, float] = {}
@@ -179,14 +179,15 @@ class TableMechanism(Mechanism):
             total = math.fsum(row.values())
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"mechanism row for {r} sums to {total}, expected 1")
-            table[r] = row
+            table[r] = sorted(row.items())
         self._rows = table
 
     def outputs(self, real):
-        r = _ts(real)
+        # a tuple that is a key is canonical already: skip the re-sort
+        r = real if isinstance(real, tuple) and real in self._rows else _ts(real)
         if r not in self._rows:
             raise ValueError(f"mechanism has no row for real trace {r}")
-        return sorted(self._rows[r].items())
+        return list(self._rows[r])
 
 
 class CardinalityDistance:
@@ -273,7 +274,7 @@ def _joint_weights(prior: TracePrior, mech: Mechanism, obs: tuple) -> tuple[dict
     for r in prior.support:
         if not have.issuperset(r):
             continue
-        w = prior._table[r] * dict(mech.outputs(r)).get(obs, 0.0)
+        w = prior._table[r] * next((q for x, q in mech.outputs(r) if x == obs), 0.0)
         if w > 0:
             weights[r] = w
     normalizer = math.fsum(weights.values())
@@ -298,7 +299,7 @@ def _exact_joint(prior: TracePrior, mech: Mechanism) -> dict[tuple, dict[tuple, 
     """{X: {R: prior(R) q(X|R)}} over all reachable observations."""
     joint: dict[tuple, dict[tuple, float]] = {}
     for r in prior.support:
-        p = prior.mass(r)
+        p = prior._table[r]
         for x, q in mech.outputs(r):
             row = joint.setdefault(x, {})
             row[r] = row.get(r, 0.0) + p * q
@@ -385,20 +386,12 @@ def _sample_pairs(prior: TracePrior, mech: Mechanism, budget: int, rng):
     return p_idx, pairs, list(ids)
 
 
-def _sample_mean(p_idx: np.ndarray, pairs: list[tuple[int, int]], value) -> tuple[float, float]:
-    """Mean of value(r, x) over the samples and its SE, one call per pair."""
-    vals = np.array([value(r, x) for r, x in pairs])[p_idx]
-    n = vals.size
-    se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
-    return float(vals.mean()), se
-
-
 def average_error_mc(prior: TracePrior, mech: Mechanism, dist,
                      budget: int = 100_000, seed=0) -> tuple[float, float]:
     """Monte-Carlo average error with its standard error."""
     p_idx, pairs, observations = _sample_pairs(prior, mech, budget, as_rng(seed))
     guess = [optimal_guess(prior, mech, x, dist)[0] for x in observations]
-    return _sample_mean(p_idx, pairs, lambda r, x: dist(prior.support[r], guess[x]))
+    return _mean_se([dist(prior.support[r], guess[x]) for r, x in pairs], p_idx)
 
 
 def conditional_entropy(prior: TracePrior, mech: Mechanism, method: str = "auto") -> float:
@@ -432,7 +425,7 @@ def conditional_entropy_mc(prior: TracePrior, mech: Mechanism,
                 "sampled real trace has zero posterior; mechanism and prior disagree")
         return -math.log2(p)
 
-    return _sample_mean(p_idx, pairs, surprisal)
+    return _mean_se([surprisal(r, x) for r, x in pairs], p_idx)
 
 
 @dataclass(frozen=True)
@@ -483,7 +476,7 @@ def load_fixture(source) -> Fixture:
         doc = json.load(source)
         name = str(doc.get("name", ""))
     else:
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             doc = json.load(fh)
         name = str(doc.get("name", str(source)))
     tick = float(doc.get("tick", 1.0))

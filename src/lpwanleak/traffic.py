@@ -191,7 +191,7 @@ def _text_file(file, mode: str):
     # a path is opened here and closed on exit; a file object is left open
     if hasattr(file, "write") or hasattr(file, "read"):
         return contextlib.nullcontext(file)
-    return open(file, mode, newline="")
+    return open(file, mode, encoding="utf-8", newline="")
 
 
 def write_csv(file, comment: str | None, header: str, rows: Iterable[str]) -> None:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -839,8 +840,9 @@ SIMULATING = ("sweep", "simulate")
                    "solver.budget" if command == "solve" else "budget",
                    id=f"{command}-budget-{value}")
       for value in ("-1", "nan") for command in ("solve", *SIMULATING)),
+    # 1e200 is finite, but its fake rate overflows to inf
     *(pytest.param("costs", f"[costs]\nshifts = 1, {value}\n", "shift",
-                   id=f"costs-shifts-{value}") for value in ("nan", "inf")),
+                   id=f"costs-shifts-{value}") for value in ("nan", "inf", "1e200")),
     # an output path must be a string, not a number or a bool that open() takes as an fd
     *(pytest.param(command, f"[run]\nout = {value}\n[sweep]\n" + SWEEP_CELL, "run.out",
                    id=f"{command}-run-out-{value}")
@@ -900,6 +902,62 @@ def test_unopenable_output_is_config_error_before_the_work(tmp_path, monkeypatch
     out = tmp_path / "missing" / "x.csv"
     assert main([command, *inputs, "--config", cfg, "--seed", "0", "--out", str(out)]) == 2
     assert f"cannot open output {out}: No such file or directory" in capsys.readouterr().err
+
+
+def _unreadable(tmp_path, how):
+    """A path in a missing directory, a directory, or a file that is not UTF-8."""
+    if how == "missing":
+        return tmp_path / "missing" / "file"
+    if how == "directory":
+        path = tmp_path / "dir"
+        path.mkdir()
+        return path
+    path = tmp_path / "latin1"
+    path.write_bytes('[analyze]\ndevice = "gw-\u00e9"\n'.encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("role,how,rc", [
+    *((role, how, rc) for role, rc in (("config", 2), ("trace", 3), ("fixture", 3))
+      for how in ("missing", "directory", "not-utf8")),
+    ("out", "missing", 2),
+    ("dump_run", "missing", 2),
+])
+def test_every_file_the_cli_touches_fails_with_its_exit_code(tmp_path, capsys, role, how, rc):
+    bad = _unreadable(tmp_path, how)
+    dump = f'[simulate]\ndump_run = "{bad}"\n' if role == "dump_run" else ""
+    cfg = _write(tmp_path, "cell.cfg", "[sweep]\n" + SWEEP_CELL + dump)
+    argv = {"config": ["sweep", "--config", str(bad)],
+            "trace": ["analyze", str(bad)],
+            "fixture": ["posterior", str(bad)],
+            "out": ["sweep", "--config", cfg],
+            "dump_run": ["simulate", "--config", cfg]}[role]
+    out = bad if role == "out" else tmp_path / "out.csv"
+    assert main([*argv, "--seed", "0", "--out", str(out)]) == rc
+    assert str(bad) in capsys.readouterr().err
+    if role == "dump_run":
+        # both outputs are opened before the cell runs, so nothing was written
+        assert out.read_text() == ""
+
+
+def test_utf8_config_reads_the_same_under_a_c_locale(tmp_path):
+    trace = tmp_path / "trace.csv"
+    write_trace_csv(trace, to_timestamps(gen_run(IntervalModel(10, 1.0, 40.0, 0.3), 20, 3)),
+                    device="gw-\u00e9")
+    cfg = tmp_path / "an.cfg"
+    cfg.write_bytes('[analyze]\ndevice = "gw-\u00e9"\n'.encode("utf-8"))
+    got = {}
+    for name, env in (("utf-8", {"PYTHONUTF8": "1"}),
+                      ("C", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"})):
+        out = tmp_path / f"{name}.csv"
+        proc = subprocess.run([sys.executable, "-m", "lpwanleak", "analyze", str(trace),
+                               "--config", str(cfg), "--seed", "0", "--out", str(out)],
+                              capture_output=True, text=True, cwd=ROOT,
+                              env={**os.environ, **env})
+        assert proc.returncode == 0, proc.stderr
+        got[name] = out.read_bytes()
+    assert got["C"] == got["utf-8"]
+    assert got["C"].splitlines()[1] == b"interval,D,flagged,threshold"
 
 
 def test_numeric_device_id_must_be_quoted(tmp_path, capsys):
