@@ -471,6 +471,8 @@ def cmd_sweep(args, cfg: Config, seed: int) -> int:
     dump = cfg.get("simulate", "dump_run", None) if single_cell else None
     with (_open_out(args.out) as out,
           contextlib.nullcontext() if dump is None else _open_out(dump) as dump_fh):
+        if dump is not None and args.out is not None and os.path.samefile(args.out, dump):
+            raise ConfigError(f"config key 'simulate.dump_run' names the output file {dump}")
         records = run_sweep(spec)
         if fmt == "csv":
             sweep_to_csv(records, out, comment=_provenance(cfg, seed))
@@ -531,10 +533,8 @@ def cmd_posterior(args, cfg: Config, seed: int) -> int:
         # a document of the wrong shape: a missing key, a short list, a
         # number where a list belongs, a top-level array
         raise DataError(f"bad fixture {path}: {exc}") from exc
-    if observed is not None:
-        targets = [observed]
-    else:
-        targets = sorted(enumerate_observables(fixture.prior, fixture.mechanism))
+    targets = ([observed] if observed is not None else
+               sorted(enumerate_observables(fixture.prior, fixture.mechanism)))
     tables = []
     for obs in targets:
         try:

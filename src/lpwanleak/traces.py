@@ -183,8 +183,7 @@ class TableMechanism(Mechanism):
         self._rows = table
 
     def outputs(self, real):
-        # a tuple that is a key is canonical already: skip the re-sort
-        r = real if isinstance(real, tuple) and real in self._rows else _ts(real)
+        r = _ts(real)
         if r not in self._rows:
             raise ValueError(f"mechanism has no row for real trace {r}")
         return list(self._rows[r])
@@ -386,12 +385,17 @@ def _sample_pairs(prior: TracePrior, mech: Mechanism, budget: int, rng):
     return p_idx, pairs, list(ids)
 
 
+def _sample_mean(p_idx: np.ndarray, pairs: list[tuple[int, int]], value) -> tuple[float, float]:
+    """Mean of value(r, x) over the samples and its SE, one call per pair."""
+    return _mean_se([value(r, x) for r, x in pairs], p_idx)
+
+
 def average_error_mc(prior: TracePrior, mech: Mechanism, dist,
                      budget: int = 100_000, seed=0) -> tuple[float, float]:
     """Monte-Carlo average error with its standard error."""
     p_idx, pairs, observations = _sample_pairs(prior, mech, budget, as_rng(seed))
     guess = [optimal_guess(prior, mech, x, dist)[0] for x in observations]
-    return _mean_se([dist(prior.support[r], guess[x]) for r, x in pairs], p_idx)
+    return _sample_mean(p_idx, pairs, lambda r, x: dist(prior.support[r], guess[x]))
 
 
 def conditional_entropy(prior: TracePrior, mech: Mechanism, method: str = "auto") -> float:
@@ -425,7 +429,7 @@ def conditional_entropy_mc(prior: TracePrior, mech: Mechanism,
                 "sampled real trace has zero posterior; mechanism and prior disagree")
         return -math.log2(p)
 
-    return _mean_se([surprisal(r, x) for r, x in pairs], p_idx)
+    return _sample_mean(p_idx, pairs, surprisal)
 
 
 @dataclass(frozen=True)
@@ -449,11 +453,9 @@ def _mechanism_from_spec(spec, prior: TracePrior) -> Mechanism:
         if kind == "fill-to":
             return FillToMechanism(spec["target"])
         if kind == "table":
-            rows = {}
-            for row in spec["rows"]:
-                outs = {tuple(o["observed"]): o["q"] for o in row["outputs"]}
-                rows[tuple(row["real"])] = outs
-            return TableMechanism(rows)
+            return TableMechanism({tuple(row["real"]): {tuple(o["observed"]): o["q"]
+                                                        for o in row["outputs"]}
+                                   for row in spec["rows"]})
         raise ValueError(f"unknown mechanism type {kind!r}")
     raise ValueError(f"unknown mechanism spec {spec!r}")
 

@@ -922,9 +922,10 @@ def _unreadable(tmp_path, how):
       for how in ("missing", "directory", "not-utf8")),
     ("out", "missing", 2),
     ("dump_run", "missing", 2),
+    ("dump_run", "same as --out", 2),
 ])
 def test_every_file_the_cli_touches_fails_with_its_exit_code(tmp_path, capsys, role, how, rc):
-    bad = _unreadable(tmp_path, how)
+    bad = tmp_path / "out.csv" if how == "same as --out" else _unreadable(tmp_path, how)
     dump = f'[simulate]\ndump_run = "{bad}"\n' if role == "dump_run" else ""
     cfg = _write(tmp_path, "cell.cfg", "[sweep]\n" + SWEEP_CELL + dump)
     argv = {"config": ["sweep", "--config", str(bad)],

@@ -28,8 +28,7 @@ from lpwanleak import (
     posterior_table,
     run_dispersion,
 )
-from lpwanleak.attacker import _mean_se
-from lpwanleak.traces import _sample_pairs
+from lpwanleak.traces import _sample_mean, _sample_pairs
 from trace_oracles import flatnonzero_sample_pairs
 
 WINDOW = (0.0, 3.0)
@@ -295,6 +294,25 @@ def test_mc_estimators_call_the_hooks_once_per_sampled_observation(monkeypatch):
     assert sorted(name for name, _ in calls) == ["optimal_guess", "posterior_table"]
 
 
+def test_mc_estimators_take_one_value_per_sampled_pair(monkeypatch):
+    # both estimators gather their per-sample values through _sample_mean,
+    # computing each value once per distinct (real, observation) pair
+    import lpwanleak.traces as traces
+
+    sample_mean, checked = traces._sample_mean, []
+
+    def counted(p_idx, pairs, value):
+        calls = []
+        got = sample_mean(p_idx, pairs, lambda r, x: calls.append((r, x)) or value(r, x))
+        checked.append(calls == pairs and len(pairs) < p_idx.size)
+        return got
+
+    monkeypatch.setattr(traces, "_sample_mean", counted)
+    average_error_mc(PRIOR, FILL, CARD, budget=4000, seed=5)
+    conditional_entropy_mc(PRIOR, FILL, budget=4000, seed=6)
+    assert checked == [True, True]
+
+
 def test_mc_methods_reject_unknown():
     with pytest.raises(ValueError):
         average_error(PRIOR, FILL, CARD, method="telepathy")
@@ -422,8 +440,9 @@ def test_sampler_equals_the_per_real_oracle(case):
     assert rng.random() == oracle_rng.random()
     for value in (lambda r, x: CARD(prior.support[r], observations[x]),
                   lambda r, x: math.sin(1.7 * r + 0.3 * x) * 10.0 ** (r % 7 - 3)):
-        # the estimators take one value per pair and gather it per sample
-        mean, se = _mean_se([value(r, x) for r, x in pairs], p_idx)
+        calls = []
+        mean, se = _sample_mean(p_idx, pairs, lambda r, x: calls.append((r, x)) or value(r, x))
+        assert calls == pairs
         vals = np.array([value(r, x) for r, x in zip(want_r.tolist(), want_x.tolist())])
         assert mean == float(vals.mean())
         if budget == 1:
