@@ -90,7 +90,12 @@ _TRACE_CSV_HEADER = "timestamp_s,device_id"
 # analyze's output: its CSV columns and its JSON keys
 _ANALYZE_NAMES = ("interval", "D", "flagged", "threshold")
 # characters per read of a trace CSV; bounds the reader's working memory
-_READ_BLOCK = 1 << 20
+_READ_BLOCK = 1 << 16
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
+# the ASCII characters, besides "\n", that end a line, that str.strip removes or that
+# start a comment: a block holding none of them needs no splitting, stripping or
+# skipping ("\r" never reaches it: reading text turns "\r" and "\r\n" into "\n")
+_NOT_PLAIN = "\x0b\x0c\x1c\x1d\x1e\x1f\t #"
 
 
 def _parse_scalar(tok: str):
@@ -214,10 +219,11 @@ class Config:
 
 @contextlib.contextmanager
 def _read_text(path, kind: str, error: type[Exception]):
-    """Open ``path`` as UTF-8 text, whatever the locale; a file that cannot be read,
-    or is not UTF-8, raises ``error`` (ConfigError or DataError) naming it as ``kind``."""
+    """Open ``path`` as UTF-8 text, whatever the locale, skipping a leading byte order
+    mark; a file that cannot be read, or is not UTF-8, raises ``error`` (ConfigError
+    or DataError) naming it as ``kind``."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except OSError as exc:
         raise error(f"cannot read {kind} {path}: {exc.strerror}") from exc
@@ -232,23 +238,35 @@ def load_config(path: str | None) -> Config:
         return Config(parse_config(fh.read()))
 
 
-def _line_blocks(path):
-    """Yield the lines of a UTF-8 text file, about _READ_BLOCK characters at a time.
+def _text_blocks(path):
+    """Yield a UTF-8 text file in blocks of about _READ_BLOCK characters.
 
-    Each block is cut after its last newline, so the lines come out exactly
-    as ``str.splitlines`` splits the whole text.
+    Each block is cut after its last newline, so no line spans two blocks
+    and the blocks' lines are the lines ``str.splitlines`` finds in the
+    whole text.
     """
     with _read_text(path, "trace", DataError) as fh:
         tail = ""
         while block := fh.read(_READ_BLOCK):
             cut = block.rfind("\n") + 1
             if cut:
-                yield (tail + block[:cut]).splitlines()
+                yield tail + block[:cut]
                 tail = block[cut:]
             else:
                 tail += block
         if tail:
-            yield tail.splitlines()
+            yield tail
+
+
+def _separators(body: str) -> bytes:
+    """The commas and newlines of ``body`` in order (UTF-8 never encodes
+    another character with either byte)."""
+    return body.encode().translate(None, _NOT_SEPARATOR)
+
+
+def _one_comma_rows(n: int) -> bytes:
+    """The separators of n rows joined by newlines, each with one comma."""
+    return b",\n" * (n - 1) + b","
 
 
 def _timestamp(text: str) -> float:
@@ -258,71 +276,111 @@ def _timestamp(text: str) -> float:
         return math.nan
 
 
+def _parse_rows(path, body: str, seps: bytes, lines: np.ndarray):
+    """The timestamps and device fields of the rows of ``body``, joined by newlines.
+
+    ``seps`` is ``_separators(body)`` and ``lines`` holds each row's line
+    number. The first row that does not hold exactly one comma, or whose
+    timestamp is not a finite number, raises DataError naming its line.
+    """
+    n = len(lines)
+    # the rows before the first one without exactly one comma pair up as
+    # (timestamp, device) in fields; only a body with such a row is scanned by row
+    row_seps = None if seps == _one_comma_rows(n) else seps.split(b"\n")
+    paired = n if row_seps is None else next(k for k, s in enumerate(row_seps) if s != b",")
+    fields = body.replace("\n", ",").split(",")
+    heads = fields[0:2 * paired:2]
+    try:
+        ts = np.fromiter(map(float, heads), float, paired)
+    except ValueError:  # a head that is not a number reads as nan
+        ts = np.fromiter(map(_timestamp, heads), float, paired)
+    finite = np.isfinite(ts)
+    k = paired if finite.all() else int(finite.argmin())  # the first bad row, if any
+    if k < n:
+        rule = (f"bad timestamp {heads[k]!r}" if k < paired else
+                f"expected 2 fields, got {len(row_seps[k]) + 1}")
+        raise DataError(f"{path} line {lines[k]}: {rule}")
+    return ts, fields[1::2]
+
+
+def _normalized(block: str) -> tuple[list[str], list[int], int]:
+    """The rows of a block of lines: its lines stripped, blank and `#` lines
+    dropped. Returns them, their indices among the lines, and the line count."""
+    stripped = list(map(str.strip, block.splitlines()))
+    keep = [i for i, s in enumerate(stripped) if s and s[0] != "#"]
+    return [stripped[i] for i in keep], keep, len(stripped)
+
+
 def read_trace_csv(path, device: str | None = None) -> np.ndarray:
     """Read a `timestamp_s,device_id` CSV and return one device's timestamps.
 
     Blank lines and `#` comment lines are skipped anywhere. Malformed rows,
     non-finite timestamps and out-of-order timestamps of the selected
     device are reported with their line number; when several lines are
-    bad, the first one is. The timestamps come back non-decreasing.
+    bad, the first one is, and a row that cannot be read comes before any
+    out-of-order timestamp. The timestamps come back non-decreasing.
     """
-    codes_of: dict[str, int] = {}
-    ts_blocks, code_blocks, lineno_blocks = [], [], []
+    names: dict[str, None] = {}  # every device named, stripped, in order of appearance
+    picked = []  # per block, the selected device's timestamps
+    out_of_order = None  # the line and timestamp of the first one
+    last = -math.inf
     header_seen = False
     lineno = 0
-    for lines in _line_blocks(path):
-        first = lineno + 1
-        lineno += len(lines)
-        stripped = list(map(str.strip, lines))
-        keep = [i for i, s in enumerate(stripped) if s and s[0] != "#"]
-        if keep and not header_seen:
-            i = keep.pop(0)
-            if stripped[i] != _TRACE_CSV_HEADER:
-                raise DataError(f"{path} line {first + i}: expected header {_TRACE_CSV_HEADER}")
+    for block in _text_blocks(path):
+        if not header_seen and block.startswith(_TRACE_CSV_HEADER + "\n"):
             header_seen = True
-        if not keep:
+            block = block[len(_TRACE_CSV_HEADER) + 1:]
+            lineno += 1
+        first = lineno + 1
+        # a plain block is its rows as they stand: one comma each, nothing to
+        # strip or skip, no line end but "\n"; any other is normalized first
+        body = block.removesuffix("\n")
+        n = body.count("\n") + 1
+        plain = header_seen and body.isascii() and not any(map(body.__contains__, _NOT_PLAIN))
+        seps = _separators(body) if plain else b""
+        if seps == _one_comma_rows(n):
+            lines = np.arange(first, first + n)
+        else:
+            rows, keep, n = _normalized(block)
+            if rows and not header_seen:
+                if rows[0] != _TRACE_CSV_HEADER:
+                    raise DataError(f"{path} line {first + keep[0]}: "
+                                    f"expected header {_TRACE_CSV_HEADER}")
+                header_seen = True
+                del rows[0], keep[0]
+            body = "\n".join(rows)
+            seps = _separators(body)
+            lines = np.array(keep, np.int64) + first
+        lineno += n
+        if not lines.size:
             continue
-        rows = [stripped[i] for i in keep]
-        commas = list(map(str.count, rows, repeat(",")))
-        fields = ",".join(rows).split(",")
-        # the rows before the first one without exactly one comma pair up as
-        # (timestamp, device) in fields; only a block with a bad row is scanned by row
-        paired = len(rows) if commas.count(1) == len(rows) else next(
-            k for k, c in enumerate(commas) if c != 1)
-        heads = fields[0:2 * paired:2]
-        try:
-            ts = np.fromiter(map(float, heads), float, paired)
-        except ValueError:  # a head that is not a number reads as nan
-            ts = np.fromiter(map(_timestamp, heads), float, paired)
-        finite = np.isfinite(ts)
-        k = paired if finite.all() else int(finite.argmin())  # the first bad row, if any
-        if k < len(rows):
-            rule = (f"bad timestamp {heads[k]!r}" if k < paired else
-                    f"expected 2 fields, got {commas[k] + 1}")
-            raise DataError(f"{path} line {first + keep[k]}: {rule}")
-        devices = list(map(str.strip, fields[1::2]))
-        for name in dict.fromkeys(devices):
-            codes_of.setdefault(name, len(codes_of))
-        ts_blocks.append(ts)
-        code_blocks.append(np.fromiter(map(codes_of.__getitem__, devices), np.intp,
-                                       len(devices)))
-        lineno_blocks.append(np.add(keep, first))
+        ts, devices = _parse_rows(path, body, seps, lines)
+        # strip each distinct device field once
+        name_of = {raw: raw.strip() for raw in dict.fromkeys(devices)}
+        names.update(dict.fromkeys(name_of.values()))
+        # with no device named, the first one is read; a second is an error below
+        wanted = next(iter(names)) if device is None else device
+        is_wanted = {raw: name == wanted for raw, name in name_of.items()}
+        mask = np.fromiter(map(is_wanted.__getitem__, devices), bool, len(devices))
+        ts = ts[mask]
+        if ts.size and out_of_order is None:
+            back = np.flatnonzero(ts < np.concatenate(([last], ts[:-1])))
+            if back.size:
+                out_of_order = (lines[mask][back[0]], float(ts[back[0]]))
+            last = ts[-1]
+        picked.append(ts)
     if not header_seen:
         raise DataError(f"{path}: empty trace file")
     if device is None:
-        if len(codes_of) > 1:
-            raise DataError(f"{path}: multiple devices {sorted(codes_of)}; set analyze.device")
-        device = next(iter(codes_of), "")
-    if device not in codes_of:
+        if len(names) > 1:
+            raise DataError(f"{path}: multiple devices {sorted(names)}; set analyze.device")
+        if not names:
+            raise DataError(f"{path}: no data rows")
+    elif device not in names:
         raise DataError(f"{path}: no messages for device {device!r}")
-    picked = np.concatenate(code_blocks) == codes_of[device]
-    ts = np.concatenate(ts_blocks)[picked]
-    back = np.flatnonzero(ts[1:] < ts[:-1])
-    if back.size:
-        k = back[0] + 1
-        bad_line = np.concatenate(lineno_blocks)[picked][k]
-        raise DataError(f"{path} line {bad_line}: out-of-order timestamp {float(ts[k])}")
-    return ts
+    if out_of_order is not None:
+        raise DataError(f"{path} line {out_of_order[0]}: out-of-order timestamp {out_of_order[1]}")
+    return np.concatenate(picked)
 
 
 def write_trace_csv(path, timestamps, device: str = "dev0", comment=None) -> None:
@@ -513,8 +571,10 @@ def cmd_analyze(args, cfg: Config, seed: int) -> int:
         flagged = (slots - 1) * d > thr  # an empty interval (D = nan) is never flagged
         rows = zip(range(len(d)), d.tolist(), flagged.tolist(), repeat(thr))
         if fmt == "csv":
+            # all rows as one string, formatted once; binning yields at least
+            # one interval, so it is never empty
             write_csv(out, _provenance(cfg, seed), ",".join(_ANALYZE_NAMES),
-                      (f"{i},{di!r},{int(fi)},{t!r}" for i, di, fi, t in rows))
+                      ["\n".join(f"{i},{di!r},{int(fi)},{t!r}" for i, di, fi, t in rows)])
         else:
             _emit_json(cfg, seed, "rows", [dict(zip(_ANALYZE_NAMES, row)) for row in rows], out)
     return 0

@@ -478,7 +478,7 @@ def load_fixture(source) -> Fixture:
         doc = json.load(source)
         name = str(doc.get("name", ""))
     else:
-        with open(source, encoding="utf-8") as fh:
+        with open(source, encoding="utf-8-sig") as fh:  # a byte order mark is skipped
             doc = json.load(fh)
         name = str(doc.get("name", str(source)))
     tick = float(doc.get("tick", 1.0))

@@ -1,5 +1,6 @@
 """Config parsing and CLI subcommand tests (driven through main())."""
 
+import codecs
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from lpwanleak import (
     gen_run,
     guess_run,
     guessing_error,
+    load_fixture,
     run_dispersion,
     run_from_csv,
     test_run as classify_run,
@@ -270,7 +272,7 @@ def test_trace_csv_not_utf8_is_data_error(tmp_path, capsys):
 
 def reference_read_trace_csv(path, device=None):
     """The reader as one loop over the lines: the rules read_trace_csv keeps."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     rows = []
     header_seen = False
@@ -299,7 +301,9 @@ def reference_read_trace_csv(path, device=None):
     if device is None:
         if len(devices) > 1:
             raise DataError(f"{path}: multiple devices {devices}; set analyze.device")
-        device = devices[0] if devices else ""
+        if not devices:
+            raise DataError(f"{path}: no data rows")
+        device = devices[0]
     picked = [(lineno, ts) for lineno, ts, dev in rows if dev == device]
     if not picked:
         raise DataError(f"{path}: no messages for device {device!r}")
@@ -379,6 +383,113 @@ def test_read_trace_csv_matches_line_reference(text, device, block):
         assert not isinstance(got, str), got
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
+
+
+_matches_line_reference = test_read_trace_csv_matches_line_reference.hypothesis.inner_test
+
+
+def _plain_text(odd: str, at: int, rows: int = 300) -> str:
+    """A header and ``rows`` plain rows of device a, one second apart, with
+    ``odd`` in place of row ``at``."""
+    lines = [f"{float(t)!r},a" for t in range(rows)]
+    lines[at] = odd
+    return "timestamp_s,device_id\n" + "\n".join(lines) + "\n"
+
+
+_BACK_AT_BLOCK_START = _plain_text("0.5,a", at=100)
+# bad and odd rows among plain ones: bad timestamps, 0 or 2 commas, a head
+# float() takes, device names with "#", an inner space or non-ASCII text; and
+# lines that make a block not plain: padding, a comment with one comma, a
+# line end only str.splitlines sees
+_PLAIN_ODDITIES = ["zap,a", "nan,a", "1e400,a", "7.5", "7.5,a,b", "1_0,a", "8.0,a#1",
+                   "8.0,a b", "8.0,gw-\u00e9", " zap,a", " 8.0 , a ", "#note,a",
+                   "8.0\u2028,a"]
+
+
+@st.composite
+def plain_trace_texts(draw):
+    """A trace CSV text of mostly plain rows (unpadded, "\n"-terminated, one
+    comma each), so that most blocks of a few KB are read in bulk."""
+    t = draw(st.floats(0.0, 1e9))
+    lines = ["timestamp_s,device_id"]
+    for kind in draw(st.lists(st.sampled_from(["row"] * 40 + ["back", "odd"]), max_size=300)):
+        if kind == "odd":
+            lines.append(draw(st.sampled_from(_PLAIN_ODDITIES)))
+        else:
+            t += draw(st.floats(0.0, 50.0)) * (-1 if kind == "back" else 1)
+            lines.append(f"{t!r},{draw(st.sampled_from(['a', 'b']))}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=plain_trace_texts(), device=st.sampled_from([None, "a", "b"]),
+       block=st.integers(16, 4096))
+@example(text=_plain_text("zap,a", at=150), device="a", block=512)
+@example(text=_plain_text("nan,a", at=150), device="a", block=512)
+@example(text=_plain_text("1e400,a", at=150), device="a", block=512)
+@example(text=_plain_text("150.0", at=150), device="a", block=512)
+@example(text=_plain_text("150.0,a,b", at=150), device="a", block=512)
+@example(text=_BACK_AT_BLOCK_START, device="a",
+         block=_BACK_AT_BLOCK_START.index("\n0.5,a\n") + 1)
+@example(text=_plain_text("1_0,a", at=10), device=None, block=64)
+@example(text=_plain_text("150.0,a#1", at=150), device="a", block=512)
+@example(text=_plain_text("150.0,a b", at=150), device="a b", block=512)
+@example(text=_plain_text("150.0,gw-\u00e9", at=150), device=None, block=512)
+@example(text=_plain_text("#note,a", at=150), device="a", block=512)
+@example(text=_plain_text("150.0\u2028,a", at=150), device="a", block=512)
+@example(text=_plain_text(" zap,a", at=150), device="a", block=512)
+def test_plain_blocks_match_line_reference(text, device, block):
+    _matches_line_reference(text, device, block)
+
+
+def test_plain_blocks_are_never_normalized(tmp_path, monkeypatch):
+    path = tmp_path / "plain.csv"
+    ts = np.cumsum(np.full(2000, 0.25))
+    write_trace_csv(path, ts, device="a")
+
+    def normalized(block):
+        raise AssertionError(f"a plain block was normalized: {block[:40]!r}")
+
+    monkeypatch.setattr(cli, "_normalized", normalized)
+    monkeypatch.setattr(cli, "_READ_BLOCK", 1024)
+    assert read_trace_csv(path).tobytes() == ts.tobytes()
+
+
+def test_header_only_trace_has_no_data_rows(tmp_path, capsys):
+    path = tmp_path / "header.csv"
+    path.write_text("# provenance\ntimestamp_s,device_id\n")
+    with pytest.raises(DataError) as err:
+        read_trace_csv(path)
+    assert str(err.value) == f"{path}: no data rows"
+    with pytest.raises(DataError) as err:
+        read_trace_csv(path, device="a")
+    assert str(err.value) == f"{path}: no messages for device 'a'"
+    assert main(["analyze", str(path), "--seed", "0"]) == 3
+    assert f"{path}: no data rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("role", ["config", "trace", "fixture"])
+def test_a_byte_order_mark_is_skipped(tmp_path, repo_root, role):
+    trace = tmp_path / "trace.csv"
+    write_trace_csv(trace, to_timestamps(gen_run(IntervalModel(10, 1.0, 40.0, 0.3), 20, 3)))
+    cfg = tmp_path / "analyze.cfg"
+    cfg.write_text("[analyze]\nslots = 10\n")
+    fixture = tmp_path / "fixture.json"
+    fixture.write_bytes((repo_root / "fixtures" / "fillto_two_messages.json").read_bytes())
+    argv = (["posterior", str(fixture)] if role == "fixture" else
+            ["analyze", str(trace), "--config", str(cfg)])
+    outs = []
+    for marked in (False, True):
+        if marked:
+            path = {"config": cfg, "trace": trace, "fixture": fixture}[role]
+            path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        out = tmp_path / f"out-{marked}"
+        assert main([*argv, "--seed", "0", "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[1] == outs[0]
+    assert not outs[1].startswith(codecs.BOM_UTF8)
+    if role == "fixture":
+        assert load_fixture(fixture).prior.support
 
 
 def _write(tmp_path, name, text):
