@@ -258,15 +258,13 @@ def _text_blocks(path):
             yield tail
 
 
-def _separators(body: str) -> bytes:
-    """The commas and newlines of ``body`` in order (UTF-8 never encodes
-    another character with either byte)."""
-    return body.encode().translate(None, _NOT_SEPARATOR)
-
-
-def _one_comma_rows(n: int) -> bytes:
-    """The separators of n rows joined by newlines, each with one comma."""
-    return b",\n" * (n - 1) + b","
+def _row_separators(body: str, n: int) -> list[bytes] | None:
+    """None when each of the ``n`` rows of ``body``, joined by newlines, holds
+    exactly one comma; else each row's commas."""
+    # the commas and newlines in order (UTF-8 never encodes another character
+    # with either byte)
+    seps = body.encode().translate(None, _NOT_SEPARATOR)
+    return None if seps == b",\n" * (n - 1) + b"," else seps.split(b"\n")
 
 
 def _timestamp(text: str) -> float:
@@ -276,17 +274,16 @@ def _timestamp(text: str) -> float:
         return math.nan
 
 
-def _parse_rows(path, body: str, seps: bytes, lines: np.ndarray):
+def _parse_rows(path, body: str, row_seps: list[bytes] | None, lines: np.ndarray):
     """The timestamps and device fields of the rows of ``body``, joined by newlines.
 
-    ``seps`` is ``_separators(body)`` and ``lines`` holds each row's line
-    number. The first row that does not hold exactly one comma, or whose
-    timestamp is not a finite number, raises DataError naming its line.
+    ``row_seps`` is ``_row_separators(body, n)`` and ``lines`` holds each
+    row's line number. The first row that does not hold exactly one comma,
+    or whose timestamp is not a finite number, raises DataError naming its line.
     """
     n = len(lines)
     # the rows before the first one without exactly one comma pair up as
     # (timestamp, device) in fields; only a body with such a row is scanned by row
-    row_seps = None if seps == _one_comma_rows(n) else seps.split(b"\n")
     paired = n if row_seps is None else next(k for k, s in enumerate(row_seps) if s != b",")
     fields = body.replace("\n", ",").split(",")
     heads = fields[0:2 * paired:2]
@@ -327,18 +324,13 @@ def read_trace_csv(path, device: str | None = None) -> np.ndarray:
     header_seen = False
     lineno = 0
     for block in _text_blocks(path):
-        if not header_seen and block.startswith(_TRACE_CSV_HEADER + "\n"):
-            header_seen = True
-            block = block[len(_TRACE_CSV_HEADER) + 1:]
-            lineno += 1
         first = lineno + 1
         # a plain block is its rows as they stand: one comma each, nothing to
         # strip or skip, no line end but "\n"; any other is normalized first
         body = block.removesuffix("\n")
         n = body.count("\n") + 1
         plain = header_seen and body.isascii() and not any(map(body.__contains__, _NOT_PLAIN))
-        seps = _separators(body) if plain else b""
-        if seps == _one_comma_rows(n):
+        if plain and (row_seps := _row_separators(body, n)) is None:
             lines = np.arange(first, first + n)
         else:
             rows, keep, n = _normalized(block)
@@ -349,12 +341,12 @@ def read_trace_csv(path, device: str | None = None) -> np.ndarray:
                 header_seen = True
                 del rows[0], keep[0]
             body = "\n".join(rows)
-            seps = _separators(body)
+            row_seps = _row_separators(body, len(rows))
             lines = np.array(keep, np.int64) + first
         lineno += n
         if not lines.size:
             continue
-        ts, devices = _parse_rows(path, body, seps, lines)
+        ts, devices = _parse_rows(path, body, row_seps, lines)
         # strip each distinct device field once
         name_of = {raw: raw.strip() for raw in dict.fromkeys(devices)}
         names.update(dict.fromkeys(name_of.values()))
