@@ -43,7 +43,6 @@ __all__ = [
     "idealized_verdicts",
     "test_run",
     "guess_run",
-    "guessing_error",
     "guessing_error_se",
     "bin_timestamps",
 ]
@@ -256,18 +255,6 @@ def guess_run(posterior_anomaly, seed) -> np.ndarray:
     return as_rng(seed).random(p.shape) < p
 
 
-def guessing_error(guesses, truths) -> float:
-    """Fraction of truly anomalous intervals the attacker failed to guess."""
-    g = np.asarray(guesses, dtype=bool)
-    t = np.asarray(truths, dtype=bool)
-    if g.shape != t.shape:
-        raise ValueError("guesses and truths must align")
-    n_anom = int(t.sum())
-    if n_anom == 0:
-        raise DegenerateMetricError("guessing error undefined: no anomalous intervals")
-    return float((~g[t]).sum() / n_anom)
-
-
 def guessing_error_se(err: float, n_anomalies: int) -> float:
     """Binomial standard error of a guessing-error estimate."""
     if n_anomalies <= 0:
@@ -294,17 +281,20 @@ def bin_timestamps(timestamps, slot_width: float, slots: int) -> np.ndarray:
     ts = np.asarray(timestamps, dtype=float)
     if ts.size == 0:
         raise ValueError("no timestamps to bin")
-    if np.any(np.diff(ts) < 0):
+    if (ts[1:] < ts[:-1]).any():
         raise ValueError("timestamps must be sorted")
     if not slot_width > 0 or slots < 2:
         raise ValueError("need slot_width > 0 and slots >= 2")
     # slot numbers on the grid of multiples of slot_width, counted from the
-    # first message's: non-decreasing for sorted input, so never negative
-    slot = np.floor(ts / slot_width)
-    idx = (slot - slot[0]).astype(np.int64)
-    n_full = int(idx.max() + 1) // slots
+    # first message's: non-decreasing for sorted input, so never negative and
+    # largest at the end. Built in place: whole-array temporaries set analyze's peak RSS.
+    slot = ts / slot_width
+    np.floor(slot, out=slot)
+    slot -= slot[0]
+    idx = slot.astype(np.int64)
+    n_full = int(idx[-1] + 1) // slots
     if n_full == 0:
         raise ValueError(f"fewer than one full interval of {slots} slots")
-    keep = idx < n_full * slots
-    counts = np.bincount(idx[keep], minlength=n_full * slots)
+    # the messages of the trailing partial interval are the sorted tail
+    counts = np.bincount(idx[:np.searchsorted(idx, n_full * slots)], minlength=n_full * slots)
     return counts.reshape(n_full, slots)

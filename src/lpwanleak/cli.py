@@ -50,7 +50,6 @@ __all__ = [
     "parse_config",
     "load_config",
     "read_trace_csv",
-    "write_trace_csv",
     "main",
     "entry",
 ]
@@ -373,12 +372,6 @@ def read_trace_csv(path, device: str | None = None) -> np.ndarray:
     if out_of_order is not None:
         raise DataError(f"{path} line {out_of_order[0]}: out-of-order timestamp {out_of_order[1]}")
     return np.concatenate(picked)
-
-
-def write_trace_csv(path, timestamps, device: str = "dev0", comment=None) -> None:
-    """Write timestamps in the `timestamp_s,device_id` format analyze reads."""
-    write_csv(path, comment, _TRACE_CSV_HEADER,
-              (f"{t!r},{device}" for t in np.asarray(timestamps, dtype=float).tolist()))
 
 
 def _resolve_seed(args, cfg: Config) -> int:

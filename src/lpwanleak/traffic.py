@@ -29,15 +29,12 @@ __all__ = [
     "draw_anomaly_flags",
     "gen_run",
     "run_to_csv",
-    "run_from_csv",
     "RUN_CSV_HEADER",
-    "to_timestamps",
     "write_csv",
 ]
 
 # Obfuscation action labels, in wire order (CSV uses the strings, Run stores codes).
 ACTIONS = ("none", "waterfilled", "fake-anomaly")
-_ACTION_CODE = {name: i for i, name in enumerate(ACTIONS)}
 
 RUN_CSV_HEADER = "interval,slot,count,dummy_count,is_anomaly,anomaly_slot,obf_action"
 
@@ -187,13 +184,6 @@ def gen_run(model: IntervalModel, n_intervals: int, seed) -> Run:
                np.zeros(n, dtype=np.int8))
 
 
-def _text_file(file, mode: str):
-    # a path is opened here and closed on exit; a file object is left open
-    if hasattr(file, "write") or hasattr(file, "read"):
-        return contextlib.nullcontext(file)
-    return open(file, mode, encoding="utf-8", newline="")
-
-
 def write_csv(file, comment: str | None, header: str, rows: Iterable[str]) -> None:
     """Write a CSV: comment, header, then rows, one line each.
 
@@ -201,15 +191,13 @@ def write_csv(file, comment: str | None, header: str, rows: Iterable[str]) -> No
     given) becomes a '#'-prefixed line. ``rows`` are the formatted lines,
     without their newline; the caller owns the column layout.
     """
-    with _text_file(file, "w") as fh:
+    # a path is opened here and closed on exit; a file object is left open
+    with (contextlib.nullcontext(file) if hasattr(file, "write")
+          else open(file, "w", encoding="utf-8", newline="")) as fh:
         if comment:
             fh.writelines(f"# {line}\n" for line in comment.splitlines())
         fh.write(header + "\n")
         fh.writelines(f"{row}\n" for row in rows)
-
-
-def _shape_comment(n: int, slots: int) -> str:
-    return f"shape intervals={n} slots={slots}"
 
 
 def run_to_csv(run: Run, file, comment: str | None = None) -> None:
@@ -217,10 +205,10 @@ def run_to_csv(run: Run, file, comment: str | None = None) -> None:
 
     ``file`` is a path or a text file object. ``comment`` (if given) is
     emitted first as a '#'-prefixed provenance line, then a
-    ``# shape intervals=N slots=S`` line that lets the reader detect a
+    ``# shape intervals=N slots=S`` line that lets a consumer detect a
     truncated dump.
     """
-    shape = _shape_comment(len(run), run.slots)
+    shape = f"shape intervals={len(run)} slots={run.slots}"
     labels = [f"{int(anom)},{slot if anom else ''},{ACTIONS[code]}" for anom, slot, code
               in zip(run.is_anomaly.tolist(), run.anomaly_slot.tolist(), run.action.tolist())]
     rows = (f"{i},{j},{c},{d},{tail}"
@@ -229,69 +217,3 @@ def run_to_csv(run: Run, file, comment: str | None = None) -> None:
             for j, (c, d) in enumerate(zip(counts, dummies)))
     write_csv(file, f"{comment.strip()}\n{shape}" if comment else shape,
               RUN_CSV_HEADER, rows)
-
-
-def run_from_csv(file) -> Run:
-    """Read a run written by :func:`run_to_csv`.
-
-    Comment and blank lines are skipped, except a ``# shape`` line: when
-    present, the rows must span exactly the shape it declares, so a dump
-    cut after a whole interval is rejected. A dump without one loads with
-    the shape its rows span. Fields are split on commas as written, without
-    CSV quoting. Every (interval, slot) cell must appear exactly once and
-    all rows of an interval must carry the same labels; anything else
-    raises ValueError.
-    """
-    with _text_file(file, "r") as fh:
-        lines = fh.read().splitlines()
-    shapes = [ln for ln in lines if ln.startswith("#") and ln[1:].split()[:1] == ["shape"]]
-    rows = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not rows or rows[0] != RUN_CSV_HEADER:
-        raise ValueError("not a run CSV: bad or missing header")
-    body = rows[1:]
-    if not body:
-        raise ValueError("run CSV has no data rows")
-    if any(ln.count(",") != 6 for ln in body):
-        raise ValueError("run CSV rows must have 7 fields")
-    fields = ",".join(body).split(",")  # row-major, 7 per row
-    try:
-        cols = np.array([fields[0::7], fields[1::7], fields[2::7], fields[3::7],
-                         fields[4::7], [f or "-1" for f in fields[5::7]],
-                         [_ACTION_CODE[f] for f in fields[6::7]]], dtype=np.int64).T
-    except KeyError as exc:
-        raise ValueError(f"unknown obf_action {exc.args[0]!r}") from None
-    i, j = cols[:, 0], cols[:, 1]
-    if i.min() < 0 or j.min() < 0:
-        raise ValueError("run CSV has a negative interval or slot index")
-    n, s = int(i.max()) + 1, int(j.max()) + 1
-    if np.any(np.bincount(i * s + j, minlength=n * s) != 1):
-        raise ValueError("run CSV must hold every (interval, slot) cell exactly once")
-    if shapes and shapes != ["# " + _shape_comment(n, s)]:
-        raise ValueError(f"run CSV rows hold {n} intervals x {s} slots, "
-                         f"but its shape line reads {shapes}")
-    if np.any((cols[:, 4] != 0) & (cols[:, 4] != 1)):
-        raise ValueError("is_anomaly must be 0 or 1")
-    counts = np.empty((n, s), dtype=np.int64)
-    dummy = np.empty((n, s), dtype=np.int64)
-    counts[i, j] = cols[:, 2]
-    dummy[i, j] = cols[:, 3]
-    labels = np.empty((n, 3), dtype=np.int64)  # is_anomaly, anomaly_slot, action
-    labels[i] = cols[:, 4:]
-    if np.any(labels[i] != cols[:, 4:]):
-        raise ValueError("rows of one interval disagree on its labels")
-    return Run(counts, dummy, labels[:, 0].astype(bool), labels[:, 1], labels[:, 2])
-
-
-def to_timestamps(run: Run, slot_width: float = 1.0, start: float = 0.0) -> np.ndarray:
-    """Flatten a run to message timestamps (seconds), deterministically.
-
-    The c messages of a slot are evenly spaced inside it, so flooring the
-    timestamps back onto the slot grid reproduces the counts exactly.
-    """
-    if not slot_width > 0:
-        raise ValueError("slot_width must be > 0")
-    flat = run.counts.ravel()
-    k = np.repeat(np.arange(flat.size), flat)  # flat slot index of each message
-    c = flat[k]
-    j = np.arange(k.size) - np.repeat(np.cumsum(flat) - flat, flat)  # index in its slot
-    return (start + k * slot_width) + slot_width * (j + 0.5) / c

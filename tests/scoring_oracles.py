@@ -8,6 +8,20 @@ import math
 
 import numpy as np
 
+from lpwanleak import DegenerateMetricError
+
+
+def guessing_error(guesses, truths) -> float:
+    """Fraction of truly anomalous intervals the attacker failed to guess."""
+    g = np.asarray(guesses, dtype=bool)
+    t = np.asarray(truths, dtype=bool)
+    if g.shape != t.shape:
+        raise ValueError("guesses and truths must align")
+    n_anom = int(t.sum())
+    if n_anom == 0:
+        raise DegenerateMetricError("guessing error undefined: no anomalous intervals")
+    return float((~g[t]).sum() / n_anom)
+
 
 def empirical_ce_bits(truth: np.ndarray, cls: np.ndarray) -> tuple[float, float]:
     """Plug-in H(truth | class) in bits from the empirical 2x2 joint.

@@ -22,7 +22,6 @@ from lpwanleak import (
     ensemble_dispersion,
     gen_run,
     guess_run,
-    guessing_error,
     guessing_error_se,
     idealized_metrics,
     idealized_verdicts,
@@ -30,6 +29,8 @@ from lpwanleak import (
     test_run as classify_run,
 )
 from lpwanleak.traffic import Run
+
+from scoring_oracles import guessing_error
 
 
 def test_dispersion_matches_numpy():
@@ -239,6 +240,55 @@ def test_bin_timestamps_origin_never_passes_the_first_message():
     ts = np.sort(np.random.default_rng(5).uniform(0.0, 40.0, 300))
     for shift in (1.75, 66_500_000.0):
         assert np.array_equal(bin_timestamps(ts + shift, 0.25, 4), bin_timestamps(ts, 0.25, 4))
+
+
+def _bin_timestamps_mask(timestamps, slot_width, slots):
+    # reference: the whole-array form, the partial interval cut by a mask
+    ts = np.asarray(timestamps, dtype=float)
+    if ts.size == 0:
+        raise ValueError("no timestamps to bin")
+    if np.any(np.diff(ts) < 0):
+        raise ValueError("timestamps must be sorted")
+    if not slot_width > 0 or slots < 2:
+        raise ValueError("need slot_width > 0 and slots >= 2")
+    slot = np.floor(ts / slot_width)
+    idx = (slot - slot[0]).astype(np.int64)
+    n_full = int(idx.max() + 1) // slots
+    if n_full == 0:
+        raise ValueError(f"fewer than one full interval of {slots} slots")
+    keep = idx < n_full * slots
+    counts = np.bincount(idx[keep], minlength=n_full * slots)
+    return counts.reshape(n_full, slots)
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    return out.dtype, out.shape, out.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # whole numbers of slots give ties and messages on slot edges
+    offsets=st.lists(st.one_of(st.integers(0, 60).map(float), st.floats(0.0, 60.0)),
+                     max_size=40),
+    origin=st.sampled_from([0.0, 1.7, -3.25, 1.6e9 + 0.25, 66_500_000.0]),
+    slot_width=st.sampled_from([1.0, 0.1, 0.25, 2.5, 1e-3, 60.0, 0.0, -1.0, math.nan]),
+    slots=st.integers(0, 6),
+    reverse=st.booleans(),
+)
+def test_bin_timestamps_matches_mask_reference(offsets, origin, slot_width, slots, reverse):
+    scale = slot_width if slot_width > 0 else 1.0
+    ts = np.sort(origin + np.array(offsets) * scale)
+    if reverse:
+        ts = ts[::-1]
+    given_ts = ts.copy()
+    want = _outcome(_bin_timestamps_mask, ts, slot_width, slots)
+    assert _outcome(bin_timestamps, ts, slot_width, slots) == want
+    assert _outcome(bin_timestamps, ts.tolist(), slot_width, slots) == want
+    assert np.array_equal(ts, given_ts)  # the caller's array is left alone
 
 
 @settings(max_examples=40, deadline=None)

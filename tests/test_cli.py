@@ -1,6 +1,7 @@
 """Config parsing and CLI subcommand tests (driven through main())."""
 
 import codecs
+import io
 import json
 import math
 import os
@@ -20,18 +21,18 @@ from lpwanleak import (
     COST_CSV_HEADER,
     DetectorConfig,
     IntervalModel,
+    KnowledgeModel,
     bin_timestamps,
     chi_square_threshold,
     class_posteriors,
     cost_curves,
     gen_run,
     guess_run,
-    guessing_error,
     load_fixture,
     run_dispersion,
-    run_from_csv,
+    run_to_csv,
+    simulate_run,
     test_run as classify_run,
-    to_timestamps,
 )
 from lpwanleak.cli import (
     Config,
@@ -40,10 +41,11 @@ from lpwanleak.cli import (
     main,
     parse_config,
     read_trace_csv,
-    write_trace_csv,
 )
 
 from conftest import CONFIG_DIR, ROOT
+from scoring_oracles import guessing_error
+from trace_files import to_timestamps, write_trace_csv
 
 GOOD_CONFIG = """\
 # comment line
@@ -760,10 +762,17 @@ seed = 11
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[1] == SWEEP_CSV_HEADER
-    run = run_from_csv(str(dump))
-    assert len(run) == 1000
-    assert dump.read_text().startswith("# lpwanleak ")
-    # the dump is the run the row scored: its idealized flags, the row's
+    # the dump is the run of the cell's seed (11, 0, 0), written under the
+    # row's provenance line
+    text = dump.read_text()
+    provenance = text.splitlines()[0]
+    assert provenance.startswith("# lpwanleak ")
+    _, _, run = simulate_run(IntervalModel(10, 1.0, 40.0, 0.2), KnowledgeModel(), 1.0,
+                             1000, (11, 0, 0))
+    buf = io.StringIO()
+    run_to_csv(run, buf, comment=provenance[2:])
+    assert text == buf.getvalue()
+    # and it is the run the row scored: its idealized flags, the row's
     # posteriors and guess stream (seed, 0, 0, 2) rebuild guess_err exactly
     row = dict(zip(SWEEP_CSV_HEADER.split(","), lines[2].split(",")))
     assert row["feasible_optimal"] == "0"

@@ -36,7 +36,6 @@ from lpwanleak import (
     draw_actions,
     feasible_region,
     guess_run,
-    guessing_error,
     guessing_error_se,
     idealized_verdicts,
     realized_cost,
@@ -47,7 +46,8 @@ from lpwanleak import (
 )
 from lpwanleak import experiment
 from lpwanleak import test_run as classify_run
-from scoring_oracles import empirical_ce_bits, select_realized_cost, where_draw_actions
+from scoring_oracles import (empirical_ce_bits, guessing_error, select_realized_cost,
+                             where_draw_actions)
 
 FEASIBLE = IntervalModel(10, 1.0, 10.0, 0.5)
 

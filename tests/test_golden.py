@@ -1,10 +1,11 @@
 """Byte-for-byte goldens of the CSV outputs that share the package's writer.
 
 `tests/golden/` holds the costs, analyze, posterior and chi-square sweep
-CSVs of the command line and the trace CSV that `write_trace_csv` writes for analyze. The CLI
-outputs are compared without their first line, the `# lpwanleak ...`
-provenance comment, which names the tool version and config hash; the trace
-CSV is compared whole. `trace_metrics.json` pins the exact and Monte-Carlo
+CSVs of the command line and the trace CSV that the test helper
+`trace_files.write_trace_csv` writes for analyze. The CLI outputs are
+compared without their first line, the `# lpwanleak ...` provenance
+comment, which names the tool version and config hash; the trace CSV is
+compared whole. `trace_metrics.json` pins the exact and Monte-Carlo
 trace metrics of every shipped fixture and of one overlapping table, and
 with them the layout of the trace sampler's draws, as the `repr` of each
 float. Regenerate a golden only for a change that means to alter that
@@ -30,11 +31,11 @@ from lpwanleak import (
     gen_run,
     idealized_metrics,
     load_fixture,
-    to_timestamps,
 )
-from lpwanleak.cli import main, write_trace_csv
+from lpwanleak.cli import main
 
 from conftest import CONFIG_DIR, FIXTURE_PATHS, ROOT
+from trace_files import to_timestamps, write_trace_csv
 
 GOLDEN = ROOT / "tests" / "golden"
 

@@ -86,3 +86,32 @@ def test_library_names_are_reexported(name):
     for attr in module.__all__:
         assert getattr(lpwanleak, attr, None) is getattr(module, attr), attr
         assert attr in lpwanleak.__all__, attr
+
+
+# every public name of the package and its command line; adding or dropping
+# one is a deliberate edit here
+PUBLIC_NAMES = [
+    "ACTIONS", "AnomalyCountDistance", "COST_CSV_HEADER", "CardinalityDistance", "Config",
+    "ConfigError", "CostModel", "CostPoint", "DENOMINATOR_MODES", "DETECTOR_MODES",
+    "DataError", "DegenerateMetricError", "DetectorConfig", "FillToMechanism", "Fixture",
+    "IdentityMechanism", "InconsistentObservationError", "InfeasibleTargetError",
+    "IntervalModel", "KnowledgeModel", "Mechanism", "MetricsReport", "RUN_CSV_HEADER", "Run",
+    "SWEEP_CSV_HEADER", "Strategy", "SweepSpec", "TableMechanism", "TracePrior",
+    "anomaly_dispersion", "apply_strategy", "as_rng", "attacker", "average_error",
+    "average_error_mc", "bin_timestamps", "binary_entropy_bits", "chi_square_threshold",
+    "class_posteriors", "conditional_entropy", "conditional_entropy_mc", "cost_curves",
+    "cost_curves_to_csv", "costs", "draw_actions", "draw_anomaly_flags",
+    "ensemble_dispersion", "entry", "enumerate_observables", "epsilon_of",
+    "expected_dispersion_fake", "expected_dispersion_waterfill", "experiment",
+    "feasible_region", "gen_run", "guess_run", "guessing_error_se", "idealized_metrics",
+    "idealized_verdicts", "load_config", "load_fixture", "main", "obfuscator",
+    "optimal_guess", "parse_config", "posterior_table", "power_cost", "read_trace_csv",
+    "realized_cost", "run_cell", "run_dispersion", "run_sweep", "run_to_csv",
+    "simulate_run", "solve_fake_rate", "solve_strategy", "solve_waterfill_rate",
+    "strategy_json", "sweep_to_csv", "test_run", "traces", "traffic", "write_csv",
+]
+
+
+def test_public_names_are_pinned():
+    cli = importlib.import_module("lpwanleak.cli")
+    assert sorted(set(lpwanleak.__all__) | set(cli.__all__)) == PUBLIC_NAMES
