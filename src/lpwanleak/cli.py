@@ -398,6 +398,14 @@ def _open_out(path):
         raise ConfigError(f"cannot open output {path}: {exc.strerror}") from exc
 
 
+def _same_file(a, b) -> bool:
+    """Whether paths ``a`` and ``b`` name one existing file."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a path that names no file
+        return False
+
+
 def _resolve_format(args, cfg: Config, default: str) -> str:
     fmt = args.format if args.format is not None else cfg.get("run", "format", default)
     if fmt not in _FORMATS:
@@ -465,9 +473,18 @@ def _model_from(cfg: Config) -> IntervalModel:
         "model")
 
 
+def _check_normalizer(cfg: Config, section: str, key: str) -> None:
+    """A config may name the one cost normalizer there is, base-plus-anomaly."""
+    value = cfg.get(section, key, "base-plus-anomaly")
+    if value != "base-plus-anomaly":
+        raise ConfigError(f"config key '{section}.{key}' must be 'base-plus-anomaly', "
+                          f"got {value!r}")
+
+
 def _sweep_spec_from(cfg: Config, seed: int) -> SweepSpec:
     rates = _grid_from(cfg, "anomaly_rate", "anomaly_rates")
     intensities = _grid_from(cfg, "intensity", "intensities")
+    _check_normalizer(cfg, "solver", "cost_denominator")
     # SweepSpec checks every cell, so an impossible one fails before any simulation
     return _wrap_value_error(
         lambda: SweepSpec(
@@ -480,8 +497,7 @@ def _sweep_spec_from(cfg: Config, seed: int) -> SweepSpec:
             detector_mode=cfg.get("sweep", "detector", "idealized"),
             alpha=cfg.get("sweep", "alpha", 0.05),
             n_intervals=cfg.get("sweep", "n_intervals", 100_000),
-            seed=seed,
-            cost_denominator=cfg.get("solver", "cost_denominator", "base-plus-anomaly")),
+            seed=seed),
         "sweep")
 
 
@@ -492,8 +508,8 @@ def cmd_solve(args, cfg: Config, seed: int) -> int:
         raise ConfigError("solve emits json only")
     model = _model_from(cfg)
     knowledge = _knowledge_from(cfg)
-    denom = cfg.get("solver", "cost_denominator", "base-plus-anomaly")
-    cm = _wrap_value_error(lambda: costs(model, denom), "solver.cost_denominator")
+    _check_normalizer(cfg, "solver", "cost_denominator")
+    cm = costs(model)
     budget = cfg.get("solver", "budget", 1.0)
     strat = _wrap_value_error(lambda: solve_strategy(model, knowledge, budget, cm),
                               "solver.budget")
@@ -514,7 +530,7 @@ def cmd_sweep(args, cfg: Config, seed: int) -> int:
     dump = cfg.get("simulate", "dump_run", None) if single_cell else None
     with (_open_out(args.out) as out,
           contextlib.nullcontext() if dump is None else _open_out(dump) as dump_fh):
-        if dump is not None and args.out is not None and os.path.samefile(args.out, dump):
+        if dump is not None and args.out is not None and _same_file(args.out, dump):
             raise ConfigError(f"config key 'simulate.dump_run' names the output file {dump}")
         records = run_sweep(spec)
         if fmt == "csv":
@@ -527,7 +543,7 @@ def cmd_sweep(args, cfg: Config, seed: int) -> int:
             model = IntervalModel(spec.slots, spec.base_rate, spec.intensities[0],
                                   spec.anomaly_rates[0])
             _, _, obf = simulate_run(model, spec.knowledge, spec.budget, spec.n_intervals,
-                                     (spec.seed, 0, 0), cost_denominator=spec.cost_denominator)
+                                     (spec.seed, 0, 0))
             run_to_csv(obf, dump_fh, comment=_provenance(cfg, seed))
     for r in failed:
         print(f"lpwanleak: error R_p={r.r_p!r} I={r.intensity!r}: {r.error}", file=sys.stderr)
@@ -544,6 +560,9 @@ def cmd_analyze(args, cfg: Config, seed: int) -> int:
                           f"got {slot_width!r}")
     slots = cfg.get("analyze", "slots", 10)
     alpha = cfg.get("analyze", "alpha", 0.05)
+    # opening the output truncates it, so it cannot be the trace read after
+    if args.out is not None and _same_file(path, args.out):
+        raise ConfigError(f"output {args.out} is the input trace {path}")
     with _open_out(args.out) as out:
         timestamps = read_trace_csv(path, device)
         # after the read: loading scipy.special first adds about 20 MB to the reader's peak RSS
@@ -607,11 +626,11 @@ def cmd_costs(args, cfg: Config, seed: int) -> int:
     base_rates = cfg.get("costs", "base_rates", (1.0,))
     intensities = cfg.get("costs", "intensities", (10.0,))
     slots = cfg.get("costs", "slots", 10)
-    denom = cfg.get("costs", "denominator", "base-plus-anomaly")
+    _check_normalizer(cfg, "costs", "denominator")
     models = [_wrap_value_error(lambda: IntervalModel(slots, lam, inten, 0.0),
                                 f"costs model (lambda={lam}, I={inten})")
               for lam, inten in product(base_rates, intensities)]
-    points = _wrap_value_error(lambda: cost_curves(models, shifts, denom), "costs")
+    points = _wrap_value_error(lambda: cost_curves(models, shifts), "costs")
     with _open_out(args.out) as out:
         if fmt == "csv":
             cost_curves_to_csv(points, out, comment=_provenance(cfg, seed))

@@ -20,7 +20,7 @@ import numpy as np
 # guess_run is not called here; the benchmark's tracer wraps it under this name
 from .attacker import (DETECTOR_MODES, DetectorConfig, _mean_se, class_posteriors,
                        guess_run, guessing_error_se, idealized_verdicts, test_run)
-from .obfuscator import (DENOMINATOR_MODES, CostModel, InfeasibleTargetError,
+from .obfuscator import (CostModel, InfeasibleTargetError,
                          KnowledgeModel, Strategy, apply_strategy, costs,
                          draw_actions, solve_fake_rate, solve_strategy,
                          solve_waterfill_rate)
@@ -159,8 +159,7 @@ def _score(truth: np.ndarray, flagged: np.ndarray, cfg: DetectorConfig,
 
 
 def simulate_run(model: IntervalModel, knowledge: KnowledgeModel, budget: float,
-                 n_intervals: int, seed, cost_denominator: str = "base-plus-anomaly"
-                 ) -> tuple[Strategy, CostModel, Run]:
+                 n_intervals: int, seed) -> tuple[Strategy, CostModel, Run]:
     """Solve, generate and obfuscate one cell.
 
     Returns the strategy, the cost model and the obfuscated run. Streams of
@@ -172,7 +171,7 @@ def simulate_run(model: IntervalModel, knowledge: KnowledgeModel, budget: float,
     calibrates on base + (3,) and base + (4,).
     """
     base = _seed_tuple(seed)
-    cm = costs(model, cost_denominator)
+    cm = costs(model)
     strat = solve_strategy(model, knowledge, budget, cm)
     run = gen_run(model, n_intervals, base + (0,))
     return strat, cm, apply_strategy(run, strat, knowledge, cm, base + (1,))
@@ -180,8 +179,7 @@ def simulate_run(model: IntervalModel, knowledge: KnowledgeModel, budget: float,
 
 def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
              budget: float = 1.0, detector_mode: str = "idealized",
-             alpha: float = 0.05, n_intervals: int = 100_000, seed=0,
-             cost_denominator: str = "base-plus-anomaly") -> MetricsReport:
+             alpha: float = 0.05, n_intervals: int = 100_000, seed=0) -> MetricsReport:
     """Simulate one cell end to end under its solved strategy.
 
     Streams are those of :func:`simulate_run`. The idealized detector reads
@@ -207,7 +205,7 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
     """
     knowledge = knowledge or KnowledgeModel.complete()
     base = _seed_tuple(seed)
-    cm = costs(model, cost_denominator)
+    cm = costs(model)
     strat = solve_strategy(model, knowledge, budget, cm)
 
     if detector_mode == "idealized":
@@ -265,7 +263,6 @@ class SweepSpec:
     alpha: float = 0.05
     n_intervals: int = 100_000
     seed: int = 0
-    cost_denominator: str = "base-plus-anomaly"
 
     def __post_init__(self):
         object.__setattr__(self, "anomaly_rates", tuple(float(r) for r in self.anomaly_rates))
@@ -278,14 +275,13 @@ class SweepSpec:
             raise ValueError("sweeps need at least 1000 intervals per cell")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        for name, modes in (("detector_mode", DETECTOR_MODES),
-                            ("cost_denominator", DENOMINATOR_MODES)):
-            if getattr(self, name) not in modes:
-                raise ValueError(f"{name} must be one of {modes}, got {getattr(self, name)!r}")
+        if self.detector_mode not in DETECTOR_MODES:
+            raise ValueError(f"detector_mode must be one of {DETECTOR_MODES}, "
+                             f"got {self.detector_mode!r}")
         for intensity, rp in product(self.intensities, self.anomaly_rates):
             try:
                 model = IntervalModel(self.slots, self.base_rate, intensity, rp)
-                cm = costs(model, self.cost_denominator)
+                cm = costs(model)
                 rate = max(model.anomaly_slot_rate, cm.fake_rate,
                            (model.slots - 1) * cm.waterfill_rate)
                 if rate > _POISSON_RATE_MAX:
@@ -314,8 +310,7 @@ def run_sweep(spec: SweepSpec) -> list[MetricsReport]:
             try:
                 model = IntervalModel(spec.slots, spec.base_rate, intensity, rp)
                 rec = run_cell(model, spec.knowledge, spec.budget,
-                               spec.detector_mode, spec.alpha, spec.n_intervals,
-                               cell_seed, cost_denominator=spec.cost_denominator)
+                               spec.detector_mode, spec.alpha, spec.n_intervals, cell_seed)
             except (ValueError, ArithmeticError) as exc:
                 rec = MetricsReport(
                     r_p=float(rp), intensity=float(intensity), slots=spec.slots,
@@ -380,8 +375,7 @@ class CostPoint:
 COST_CSV_HEADER = ",".join(CostPoint.NAMES)
 
 
-def cost_curves(models: Sequence[IntervalModel], shifts: Sequence[float],
-                denominator: str = "base-plus-anomaly") -> list[CostPoint]:
+def cost_curves(models: Sequence[IntervalModel], shifts: Sequence[float]) -> list[CostPoint]:
     """Evaluate both mechanisms' analytic costs over a shift grid.
 
     Fake anomalies can reach any k >= 1; waterfilling saturates at full
@@ -399,7 +393,7 @@ def cost_curves(models: Sequence[IntervalModel], shifts: Sequence[float],
                 wf_rate, ok = solve_waterfill_rate(model, k), True
             except InfeasibleTargetError:
                 wf_rate, ok = _NAN, False
-            cm = CostModel(model, solve_fake_rate(model, k), wf_rate, denominator)
+            cm = CostModel(model, solve_fake_rate(model, k), wf_rate)
             if not math.isfinite(cm.fake_cost):  # an inf fake rate makes an inf cost
                 raise ValueError(f"shift {k!r} at lambda={model.base_rate!r}: fake rate "
                                  f"{cm.fake_rate!r} and cost {cm.fake_cost!r} must be finite")

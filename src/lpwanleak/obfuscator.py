@@ -35,7 +35,6 @@ __all__ = [
     "solve_waterfill_rate",
     "CostModel",
     "costs",
-    "DENOMINATOR_MODES",
     "KnowledgeModel",
     "Strategy",
     "epsilon_of",
@@ -45,9 +44,6 @@ __all__ = [
     "apply_strategy",
     "strategy_json",
 ]
-
-DENOMINATOR_MODES = ("base-plus-anomaly", "interval-expected")
-
 
 class InfeasibleTargetError(ValueError):
     """The requested dispersion shift cannot be reached by adding traffic."""
@@ -141,14 +137,9 @@ class CostModel:
     :func:`costs` solves the full targets: fake_rate fakes a full anomaly
     (expected dispersion equal to a real anomaly's), waterfill_rate fully
     suppresses one (expected dispersion 1). fake_cost = fake_rate / (lam * S).
-    waterfill_cost divides the total fill (S-1 slots) by a normalizer chosen
-    by ``denominator``:
-
-    * "base-plus-anomaly" (default): lam * S + anomaly slot rate — counts
-      the full baseline interval load plus the boosted slot, double
-      counting the boosted slot's baseline share;
-    * "interval-expected": (S-1) * lam + anomaly slot rate — the exact
-      expected message count of an anomalous interval.
+    waterfill_cost divides the total fill (S-1 slots) by the "base-plus-anomaly"
+    normalizer lam * S + anomaly slot rate: the full baseline interval load
+    plus the boosted slot, double counting the boosted slot's baseline share.
 
     So each cost is the expected dummy load of one interval under its
     action, relative to its normalizer: what the solver prices and what
@@ -158,12 +149,6 @@ class CostModel:
     model: IntervalModel
     fake_rate: float
     waterfill_rate: float
-    denominator: str = "base-plus-anomaly"
-
-    def __post_init__(self):
-        if self.denominator not in DENOMINATOR_MODES:
-            raise ValueError(f"denominator must be one of {DENOMINATOR_MODES}, "
-                             f"got {self.denominator!r}")
 
     @property
     def fake_cost(self) -> float:
@@ -172,18 +157,14 @@ class CostModel:
     @property
     def waterfill_cost(self) -> float:
         m = self.model
-        if self.denominator == "base-plus-anomaly":
-            norm = m.base_rate * m.slots + m.anomaly_slot_rate
-        else:
-            norm = (m.slots - 1) * m.base_rate + m.anomaly_slot_rate
+        norm = m.base_rate * m.slots + m.anomaly_slot_rate
         return self.waterfill_rate * (m.slots - 1) / norm
 
 
-def costs(model: IntervalModel, denominator: str = "base-plus-anomaly") -> CostModel:
+def costs(model: IntervalModel) -> CostModel:
     """The cost model of both full-target rates."""
     d0 = anomaly_dispersion(model)
-    return CostModel(model, solve_fake_rate(model, d0), solve_waterfill_rate(model, d0),
-                     denominator)
+    return CostModel(model, solve_fake_rate(model, d0), solve_waterfill_rate(model, d0))
 
 
 @dataclass(frozen=True)

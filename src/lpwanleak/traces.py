@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .attacker import _mean_se, chi_square_threshold, run_dispersion
+from .attacker import _mean_se
 from .traffic import as_rng
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "FillToMechanism",
     "TableMechanism",
     "CardinalityDistance",
-    "AnomalyCountDistance",
     "InconsistentObservationError",
     "posterior_table",
     "enumerate_observables",
@@ -207,49 +206,6 @@ class CardinalityDistance:
 
     def __call__(self, a, b) -> float:
         return float(abs(self._size(a) - self._size(b)))
-
-
-class AnomalyCountDistance:
-    """d(R, R') = absolute difference in the number of flagged intervals.
-
-    Each trace is binned into slots of ``slot_width`` seconds anchored at
-    the window start, grouped into intervals of ``slots`` slots, and each
-    complete interval is flagged by the dispersion test at level alpha.
-    Empty intervals are never flagged.
-    """
-
-    def __init__(self, window: tuple[float, float], slot_width: float, slots: int,
-                 alpha: float = 0.05):
-        if slot_width <= 0:
-            raise ValueError("slot_width must be positive")
-        ta, tb = float(window[0]), float(window[1])
-        span = slots * slot_width
-        n_intervals = int(math.floor(round((tb - ta) / span, 9)))
-        if n_intervals < 1:
-            raise ValueError("window shorter than one interval")
-        self.window = (ta, tb)
-        self.slot_width = float(slot_width)
-        self.slots = int(slots)
-        self.n_intervals = n_intervals
-        self.threshold = chi_square_threshold(slots, alpha)
-        self._cache: dict[tuple, int] = {}
-
-    def _flag_count(self, ts: tuple[float, ...]) -> int:
-        if ts in self._cache:
-            return self._cache[ts]
-        total_slots = self.n_intervals * self.slots
-        idx = np.floor_divide(np.asarray(ts, dtype=float) - self.window[0],
-                              self.slot_width).astype(np.int64)
-        # messages past the last full interval are ignored
-        idx = idx[(idx >= 0) & (idx < total_slots)]
-        counts = np.bincount(idx, minlength=total_slots).reshape(self.n_intervals, self.slots)
-        _, _, d = run_dispersion(counts)
-        flags = int(np.count_nonzero((self.slots - 1) * d > self.threshold))  # nan: never flagged
-        self._cache[ts] = flags
-        return flags
-
-    def __call__(self, a, b) -> float:
-        return float(abs(self._flag_count(_ts(a)) - self._flag_count(_ts(b))))
 
 
 def _subsets_lex(ts: tuple[float, ...]) -> list[tuple[float, ...]]:

@@ -14,7 +14,6 @@ possible while an attacker is only ever handed the summed counts.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -187,23 +186,20 @@ def gen_run(model: IntervalModel, n_intervals: int, seed) -> Run:
 def write_csv(file, comment: str | None, header: str, rows: Iterable[str]) -> None:
     """Write a CSV: comment, header, then rows, one line each.
 
-    ``file`` is a path or a text file object. Each line of ``comment`` (if
-    given) becomes a '#'-prefixed line. ``rows`` are the formatted lines,
-    without their newline; the caller owns the column layout.
+    ``file`` is an open text file, which is left open. Each line of
+    ``comment`` (if given) becomes a '#'-prefixed line. ``rows`` are the
+    formatted lines, without their newline; the caller owns the column layout.
     """
-    # a path is opened here and closed on exit; a file object is left open
-    with (contextlib.nullcontext(file) if hasattr(file, "write")
-          else open(file, "w", encoding="utf-8", newline="")) as fh:
-        if comment:
-            fh.writelines(f"# {line}\n" for line in comment.splitlines())
-        fh.write(header + "\n")
-        fh.writelines(f"{row}\n" for row in rows)
+    if comment:
+        file.writelines(f"# {line}\n" for line in comment.splitlines())
+    file.write(header + "\n")
+    file.writelines(f"{row}\n" for row in rows)
 
 
 def run_to_csv(run: Run, file, comment: str | None = None) -> None:
     """Write a run in long form, one row per (interval, slot).
 
-    ``file`` is a path or a text file object. ``comment`` (if given) is
+    ``file`` is an open text file. ``comment`` (if given) is
     emitted first as a '#'-prefixed provenance line, then a
     ``# shape intervals=N slots=S`` line that lets a consumer detect a
     truncated dump.

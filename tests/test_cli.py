@@ -953,6 +953,14 @@ SIMULATING = ("sweep", "simulate")
     *(pytest.param(command, "[solver]\ncost_denominator = bogus\n[sweep]\n" + SWEEP_CELL,
                    "cost_denominator", id=f"{command}-cost-denominator")
       for command in SIMULATING),
+    # base-plus-anomaly is the one cost normalizer; a config may name only it
+    *(pytest.param(command, "[solver]\ncost_denominator = interval-expected\n[sweep]\n"
+                   + SWEEP_CELL, "solver.cost_denominator",
+                   id=f"{command}-cost-denominator-interval-expected")
+      for command in ("solve", *SIMULATING)),
+    *(pytest.param("costs", f"[costs]\nshifts = 1, 2\ndenominator = {value}\n",
+                   "costs.denominator", id=f"costs-denominator-{value}")
+      for value in ("interval-expected", "bogus")),
     pytest.param("sweep", "[run]\nformat = xml\n[sweep]\n" + SWEEP_CELL, "run.format",
                  id="run-format-xml"),
     pytest.param("sweep", "[run]\nseed = 1.5\n[sweep]\n" + SWEEP_CELL, "run.seed",
@@ -1026,6 +1034,38 @@ def test_unopenable_output_is_config_error_before_the_work(tmp_path, monkeypatch
     out = tmp_path / "missing" / "x.csv"
     assert main([command, *inputs, "--config", cfg, "--seed", "0", "--out", str(out)]) == 2
     assert f"cannot open output {out}: No such file or directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", *SIMULATING, "costs"])
+def test_other_cost_normalizer_fails_before_the_work(tmp_path, monkeypatch, capsys, command):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the normalizer was checked")
+
+    for name in ("solve_strategy", "run_sweep", "cost_curves"):
+        monkeypatch.setattr(cli, name, never)
+    text = ("[costs]\nshifts = 1, 2\ndenominator = interval-expected\n" if command == "costs"
+            else "[solver]\ncost_denominator = interval-expected\n[sweep]\n" + SWEEP_CELL)
+    cfg = _write(tmp_path, "run.cfg", text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--seed", "0", "--out", str(out)]) == 2
+    assert "must be 'base-plus-anomaly', got 'interval-expected'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("via", ["--out", "run.out"])
+def test_analyze_output_naming_its_trace_is_config_error(tmp_path, capsys, via):
+    trace = tmp_path / "trace.csv"
+    write_trace_csv(trace, to_timestamps(gen_run(IntervalModel(10, 1.0, 40.0, 0.3), 20, 3)))
+    before = trace.read_bytes()
+    # the same file under another spelling of its path
+    same = f"{tmp_path}/./trace.csv"
+    if via == "--out":
+        argv = ["--out", str(same)]
+    else:
+        argv = ["--config", _write(tmp_path, "run.cfg", f'[run]\nout = "{same}"\n')]
+    assert main(["analyze", str(trace), "--seed", "1", *argv]) == 2
+    assert f"output {same} is the input trace {trace}" in capsys.readouterr().err
+    assert trace.read_bytes() == before
 
 
 def _unreadable(tmp_path, how):

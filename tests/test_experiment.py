@@ -17,7 +17,6 @@ from lpwanleak import (
     COST_CSV_HEADER,
     DETECTOR_MODES,
     SWEEP_CSV_HEADER,
-    DENOMINATOR_MODES,
     CostPoint,
     DegenerateMetricError,
     DetectorConfig,
@@ -327,14 +326,13 @@ def test_sweep_spec_validation():
 @pytest.mark.parametrize("kwargs,message", [
     ({"anomaly_rates": (0.2, 1.5)}, "cell (R_p=1.5, I=10.0): anomaly_rate"),
     ({"detector_mode": "oracle"}, "detector_mode"),
-    ({"cost_denominator": "bogus"}, "cost_denominator"),
     # the anomalous slot rate b is over numpy's Poisson limit
     ({"intensities": (1e20,)}, "cell (R_p=0.2, I=1e+20): intensity"),
     # b is not, but the waterfill total (S - 1) * w is
     ({"intensities": (1.1e18,)}, "Poisson rate of 9.9e+18"),
     ({"budget": -1.0}, "budget must be >= 0, got -1.0"),
     ({"budget": math.nan}, "budget must be >= 0, got nan"),
-], ids=["anomaly-rate", "detector", "denominator", "slot-rate", "waterfill-total",
+], ids=["anomaly-rate", "detector", "slot-rate", "waterfill-total",
         "budget--1", "budget-nan"])
 def test_sweep_spec_rejects_what_its_cells_would(kwargs, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -443,11 +441,10 @@ def test_cost_curves_grid():
         with pytest.raises(ValueError, match="finite and >= 1"):
             cost_curves([m10], [1.0, k])
     # at the full target k = anomaly dispersion a point costs what costs() does
-    for denom in DENOMINATOR_MODES:
-        for m in (m10, m40):
-            point, = cost_curves([m], [anomaly_dispersion(m)], denom)
-            cm = costs(m, denom)
-            assert (point.fake_cost, point.waterfill_cost) == (cm.fake_cost, cm.waterfill_cost)
+    for m in (m10, m40):
+        point, = cost_curves([m], [anomaly_dispersion(m)])
+        cm = costs(m)
+        assert (point.fake_cost, point.waterfill_cost) == (cm.fake_cost, cm.waterfill_cost)
 
 
 def test_cost_curves_infeasible_and_validation():

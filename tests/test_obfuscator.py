@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpwanleak import (
-    DENOMINATOR_MODES,
     InfeasibleTargetError,
     IntervalModel,
     KnowledgeModel,
@@ -93,12 +92,6 @@ def test_relative_costs():
     cm = costs(M10)
     assert cm.fake_cost == pytest.approx(0.9, rel=1e-12)
     assert cm.waterfill_cost == pytest.approx(81.0 / 20.0, rel=1e-12)
-    alt = costs(M10, denominator="interval-expected")
-    assert alt.fake_cost == pytest.approx(0.9, rel=1e-12)
-    assert alt.waterfill_cost == pytest.approx(81.0 / 19.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        costs(M10, denominator="imaginary")
-    assert set(DENOMINATOR_MODES) == {"base-plus-anomaly", "interval-expected"}
 
 
 def test_injected_dispersion_targets_mc():

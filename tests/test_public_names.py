@@ -4,18 +4,22 @@
 callers look them up (`lpwanleak.cli.sweep_to_csv`, ...). Its own tests are
 not collected here, so this file runs its `instrument` with a tracer that
 only looks each name up, checks the argument positions its wrappers read,
-and runs the trace-mc job on one fixture: a renamed or dropped name or a
-reordered signature fails here, not first in a benchmark run.
+runs the trace-mc job on one fixture, and runs each sweep workload's
+one-cell config through the CLI: a renamed or dropped name, a reordered
+signature or a config key the CLI stops taking fails here, not first in a
+benchmark run.
 """
 
 import importlib
 import importlib.util
 import inspect
 import json
+import sys
 
 import pytest
 
 import lpwanleak
+from lpwanleak import cli
 
 from conftest import ROOT
 
@@ -26,6 +30,7 @@ def _load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
         f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up here
     spec.loader.exec_module(module)
     return module
 
@@ -71,6 +76,17 @@ def test_benchmark_tracemc_job_runs(tmp_path):
         <= 4 * row["conditional_entropy_se"]
 
 
+@pytest.mark.parametrize("prepare", ["prepare_figure_sweep", "prepare_chisq_sweep"])
+def test_benchmark_sweep_configs_run(tmp_path, prepare):
+    workloads = _load_perfbench("workloads")
+    prepared = getattr(workloads, prepare)(1, str(tmp_path))
+    out = tmp_path / "setup.csv"
+    argv = workloads.with_out(prepared.setup_argv, str(out))
+    assert argv[:3] == workloads.lpwanleak_argv()
+    assert cli.main(argv[3:]) == 0
+    assert out.read_text().splitlines()[1] == lpwanleak.SWEEP_CSV_HEADER
+
+
 @pytest.mark.parametrize("name", LIBRARY_MODULES + ("cli",))
 def test_module_all_names_exist(name):
     module = importlib.import_module(f"lpwanleak.{name}")
@@ -91,8 +107,8 @@ def test_library_names_are_reexported(name):
 # every public name of the package and its command line; adding or dropping
 # one is a deliberate edit here
 PUBLIC_NAMES = [
-    "ACTIONS", "AnomalyCountDistance", "COST_CSV_HEADER", "CardinalityDistance", "Config",
-    "ConfigError", "CostModel", "CostPoint", "DENOMINATOR_MODES", "DETECTOR_MODES",
+    "ACTIONS", "COST_CSV_HEADER", "CardinalityDistance", "Config",
+    "ConfigError", "CostModel", "CostPoint", "DETECTOR_MODES",
     "DataError", "DegenerateMetricError", "DetectorConfig", "FillToMechanism", "Fixture",
     "IdentityMechanism", "InconsistentObservationError", "InfeasibleTargetError",
     "IntervalModel", "KnowledgeModel", "Mechanism", "MetricsReport", "RUN_CSV_HEADER", "Run",
@@ -113,5 +129,4 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    cli = importlib.import_module("lpwanleak.cli")
     assert sorted(set(lpwanleak.__all__) | set(cli.__all__)) == PUBLIC_NAMES

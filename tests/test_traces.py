@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpwanleak import (
-    AnomalyCountDistance,
     CardinalityDistance,
     FillToMechanism,
     IdentityMechanism,
@@ -19,14 +18,12 @@ from lpwanleak import (
     TracePrior,
     average_error,
     average_error_mc,
-    chi_square_threshold,
     conditional_entropy,
     conditional_entropy_mc,
     enumerate_observables,
     load_fixture,
     optimal_guess,
     posterior_table,
-    run_dispersion,
 )
 from lpwanleak.traces import _sample_mean, _sample_pairs
 from trace_oracles import flatnonzero_sample_pairs
@@ -125,46 +122,6 @@ def test_cardinality_distance_contract():
     assert all(type(v) is float for v in first)
     assert [d(a, b) for a, b in pairs] == first
     assert [CardinalityDistance()(a, b) for a, b in pairs] == first
-    # AnomalyCountDistance answers as before, fresh or cached, list or tuple
-    anom = AnomalyCountDistance((0.0, 10.0), slot_width=1.0, slots=10, alpha=0.05)
-    burst = [2.0 + 0.05 * k for k in range(12)]
-    assert [anom(burst, ()), anom(tuple(burst), []), anom(burst, burst)] == [1.0, 1.0, 0.0]
-    with pytest.raises(ValueError, match="duplicate"):
-        anom([1.0, 1.0], ())
-
-
-def test_anomaly_count_distance():
-    window = (0.0, 10.0)
-    d = AnomalyCountDistance(window, slot_width=1.0, slots=10, alpha=0.05)
-    burst = tuple(2.0 + 0.05 * k for k in range(12))  # 12 messages in slot 2
-    # cross-check the flag decision against the dispersion test itself
-    counts = [0] * 10
-    counts[2] = 12
-    stat = 9 * run_dispersion([counts])[2][0]
-    assert stat > chi_square_threshold(10, 0.05)
-    assert d(burst, ()) == 1.0
-    assert d(burst, burst) == 0.0
-    assert d((), ()) == 0.0  # empty intervals never flag
-    # two full intervals; messages before the window or past the last full
-    # interval are ignored
-    two = AnomalyCountDistance((0.0, 25.0), slot_width=1.0, slots=10, alpha=0.05)
-    late = tuple(12.0 + 0.05 * k for k in range(12))
-    outside = tuple(t + 10.0 for t in late) + tuple(t - 5.0 for t in burst)
-    assert two(burst + late, ()) == 2.0
-    assert two(burst + late + outside, burst) == 1.0
-    # random bursty traces: the binned flag count equals a per-interval loop
-    rng = np.random.default_rng(4)
-    for _ in range(30):
-        noise = rng.uniform(-2.0, 27.0, rng.integers(0, 40))
-        spike = rng.integers(0, 20) + rng.uniform(0.0, 1.0, rng.integers(0, 15))
-        ts = tuple(np.unique(np.concatenate([noise, spike])))
-        want = 0
-        for start in (0.0, 10.0):
-            c = np.array([sum(start + j <= t < start + j + 1 for t in ts) for j in range(10)])
-            want += bool(c.sum()) and 9 * c.var(ddof=1) / c.mean() > two.threshold
-        assert two(ts, ()) == want
-    with pytest.raises(ValueError):
-        AnomalyCountDistance((0.0, 5.0), slot_width=1.0, slots=10)
 
 
 def test_posterior_values():

@@ -25,5 +25,6 @@ def to_timestamps(run, slot_width: float = 1.0, start: float = 0.0) -> np.ndarra
 
 def write_trace_csv(path, timestamps, device: str = "dev0", comment=None) -> None:
     """Write timestamps in the `timestamp_s,device_id` format analyze reads."""
-    write_csv(path, comment, _TRACE_CSV_HEADER,
-              (f"{t!r},{device}" for t in np.asarray(timestamps, dtype=float).tolist()))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(fh, comment, _TRACE_CSV_HEADER,
+                  (f"{t!r},{device}" for t in np.asarray(timestamps, dtype=float).tolist()))
