@@ -13,13 +13,13 @@ from lpwanleak import (DetectorConfig, IntervalModel, KnowledgeModel,
                        run_to_csv, solve_strategy, test_run)
 
 MODEL = IntervalModel(slots=10, base_rate=1.0, intensity=40.0, anomaly_rate=0.2)
-KNOWLEDGE = KnowledgeModel.complete()
+KNOWLEDGE = KnowledgeModel()
 SEED = 20260819
 
 
 def show_pipeline():
     cm = costs(MODEL)
-    strat = solve_strategy(MODEL, KNOWLEDGE, budget=1.0, cost_model=cm)
+    strat = solve_strategy(MODEL, KNOWLEDGE, budget=1.0)
     print(f"strategy: P_wf={strat.p_waterfill:.4f} P_f={strat.p_fake:.4f} "
           f"epsilon={strat.epsilon:.4f} cost={strat.cost:.4f} "
           f"feasible_optimal={strat.feasible_optimal}")

@@ -38,9 +38,9 @@ def detail(rp, intensity, knowledge):
 
 
 if __name__ == "__main__":
-    show(KnowledgeModel.complete(), "complete knowledge")
+    show(KnowledgeModel(), "complete knowledge")
     show(KnowledgeModel(tpr=0.7, tnr=0.99), "incomplete knowledge (tpr 0.7, tnr 0.99)")
     print("\nselected cells:")
-    detail(0.5, 10.0, KnowledgeModel.complete())
-    detail(0.2, 40.0, KnowledgeModel.complete())
+    detail(0.5, 10.0, KnowledgeModel())
+    detail(0.2, 40.0, KnowledgeModel())
     detail(0.3, 30.0, KnowledgeModel(tpr=0.7, tnr=0.99))

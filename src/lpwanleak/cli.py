@@ -39,7 +39,7 @@ from . import __version__
 from .attacker import bin_timestamps, chi_square_threshold, run_dispersion
 from .experiment import (SweepSpec, cost_curves, cost_curves_to_csv, run_sweep,
                          simulate_run, sweep_to_csv)
-from .obfuscator import KnowledgeModel, costs, solve_strategy, strategy_json
+from .obfuscator import KnowledgeModel, solve_strategy, strategy_json
 from .traces import InconsistentObservationError, enumerate_observables, load_fixture, posterior_table
 from .traffic import IntervalModel, run_to_csv, write_csv
 
@@ -386,10 +386,10 @@ def _resolve_seed(args, cfg: Config) -> int:
 
 
 def _open_out(path):
-    """Open an output path for writing; None is stdout. Commands open every
-    output (--out or run.out, and simulate.dump_run) before they run a cell
-    or read a trace, so an unwritable path fails before the work (and a run
-    that fails later leaves the file empty, as a shell redirect does)."""
+    """Open an output path for writing; None is stdout. Commands check every
+    output with _check_outputs, then open it before they run a cell or read
+    a trace, so an unwritable path fails before the work (and a run that
+    fails later leaves the file empty, as a shell redirect does)."""
     if path is None:
         return contextlib.nullcontext(sys.stdout)
     try:
@@ -404,6 +404,14 @@ def _same_file(a, b) -> bool:
         return os.path.samefile(a, b)
     except OSError:  # a path that names no file
         return False
+
+
+def _check_outputs(args, outputs=(), reads=()) -> None:
+    """Refuse an output (--out or run.out, and ``outputs``) that names the config or a file
+    the command reads (``reads``, (kind, path) pairs): opening it would truncate that file."""
+    for out, (kind, path) in product((args.out, *outputs), (("config", args.config), *reads)):
+        if out is not None and path is not None and _same_file(out, path):
+            raise ConfigError(f"output {out} is the {kind} {path}")
 
 
 def _resolve_format(args, cfg: Config, default: str) -> str:
@@ -509,12 +517,11 @@ def cmd_solve(args, cfg: Config, seed: int) -> int:
     model = _model_from(cfg)
     knowledge = _knowledge_from(cfg)
     _check_normalizer(cfg, "solver", "cost_denominator")
-    cm = costs(model)
     budget = cfg.get("solver", "budget", 1.0)
-    strat = _wrap_value_error(lambda: solve_strategy(model, knowledge, budget, cm),
-                              "solver.budget")
+    strat = _wrap_value_error(lambda: solve_strategy(model, knowledge, budget), "solver.budget")
     doc = strategy_json(strat, model, knowledge)
     doc["meta"] = _meta(cfg, seed)
+    _check_outputs(args)
     with _open_out(args.out) as out:
         out.write(json.dumps(doc, indent=2) + "\n")
     return 0
@@ -528,8 +535,8 @@ def cmd_sweep(args, cfg: Config, seed: int) -> int:
     if single_cell and (len(spec.anomaly_rates) != 1 or len(spec.intensities) != 1):
         raise ConfigError("simulate needs a single-cell grid (one anomaly rate, one intensity)")
     dump = cfg.get("simulate", "dump_run", None) if single_cell else None
-    with (_open_out(args.out) as out,
-          contextlib.nullcontext() if dump is None else _open_out(dump) as dump_fh):
+    _check_outputs(args, [dump])
+    with _open_out(args.out) as out, _open_out(dump) as dump_fh:
         if dump is not None and args.out is not None and _same_file(args.out, dump):
             raise ConfigError(f"config key 'simulate.dump_run' names the output file {dump}")
         records = run_sweep(spec)
@@ -538,7 +545,7 @@ def cmd_sweep(args, cfg: Config, seed: int) -> int:
         else:
             _emit_json(cfg, seed, "rows", _json_rows(records), out)
         failed = [r for r in records if r.error]
-        if dump_fh is not None and not failed:
+        if dump is not None and not failed:
             # the run that run_sweep scored for its cell (0, 0), seed (spec.seed, 0, 0)
             model = IntervalModel(spec.slots, spec.base_rate, spec.intensities[0],
                                   spec.anomaly_rates[0])
@@ -560,9 +567,7 @@ def cmd_analyze(args, cfg: Config, seed: int) -> int:
                           f"got {slot_width!r}")
     slots = cfg.get("analyze", "slots", 10)
     alpha = cfg.get("analyze", "alpha", 0.05)
-    # opening the output truncates it, so it cannot be the trace read after
-    if args.out is not None and _same_file(path, args.out):
-        raise ConfigError(f"output {args.out} is the input trace {path}")
+    _check_outputs(args, reads=[("input trace", path)])
     with _open_out(args.out) as out:
         timestamps = read_trace_csv(path, device)
         # after the read: loading scipy.special first adds about 20 MB to the reader's peak RSS
@@ -590,6 +595,7 @@ def cmd_posterior(args, cfg: Config, seed: int) -> int:
     observed = cfg.get("posterior", "observed", None)
     if observed is not None and len(set(observed)) < len(observed):
         raise ConfigError(f"config key 'posterior.observed' repeats a timestamp, got {observed}")
+    _check_outputs(args, reads=[("fixture", path)])
     try:
         with _read_text(path, "fixture", DataError) as fh:
             fixture = load_fixture(fh)
@@ -631,6 +637,7 @@ def cmd_costs(args, cfg: Config, seed: int) -> int:
                                 f"costs model (lambda={lam}, I={inten})")
               for lam, inten in product(base_rates, intensities)]
     points = _wrap_value_error(lambda: cost_curves(models, shifts), "costs")
+    _check_outputs(args)
     with _open_out(args.out) as out:
         if fmt == "csv":
             cost_curves_to_csv(points, out, comment=_provenance(cfg, seed))

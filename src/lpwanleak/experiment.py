@@ -172,12 +172,12 @@ def simulate_run(model: IntervalModel, knowledge: KnowledgeModel, budget: float,
     """
     base = _seed_tuple(seed)
     cm = costs(model)
-    strat = solve_strategy(model, knowledge, budget, cm)
+    strat = solve_strategy(model, knowledge, budget)
     run = gen_run(model, n_intervals, base + (0,))
     return strat, cm, apply_strategy(run, strat, knowledge, cm, base + (1,))
 
 
-def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
+def run_cell(model: IntervalModel, knowledge: KnowledgeModel = KnowledgeModel(),
              budget: float = 1.0, detector_mode: str = "idealized",
              alpha: float = 0.05, n_intervals: int = 100_000, seed=0) -> MetricsReport:
     """Simulate one cell end to end under its solved strategy.
@@ -203,10 +203,9 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel | None = None,
     (or no baselines) the strategy is a no-op and guessing error on
     anomalies can be undefined (nan).
     """
-    knowledge = knowledge or KnowledgeModel.complete()
     base = _seed_tuple(seed)
     cm = costs(model)
-    strat = solve_strategy(model, knowledge, budget, cm)
+    strat = solve_strategy(model, knowledge, budget)
 
     if detector_mode == "idealized":
         cfg = DetectorConfig.idealized(model.anomaly_rate, strat.p_waterfill,
@@ -257,7 +256,7 @@ class SweepSpec:
     intensities: tuple[float, ...]
     slots: int = 10
     base_rate: float = 1.0
-    knowledge: KnowledgeModel = field(default_factory=KnowledgeModel.complete)
+    knowledge: KnowledgeModel = field(default_factory=KnowledgeModel)
     budget: float = 1.0
     detector_mode: str = "idealized"
     alpha: float = 0.05

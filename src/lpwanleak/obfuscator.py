@@ -184,10 +184,6 @@ class KnowledgeModel:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
-    @classmethod
-    def complete(cls) -> "KnowledgeModel":
-        return cls(1.0, 1.0)
-
 
 @dataclass(frozen=True)
 class Strategy:
@@ -221,7 +217,7 @@ def epsilon_of(anomaly_rate: float, p_waterfill: float, p_fake: float,
 
 def power_cost(p_waterfill: float, p_fake: float, cost_model: CostModel,
                anomaly_rate: float) -> float:
-    """Long-run expected relative dummy cost of a strategy."""
+    """Long-run expected relative dummy cost of a strategy; the solver's one price."""
     rp = anomaly_rate
     return rp * p_waterfill * cost_model.waterfill_cost \
         + (1.0 - rp) * p_fake * cost_model.fake_cost
@@ -234,8 +230,8 @@ def _frontier_candidates(rp: float, tpr: float, tnr: float, cm: CostModel,
     them. Along the line x = tpr * p_waterfill and F = P(flagged) are linear
     in t, epsilon + 1 = odds(1 - x) / odds(F), and its stationary points
     solve the quadratic x' F (1 - F) + F' x (1 - x) = 0."""
-    a = rp * cm.waterfill_cost
-    b = (1.0 - rp) * cm.fake_cost
+    a = power_cost(1.0, 0.0, cm, rp)
+    b = power_cost(0.0, 1.0, cm, rp)
     if a + b <= budget:
         return [(1.0, 1.0)]
     # the ends with the most waterfilling (t = 1) and with the most faking (t = 0)
@@ -275,16 +271,16 @@ def _within_budget(pw: float, pf: float, cm: CostModel, rp: float,
     near = [(math.nextafter(pw, 0.0), pf), (pw, math.nextafter(pf, 0.0))]
     fits = [p for p in near if power_cost(*p, cm, rp) <= budget]
     while power_cost(pw, pf, cm, rp) > budget:
-        if (1.0 - rp) * pf * cm.fake_cost >= rp * pw * cm.waterfill_cost:
+        if power_cost(0.0, pf, cm, rp) >= power_cost(pw, 0.0, cm, rp):
             pf = math.nextafter(pf, 0.0)
         else:
             pw = math.nextafter(pw, 0.0)
     return fits + [(pw, pf)]
 
 
-def solve_strategy(model: IntervalModel, knowledge: KnowledgeModel | None = None,
-                   budget: float = 1.0, cost_model: CostModel | None = None) -> Strategy:
-    """Pick (p_waterfill, p_fake) under the power budget.
+def solve_strategy(model: IntervalModel, knowledge: KnowledgeModel = KnowledgeModel(),
+                   budget: float = 1.0) -> Strategy:
+    """Pick (p_waterfill, p_fake) under the power budget, priced by :func:`power_cost`.
 
     Degenerate anomaly rates (0 or 1) need no obfuscation: the prior already
     tells the attacker everything it will ever learn, so the zero-cost no-op
@@ -301,13 +297,12 @@ def solve_strategy(model: IntervalModel, knowledge: KnowledgeModel | None = None
     and the no-op, which wins where all leak infinitely (tpr = 0), are
     ranked by |epsilon|, then cost, then p_waterfill, then p_fake.
     """
-    knowledge = knowledge or KnowledgeModel.complete()
     if not budget >= 0:
         raise ValueError(f"budget must be >= 0, got {budget!r}")
     rp = model.anomaly_rate
     if rp in (0.0, 1.0):
         return Strategy(0.0, 0.0, 0.0, 0.0, True, degenerate=True)
-    cm = cost_model or costs(model)
+    cm = costs(model)
     tpr, tnr = knowledge.tpr, knowledge.tnr
 
     # epsilon = 0 endpoints: y = tnr * p_fake bounded by the unit square
@@ -375,20 +370,18 @@ def apply_strategy(run: Run, strategy: Strategy, knowledge: KnowledgeModel,
     counts = run.counts.copy()
     dummies = run.dummy_counts.copy()
 
+    # a draw of size zero takes nothing from the generator
     wf_rows = np.flatnonzero(action == 1)
-    if wf_rows.size:
-        spare = np.where(run.is_anomaly[wf_rows], run.anomaly_slot[wf_rows],
-                         spare_guess[wf_rows])
-        add = rng.poisson(cost_model.waterfill_rate, (wf_rows.size, s))
-        add[np.arange(wf_rows.size), spare] = 0
-        counts[wf_rows] += add
-        dummies[wf_rows] += add
+    spare = np.where(run.is_anomaly[wf_rows], run.anomaly_slot[wf_rows], spare_guess[wf_rows])
+    add = rng.poisson(cost_model.waterfill_rate, (wf_rows.size, s))
+    add[np.arange(wf_rows.size), spare] = 0
+    counts[wf_rows] += add
+    dummies[wf_rows] += add
 
     fk_rows = np.flatnonzero(action == 2)
-    if fk_rows.size:
-        burst = rng.poisson(cost_model.fake_rate, fk_rows.size)
-        counts[fk_rows, fake_slots[fk_rows]] += burst
-        dummies[fk_rows, fake_slots[fk_rows]] += burst
+    burst = rng.poisson(cost_model.fake_rate, fk_rows.size)
+    counts[fk_rows, fake_slots[fk_rows]] += burst
+    dummies[fk_rows, fake_slots[fk_rows]] += burst
 
     return Run(counts, dummies, run.is_anomaly, run.anomaly_slot, action)
 

@@ -139,7 +139,7 @@ def test_criterion_2_full_target_rates_and_injected_dispersion():
     # waterfilling on this grid.
     failures = []
     details = []
-    knowledge = KnowledgeModel.complete()
+    knowledge = KnowledgeModel()
     waterfill_all = Strategy(1.0, 0.0, 0.0, 0.0, True)
     fake_all = Strategy(0.0, 1.0, 0.0, 0.0, True)
     for ii, intensity in enumerate((10.0, 40.0)):

@@ -186,6 +186,16 @@ def test_quoted_string_is_one_value(written, value):
     assert parse_config(f"[run]\nout = {written}\n") == {"run": {"out": value}}
 
 
+@pytest.mark.parametrize("written,value", [
+    ('"a"b"', 'a"b'),
+    ("a:b:c", "a:b:c"),
+], ids=["inner-quote", "non-numeric-range"])
+def test_value_that_is_no_list_reads_as_a_string(written, value):
+    # a quote inside the quotes is not taken whole but still unquoted once;
+    # three colon-separated non-numbers are not a range
+    assert parse_config(f"[analyze]\ndevice = {written}\n") == {"analyze": {"device": value}}
+
+
 def test_quoted_output_path_with_a_comma(tmp_path):
     out = tmp_path / "a,b.csv"
     cfg = _write(tmp_path, "sweep.cfg", f"""\
@@ -1081,28 +1091,68 @@ def _unreadable(tmp_path, how):
     return path
 
 
+# a config that every command can run on: one sweep cell and a costs grid
+EVERY_COMMAND_CFG = "[sweep]\n" + SWEEP_CELL + "[costs]\nshifts = 1, 2\n"
+
+
+def _readable(tmp_path, role, output=""):
+    """A good input file of ``role``; a config names itself as the output
+    key ``output`` (run.out or simulate.dump_run), if it is one."""
+    path = tmp_path / f"input-{role}"
+    if role == "trace":
+        write_trace_csv(path, to_timestamps(gen_run(IntervalModel(10, 1.0, 40.0, 0.3), 20, 3)))
+    elif role == "fixture":
+        path.write_bytes((ROOT / "fixtures" / "fillto_two_messages.json").read_bytes())
+    else:
+        key = f'{output} = "{path}"\n' if output in ("run.out", "simulate.dump_run") else ""
+        path.write_text(EVERY_COMMAND_CFG + key)
+    return path
+
+
 @pytest.mark.parametrize("role,how,rc", [
     *((role, how, rc) for role, rc in (("config", 2), ("trace", 3), ("fixture", 3))
       for how in ("missing", "directory", "not-utf8")),
     ("out", "missing", 2),
     ("dump_run", "missing", 2),
     ("dump_run", "same as --out", 2),
+    # an output that names a file the command reads, as "<command>:<output>"
+    *(("config", f"{command}:--out", 2) for command in cli._COMMANDS),
+    ("config", "sweep:run.out", 2),
+    ("config", "simulate:simulate.dump_run", 2),
+    ("trace", "analyze:--out", 2),
+    ("fixture", "posterior:--out", 2),
 ])
 def test_every_file_the_cli_touches_fails_with_its_exit_code(tmp_path, capsys, role, how, rc):
-    bad = tmp_path / "out.csv" if how == "same as --out" else _unreadable(tmp_path, how)
+    command, _, output = how.partition(":")
+    if output:
+        bad = _readable(tmp_path, role, output)
+    else:
+        bad = tmp_path / "out.csv" if how == "same as --out" else _unreadable(tmp_path, how)
+    before = bad.read_bytes() if output else None
     dump = f'[simulate]\ndump_run = "{bad}"\n' if role == "dump_run" else ""
-    cfg = _write(tmp_path, "cell.cfg", "[sweep]\n" + SWEEP_CELL + dump)
-    argv = {"config": ["sweep", "--config", str(bad)],
+    cfg = _write(tmp_path, "cell.cfg", EVERY_COMMAND_CFG + dump)
+    argv = {"config": [command if output else "sweep", "--config", str(bad)],
             "trace": ["analyze", str(bad)],
             "fixture": ["posterior", str(bad)],
             "out": ["sweep", "--config", cfg],
             "dump_run": ["simulate", "--config", cfg]}[role]
-    out = bad if role == "out" else tmp_path / "out.csv"
-    assert main([*argv, "--seed", "0", "--out", str(out)]) == rc
-    assert str(bad) in capsys.readouterr().err
+    inputs = {"analyze": "trace", "posterior": "fixture"}
+    if role == "config" and command in inputs:
+        argv.append(str(_readable(tmp_path, inputs[command])))
+    out = bad if role == "out" or output == "--out" else tmp_path / "out.csv"
+    flags = [] if output == "run.out" else ["--out", str(out)]
+    assert main([*argv, "--seed", "0", *flags]) == rc
+    err = capsys.readouterr().err
+    assert str(bad) in err
     if role == "dump_run":
         # both outputs are opened before the cell runs, so nothing was written
         assert out.read_text() == ""
+    if output:
+        # refused before any file is opened: the input keeps its bytes and
+        # the other output was not created
+        assert f"output {bad} is the " in err
+        assert bad.read_bytes() == before
+        assert not (tmp_path / "out.csv").exists()
 
 
 def test_utf8_config_reads_the_same_under_a_c_locale(tmp_path):
@@ -1180,6 +1230,23 @@ anomaly_rate = 0.5
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     assert "no seed given" in capsys.readouterr().err
     assert isinstance(json.loads(out.read_text())["meta"]["seed"], int)
+
+
+def test_solve_without_an_intensity_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "solve.cfg", "[model]\nanomaly_rate = 0.5\n")
+    assert main(["solve", "--config", cfg, "--seed", "1"]) == 2
+    assert "missing required config key 'model.intensity'" in capsys.readouterr().err
+
+
+def test_broken_pipe_exits_zero(tmp_path, monkeypatch):
+    # a reader that closes the pipe early (lpwanleak ... | head) is no error
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    cfg = _write(tmp_path, "solve.cfg", "[model]\nintensity = 10\nanomaly_rate = 0.5\n")
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["solve", "--config", cfg, "--seed", "1"]) == 0
 
 
 def test_argparse_level_errors():

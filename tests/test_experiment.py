@@ -57,6 +57,9 @@ def test_binary_entropy():
     assert binary_entropy_bits(0.5) == pytest.approx(1.0)
     assert binary_entropy_bits(0.2) == pytest.approx(
         -(0.2 * math.log2(0.2) + 0.8 * math.log2(0.8)))
+    for p in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="probability must be in"):
+            binary_entropy_bits(p)
 
 
 def test_realized_cost_hand_case():
@@ -258,7 +261,7 @@ def test_idealized_cells_draw_no_counts(monkeypatch):
 
     for name in ("gen_run", "apply_strategy", "test_run"):
         monkeypatch.setattr(experiment, name, refuse)
-    for knowledge in (KnowledgeModel.complete(), KnowledgeModel(0.7, 0.99)):
+    for knowledge in (KnowledgeModel(), KnowledgeModel(0.7, 0.99)):
         r = run_cell(IntervalModel(10, 1.0, 40.0, 0.2), knowledge, n_intervals=2000, seed=3)
         assert not r.error and math.isfinite(r.guess_err) and math.isfinite(r.realized_cost)
         recs = run_sweep(SweepSpec(anomaly_rates=(0.0, 0.2, 0.5, 1.0), intensities=(10.0, 40.0),
@@ -346,7 +349,7 @@ def test_sweep_runs_up_to_the_poisson_rate_limit():
     for mode in ("idealized", "chi-square"):
         rec, = run_sweep(dataclasses.replace(spec, detector_mode=mode))
         assert not rec.error and math.isfinite(rec.realized_cost)
-    assert spec.knowledge == KnowledgeModel.complete()
+    assert spec.knowledge == KnowledgeModel()
 
 
 def test_run_sweep_order_and_isolation(monkeypatch):

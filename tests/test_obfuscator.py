@@ -100,17 +100,17 @@ def test_injected_dispersion_targets_mc():
     cm = costs(model)
     run = gen_run(model, 20_000, 5)
     obf = apply_strategy(run, Strategy(1.0, 0.0, 0.0, 0.0, True),
-                         KnowledgeModel.complete(), cm, 6)
+                         KnowledgeModel(), cm, 6)
     assert abs(ensemble_dispersion(obf.counts) - 1.0) < 0.1
     base = IntervalModel(10, 1.0, 10.0, 0.0)
     run = gen_run(base, 20_000, 7)
     obf = apply_strategy(run, Strategy(0.0, 1.0, 0.0, 0.0, True),
-                         KnowledgeModel.complete(), cm, 8)
+                         KnowledgeModel(), cm, 8)
     assert abs(ensemble_dispersion(obf.counts) - anomaly_dispersion(model)) < 0.2
 
 
 def test_knowledge_model():
-    assert KnowledgeModel.complete() == KnowledgeModel(1.0, 1.0) == KnowledgeModel()
+    assert KnowledgeModel() == KnowledgeModel(1.0, 1.0)
     with pytest.raises(ValueError):
         KnowledgeModel(1.2, 1.0)
     with pytest.raises(ValueError):
@@ -151,10 +151,10 @@ def test_power_cost_and_budget_boundary():
     assert c == pytest.approx(want, rel=1e-12)
     # a strategy priced exactly at the budget is feasible: the solver keeps it
     budget = power_cost(0.0, 1.0, cm, 0.2)
-    s = solve_strategy(M10, budget=budget, cost_model=cm)
+    s = solve_strategy(M10, budget=budget)
     assert s.feasible_optimal and (s.p_waterfill, s.p_fake) == (0.0, 1.0)
     assert s.cost == budget
-    assert not solve_strategy(M10, budget=budget * 0.999, cost_model=cm).feasible_optimal
+    assert not solve_strategy(M10, budget=budget * 0.999).feasible_optimal
 
 
 def test_solve_strategy_feasible_cell():
@@ -224,7 +224,7 @@ def test_apply_strategy_only_adds_and_keeps_truth():
     run = gen_run(M40, 2000, 1)
     cm = costs(M40)
     obf = apply_strategy(run, Strategy(0.6, 0.3, 0.0, 0.0, False),
-                         KnowledgeModel.complete(), cm, 2)
+                         KnowledgeModel(), cm, 2)
     assert np.all(obf.counts >= run.counts)
     assert np.array_equal(obf.counts - run.counts, obf.dummy_counts)
     assert np.array_equal(obf.is_anomaly, run.is_anomaly)
@@ -235,8 +235,8 @@ def test_apply_strategy_deterministic():
     run = gen_run(M40, 500, 3)
     cm = costs(M40)
     strat = Strategy(0.5, 0.2, 0.0, 0.0, False)
-    a = apply_strategy(run, strat, KnowledgeModel.complete(), cm, 9)
-    b = apply_strategy(run, strat, KnowledgeModel.complete(), cm, 9)
+    a = apply_strategy(run, strat, KnowledgeModel(), cm, 9)
+    b = apply_strategy(run, strat, KnowledgeModel(), cm, 9)
     assert a == b
 
 
@@ -245,7 +245,7 @@ def test_apply_strategy_waterfill_spares_anomalous_slot():
     run = gen_run(model, 300, 4)
     cm = costs(model)
     obf = apply_strategy(run, Strategy(1.0, 0.0, 0.0, 0.0, True),
-                         KnowledgeModel.complete(), cm, 5)
+                         KnowledgeModel(), cm, 5)
     assert np.all(obf.action == 1)
     rows = np.arange(len(obf))
     assert np.all(obf.dummy_counts[rows, obf.anomaly_slot] == 0)
@@ -257,7 +257,7 @@ def test_apply_strategy_fake_hits_single_slot():
     model = IntervalModel(10, 1.0, 40.0, 0.0)
     run = gen_run(model, 300, 6)
     obf = apply_strategy(run, Strategy(0.0, 1.0, 0.0, 0.0, True),
-                         KnowledgeModel.complete(), costs(model), 7)
+                         KnowledgeModel(), costs(model), 7)
     assert np.all(obf.action == 2)
     assert np.all((obf.dummy_counts > 0).sum(axis=1) <= 1)
 
@@ -284,7 +284,7 @@ def test_apply_strategy_class_rates():
     run = gen_run(model, 40_000, 8)
     cm = costs(model)
     strat = Strategy(0.3, 0.2, 0.0, 0.0, False)
-    obf = apply_strategy(run, strat, KnowledgeModel.complete(), cm, 9)
+    obf = apply_strategy(run, strat, KnowledgeModel(), cm, 9)
     anom = obf.is_anomaly
     assert abs(np.mean(obf.action[anom] == 1) - 0.3) < 0.02
     assert abs(np.mean(obf.action[~anom] == 2) - 0.2) < 0.02
@@ -438,7 +438,7 @@ def test_solve_strategy_matches_scan_oracles(slots, lam, intensity, rp, tpr, tnr
     cm = costs(model)
     a, b = rp * cm.waterfill_cost, (1.0 - rp) * cm.fake_cost
     budget = share * (a + b)
-    s = solve_strategy(model, KnowledgeModel(tpr, tnr), budget, cm)
+    s = solve_strategy(model, KnowledgeModel(tpr, tnr), budget)
     assert power_cost(s.p_waterfill, s.p_fake, cm, rp) <= budget
     # the endpoint path reports the analytic zero, the search path its score
     assert s.epsilon == (0.0 if s.feasible_optimal
@@ -473,7 +473,7 @@ def test_solve_strategy_subnormal_anomaly_rate():
     model = IntervalModel(2, 1.0, 24.125, 2.225073858507e-311)
     cm = costs(model)
     budget = 0.01190911098548986
-    s = solve_strategy(model, KnowledgeModel(0.5, 0.0), budget, cm)
+    s = solve_strategy(model, KnowledgeModel(0.5, 0.0), budget)
     assert 0.0 <= s.p_waterfill <= 1.0 and 0.0 <= s.p_fake <= 1.0
     assert power_cost(s.p_waterfill, s.p_fake, cm, model.anomaly_rate) <= budget
 
@@ -485,7 +485,7 @@ def test_solve_strategy_over_budget_guard_keeps_the_least_bias():
     model = IntervalModel(2, 3.628676123355528, 49.27263612668482, 0.9573001016284912)
     cm = costs(model)
     budget = 1.711478825712905
-    s = solve_strategy(model, KnowledgeModel(1.4e-45, 0.0), budget, cm)
+    s = solve_strategy(model, KnowledgeModel(1.4e-45, 0.0), budget)
     assert power_cost(s.p_waterfill, s.p_fake, cm, model.anomaly_rate) <= budget
     assert s.p_waterfill == 1.0
     assert s.epsilon == 3.186036161109378e43

@@ -14,6 +14,7 @@ from lpwanleak import (
     FillToMechanism,
     IdentityMechanism,
     InconsistentObservationError,
+    Mechanism,
     TableMechanism,
     TracePrior,
     average_error,
@@ -54,6 +55,11 @@ def test_prior_validation():
         TracePrior({(1.0, 2.0): 0.5, (2.0, 1.0): 0.5}, WINDOW)
     fine = TracePrior({(0.5,): 1.0}, WINDOW, tick=0.5)
     assert fine.support == ((0.5,),)
+    with pytest.raises(ValueError, match="window end precedes start"):
+        TracePrior({(): 1.0}, (3.0, 0.0))
+    for tick in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tick must be positive"):
+            TracePrior({(): 1.0}, WINDOW, tick=tick)
 
 
 def test_prior_support_and_entropy():
@@ -99,6 +105,11 @@ def test_table_mechanism():
         TableMechanism({(1.0,): {(2.0,): 1.0}})  # output loses the real trace
     with pytest.raises(ValueError):
         m.outputs((3.0,))  # no row for that real trace
+    with pytest.raises(ValueError, match="negative mechanism mass"):
+        TableMechanism({(1.0,): {(1.0,): 1.5, (1.0, 2.0): -0.5}})
+    # a zero-mass output is dropped before its containment is checked
+    m = TableMechanism({(1.0,): {(1.0,): 1.0, (2.0,): 0.0}})
+    assert m.outputs((1.0,)) == [((1.0,), 1.0)]
 
 
 def test_cardinality_distance():
@@ -268,6 +279,20 @@ def test_mc_estimators_take_one_value_per_sampled_pair(monkeypatch):
     average_error_mc(PRIOR, FILL, CARD, budget=4000, seed=5)
     conditional_entropy_mc(PRIOR, FILL, budget=4000, seed=6)
     assert checked == [True, True]
+
+
+def test_conditional_entropy_mc_rejects_a_zero_posterior_sample():
+    # a mechanism that breaks its contract: the real {1} yields the empty
+    # observation, which does not contain it, so the posterior of {} gives
+    # {1} no mass although the sampler drew that pair
+    class Drops(Mechanism):
+        def outputs(self, real):
+            return [((), 1.0)]
+
+    prior = TracePrior({(): 0.5, (1.0,): 0.5}, WINDOW)
+    assert posterior_table(prior, Drops(), ()) == {(): 1.0}
+    with pytest.raises(InconsistentObservationError, match="zero posterior"):
+        conditional_entropy_mc(prior, Drops(), budget=64, seed=0)
 
 
 def test_mc_methods_reject_unknown():

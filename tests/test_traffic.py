@@ -61,6 +61,9 @@ def test_gen_run_reproducible():
     assert a == b
     c = gen_run(MODEL, 200, 12)
     assert a != c
+    assert a != object() and not a == object()  # a Run equals Runs only
+    with pytest.raises(ValueError, match="n_intervals must be >= 0"):
+        gen_run(MODEL, -1, 11)
 
 
 def test_gen_run_columns_consistent():
