@@ -25,6 +25,7 @@ obfuscator scores its strategies with the same function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,24 +85,141 @@ def ensemble_dispersion(counts_2d) -> float:
     return float(s2.mean()) / m
 
 
+# pi to 60 digits, for ln sqrt(2 pi) in Stirling's series
+_PI = "3.14159265358979323846264338327950288419716939937510582097494"
+# Stirling's series for ln Gamma(z): B_2n / (2n (2n - 1)) times z^(1 - 2n)
+_STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360),
+             (1, 156), (-3617, 122400), (43867, 244188), (-174611, 125400))
+
+
 def chi_square_threshold(slots: int, alpha: float) -> float:
     """Critical value: flag when (slots-1) * dispersion exceeds it.
 
-    This is the chi-square quantile at 1 - alpha with slots-1 degrees of
+    The quantile at 1 - alpha of the chi-square law with slots-1 degrees of
     freedom, so the test has size alpha only asymptotically. At small
     counts its exact size falls below alpha: 0.0476 at 10 slots of
     Poisson(1) traffic with alpha = 0.05.
-    """
-    # imported here so that an idealized sweep loads no scipy at all; the
-    # quantile is written out as scipy.stats.chi2.ppf evaluates it (same
-    # bits) because scipy.stats takes about three times as long to import
-    from scipy.special import gammaincinv
 
+    The value is the correctly rounded root x of P((slots-1)/2, x/2) =
+    fl(1 - alpha), P the regularized lower incomplete gamma function: the
+    target of ``scipy.stats.chi2.ppf(1 - alpha, slots - 1)``, which it
+    equals at slots = 10, alpha = 0.05 (16.918977604620448) and which can
+    be some ulp off elsewhere. It is inf when fl(1 - alpha) = 1, as in
+    scipy. Computed with the standard library alone: Newton steps in double
+    precision, then in ``decimal``, with ln Gamma from Stirling's series.
+    """
     if slots < 2:
         raise ValueError("slots must be >= 2")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    return float(2.0 * gammaincinv((slots - 1) / 2, 1.0 - alpha))
+    p = 1.0 - alpha
+    if p == 1.0:
+        return math.inf
+    # imported here: only analyze and chi-square sweeps need a threshold
+    from decimal import Decimal, localcontext
+
+    k = slots - 1
+    y = _gamma_quantile_double(k, p)
+    with localcontext() as ctx:
+        # P - p cancels about as many digits as 1 - p has leading zeros, and
+        # a ln y and ln Gamma(a + 1) carry about len(str(k)) before the point
+        ctx.prec = 40 + max(0, math.ceil(-math.log10(1.0 - p))) + len(str(k))
+        a = Decimal(k) / 2
+        eps = Decimal(10) ** -ctx.prec
+        log_gamma = _decimal_log_gamma(a + 1, Decimal(_PI), eps)
+        target = Decimal(p)
+        y = Decimal(y)
+        while True:
+            # Newton on P(a, y) - p; y * density is a * w, P is w * series
+            w = (a * y.ln() - y - log_gamma).exp()
+            step = y * (_gamma_series(a, y, eps) - target / w) / a
+            y -= step
+            # from a double-precision start the second step is under 1e-20 of
+            # y: Newton then has y to the context's precision
+            if abs(step) * 10**20 < y:
+                return float(2 * y)  # float(Decimal) rounds correctly
+
+
+def _decimal_log_gamma(z, pi, eps):
+    """ln Gamma(z) for a Decimal z > 0, to absolute ``eps`` or better.
+
+    Stirling's series, on z first raised by whole steps (Gamma(z + 1) =
+    z Gamma(z)) to where its first omitted term, B_22 / (22 * 21 z^21) <
+    100 z^-21, is below eps.
+    """
+    from decimal import Decimal
+
+    shift = Decimal(1)
+    low = float(100 / eps) ** (1 / 21)
+    while z < low:
+        shift *= z
+        z += 1
+    series = sum(num / (den * z ** (2 * n - 1)) for n, (num, den) in enumerate(_STIRLING, 1))
+    return (z - Decimal("0.5")) * z.ln() - z + (2 * pi).ln() / 2 + series - shift.ln()
+
+
+def _gamma_series(a, y, eps):
+    """Sum over n >= 0 of y^n / ((a+1)(a+2)...(a+n)) to relative ``eps``,
+    in the type of ``y`` (float or Decimal); P(a, y) is
+    y^a e^-y / Gamma(a+1) times it. Every term is positive."""
+    term = total = 1
+    while term > total * eps:
+        a += 1
+        term *= y / a
+        total += term
+    return total
+
+
+def _log_upper_gamma(k, y, ly):
+    """log Q(k/2, y) in double precision from its closed form: e^-y y^s /
+    Gamma(s+1) summed over s = k/2 - 1, k/2 - 2, ... down to 0 or 1/2, plus
+    erfc(sqrt y) for odd k. ``ly`` is log y. On the upper tail y > k/2 - 1,
+    so the terms fall from the first on; the sum stops once they are below
+    1e-17 of it, and erfc, under 1/(2y) of the s = 1/2 term, counts only if
+    the sum ran to its end."""
+    s = k / 2 - 1
+    log_first = s * ly - y - math.lgamma(s + 1)
+    term, total = 1.0, 0.0
+    while s >= 0 and term > total * 1e-17:
+        total += term
+        term *= s / y
+        s -= 1
+    logs = [log_first + math.log(total)] if total else []  # k = 1 has no Poisson term
+    if k % 2 and s < 0 and y < 700:  # beyond 700, erfc underflows
+        logs.append(math.log(math.erfc(math.sqrt(y))))
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(v - top) for v in logs))
+
+
+def _gamma_quantile_double(k, p):
+    """y with P(k/2, y) = p, to about double precision.
+
+    Newton steps in log y on log P when p <= 1/2, else on log Q = log(1 - P).
+    Both are concave in log y (the log of a gamma variable has a log-concave
+    density), so from a start on the near side of the root the steps never
+    overshoot: P(a, y) <= y^a / Gamma(a+1) puts the first start below the
+    root, and the Chernoff bound Q(a, y) <= (e y / a)^a e^-y puts the second
+    above it.
+    """
+    a = k / 2
+    upper = p > 0.5
+    if upper:
+        log_q = math.log1p(-p)
+        y = a - log_q + math.sqrt(log_q * (log_q - 2 * a))
+    else:
+        y = math.exp((math.log(p) + math.lgamma(a + 1)) / a)
+    step = 1.0
+    while abs(step) >= 1e-9:
+        ly = math.log(y)
+        log_w = a * ly - y - math.lgamma(a + 1)  # y * density is a * w
+        if upper:
+            log_tail = _log_upper_gamma(k, y, ly)
+            step = (log_tail - log_q) * math.exp(log_tail - log_w) / a
+        else:
+            s = _gamma_series(a, y, 1e-17)
+            step = (math.log(p) - log_w - math.log(s)) * s / a
+        y *= math.exp(step)
+    return y
 
 
 @dataclass(frozen=True)

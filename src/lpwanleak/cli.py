@@ -567,11 +567,10 @@ def cmd_analyze(args, cfg: Config, seed: int) -> int:
                           f"got {slot_width!r}")
     slots = cfg.get("analyze", "slots", 10)
     alpha = cfg.get("analyze", "alpha", 0.05)
+    thr = _wrap_value_error(lambda: chi_square_threshold(slots, alpha), "analyze")
     _check_outputs(args, reads=[("input trace", path)])
     with _open_out(args.out) as out:
         timestamps = read_trace_csv(path, device)
-        # after the read: loading scipy.special first adds about 20 MB to the reader's peak RSS
-        thr = _wrap_value_error(lambda: chi_square_threshold(slots, alpha), "analyze")
         try:
             counts = bin_timestamps(timestamps, slot_width, slots)
         except ValueError as exc:

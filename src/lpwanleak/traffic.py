@@ -99,6 +99,7 @@ class Run:
     counts, dummy_counts: (n, slots) int arrays.
     is_anomaly: (n,) bool. anomaly_slot: (n,) int, -1 for baseline intervals.
     action: (n,) int codes indexing ACTIONS.
+    Runs compare by identity; compare the columns to compare contents.
     """
 
     __slots__ = ("counts", "dummy_counts", "is_anomaly", "anomaly_slot", "action")
@@ -139,17 +140,6 @@ class Run:
             raise TypeError("a Run supports slicing only")
         return Run(self.counts[i], self.dummy_counts[i], self.is_anomaly[i],
                    self.anomaly_slot[i], self.action[i])
-
-    def __eq__(self, other):
-        if not isinstance(other, Run):
-            return NotImplemented
-        return (np.array_equal(self.counts, other.counts)
-                and np.array_equal(self.dummy_counts, other.dummy_counts)
-                and np.array_equal(self.is_anomaly, other.is_anomaly)
-                and np.array_equal(self.anomaly_slot, other.anomaly_slot)
-                and np.array_equal(self.action, other.action))
-
-    __hash__ = None
 
 
 def draw_anomaly_flags(model: IntervalModel, n_intervals: int, rng) -> np.ndarray:

@@ -12,6 +12,7 @@ import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -85,6 +86,19 @@ def incomplete_sweep():
     return records, time.monotonic() - t0
 
 
+def _lattice_values_between(slots: int, a: float, b: float, t_max: int) -> list:
+    """The values (S*Q - T^2)/T of (S-1)*D, over 0 < T <= t_max and integer Q,
+    on which the thresholds a and b give different verdicts (those in
+    (min, max]), in exact arithmetic."""
+    lo, hi = sorted((Fraction(a), Fraction(b)))
+    found = []
+    for t in range(1, t_max + 1):
+        value = Fraction(slots * ((lo * t + t * t) // slots + 1) - t * t, t)  # least above lo
+        if value <= hi:
+            found.append(value)
+    return found
+
+
 def test_criterion_1_baseline_dispersion_and_false_positive_rate():
     # No anomalies: mean per-interval dispersion must be 1.00 +/- 0.01 and
     # the chi-square detector's false-positive rate within 3 sigma of the
@@ -94,20 +108,26 @@ def test_criterion_1_baseline_dispersion_and_false_positive_rate():
     # falls a little below alpha (0.0476 at S=10, lambda=1). The band is
     # centred on that size, enumerated exactly against scipy's quantile
     # independently of the code under test; sigma is the binomial standard
-    # error at that size.
+    # error at that size. The package's threshold must give the same
+    # verdicts as scipy's on every interval of the runs: the two differ by
+    # at most an ulp, and no lattice value of (S-1)*D lies between them.
     t0 = time.monotonic()
     failures = []
     details = []
     cfg = DetectorConfig.chi_square(0.0, ALPHA)
     for si, slots in enumerate((10, 20)):
         crit = float(chi2.ppf(1.0 - ALPHA, slots - 1))
-        if chi_square_threshold(slots, ALPHA) != crit:
-            failures.append(
-                f"threshold at S={slots}: {chi_square_threshold(slots, ALPHA)!r} "
-                f"!= chi2.ppf(1-alpha, S-1) = {crit!r}")
+        thr = chi_square_threshold(slots, ALPHA)
+        if abs(thr - crit) > math.ulp(crit):
+            failures.append(f"threshold at S={slots}: {thr!r} is over an ulp from "
+                            f"chi2.ppf(1-alpha, S-1) = {crit!r}")
         for li, lam in enumerate((1.0, 5.0)):
             model = IntervalModel(slots, lam, 1.0, 0.0)
             run = gen_run(model, N_INTERVALS, (SEED, 1, si, li))
+            between = _lattice_values_between(slots, thr, crit, int(run.counts.sum(axis=1).max()))
+            if between:
+                failures.append(f"(S-1)*D = {between[0]} at S={slots} lies between the "
+                                f"threshold {thr!r} and chi2.ppf {crit!r}")
             _, _, d = run_dispersion(run.counts)
             mean_d = float(np.nanmean(d))
             fpr = float(np.mean(classify_run(run, cfg)))

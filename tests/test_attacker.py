@@ -1,7 +1,10 @@
 """Dispersion statistic and detector tests."""
 
+import itertools
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,20 +63,46 @@ def test_ensemble_dispersion_pools_moments():
         ensemble_dispersion(np.zeros((4, 3)))
 
 
+# the alphas span both tails; the slot counts cover 2 to 200, odd and even
+# degrees of freedom and the shipped 10 and 20, 2000 slots put the quantile
+# past 2 * 700, where erfc(sqrt(x/2)) underflows, and a million slots take
+# ln Gamma and both tail sums far past any exact integer Gamma
+THRESHOLD_ALPHAS = [1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.025, 0.05, 0.1, 0.5, 0.9, 0.99, 1 - 1e-6,
+                    *np.logspace(-11, -0.01, 20).tolist()]
+THRESHOLD_CASES = [*itertools.product((*range(2, 13), 16, 20, 21, 33, 64, 100, 101, 200),
+                                      THRESHOLD_ALPHAS),
+                   *itertools.product((2000, 10**6, 10**6 + 1), (1e-12, 0.05, 0.5, 1 - 1e-6))]
+
+
 def test_chi_square_threshold():
-    # computed from scipy.special, it must be the very float scipy.stats
-    # returns, so that analyze verdicts cannot move
-    alphas = np.concatenate([[1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.025, 0.05, 0.1, 0.5,
-                              0.9, 0.99, 1 - 1e-6], np.logspace(-11, -0.01, 20)])
-    slots = np.arange(2, 201)
-    want = chi2.ppf(1.0 - alphas[None, :], slots[:, None] - 1)
-    got = np.array([[chi_square_threshold(int(s), float(a)) for a in alphas] for s in slots])
-    assert got.tobytes() == want.tobytes()
+    # correctly rounded: the root of P((S-1)/2, x/2) = 1 - alpha lies between
+    # the two half-ulp neighbours of the returned x, by a 300-bit evaluation
+    # of P at each
+    with mpmath.workprec(300):
+        for slots, alpha in THRESHOLD_CASES:
+            x = chi_square_threshold(slots, alpha)
+            a = mpmath.mpf(slots - 1) / 2
+            mids = ((mpmath.mpf(x) + math.nextafter(x, end)) / 2 for end in (0.0, math.inf))
+            below, above = (mpmath.gammainc(a, 0, m / 2, regularized=True) for m in mids)
+            assert below < 1.0 - alpha < above, (slots, alpha, x)
+    # the value every golden pins, which is also scipy's
+    assert chi_square_threshold(10, 0.05) == chi2.ppf(0.95, 9) == 16.918977604620448
+    # fl(1 - alpha) = 1: scipy's chi2.ppf(1.0, S - 1) is inf as well
+    assert chi_square_threshold(10, 2.0**-54) == math.inf
     assert chi_square_threshold(10, 0.01) > chi_square_threshold(10, 0.05)
     with pytest.raises(ValueError):
         chi_square_threshold(1, 0.05)
     with pytest.raises(ValueError):
         chi_square_threshold(10, 0.0)
+
+
+def test_chi_square_threshold_is_fast():
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        chi_square_threshold(10, 0.05)
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 0.005
 
 
 def test_detector_config_validation():

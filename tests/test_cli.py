@@ -582,45 +582,34 @@ n_intervals = 1000
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_idealized_sweep_never_loads_scipy_stats(tmp_path):
-    # scipy takes a large share of start-up and only the chi-square threshold
-    # needs it; an idealized sweep process must load no scipy module at all
-    cfg = _write(tmp_path, "one.cfg", """\
-[sweep]
-anomaly_rates = 0.2
-intensities = 40
-n_intervals = 1000
-""")
-    argv = ["sweep", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "one.csv")]
-    code = ("import sys\n"
-            "def scipy_modules():\n"
-            "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-            "import lpwanleak.cli\n"
-            "assert not scipy_modules(), f'loaded by import: {scipy_modules()}'\n"
-            f"assert lpwanleak.cli.main({argv!r}) == 0\n"
-            "assert not scipy_modules(), f'loaded by the sweep: {scipy_modules()}'\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          cwd=ROOT)
-    assert proc.returncode == 0, proc.stderr
-    assert len((tmp_path / "one.csv").read_text().splitlines()) == 3
-
-
-def test_analyze_never_loads_scipy_stats(tmp_path):
-    # the threshold comes from scipy.special; analyze must not pay for
-    # importing scipy.stats
-    run = gen_run(IntervalModel(10, 1.0, 40.0, 0.3), 5, 4)
+@pytest.mark.parametrize("command", ["solve", "sweep-idealized", "sweep-chi-square",
+                                     "simulate", "analyze", "posterior", "costs"])
+def test_no_command_loads_scipy(tmp_path, command):
+    # importing scipy takes longer than most commands run; the chi-square
+    # threshold is computed in the package, so no command loads any of it
     trace = tmp_path / "trace.csv"
-    write_trace_csv(trace, to_timestamps(run, slot_width=1.0))
-    argv = ["analyze", str(trace), "--seed", "3", "--out", str(tmp_path / "v.csv")]
+    write_trace_csv(trace, to_timestamps(gen_run(IntervalModel(10, 1.0, 40.0, 0.3), 5, 4)))
+    cfg = _write(tmp_path, "run.cfg", {
+        "solve": "[model]\nintensity = 10\nanomaly_rate = 0.5\n",
+        "sweep-chi-square": "[sweep]\ndetector = chi-square\n" + SWEEP_CELL,
+        "costs": "[costs]\nshifts = 1, 2\n",
+    }.get(command, "[sweep]\n" + SWEEP_CELL))
+    inputs = {"analyze": [str(trace)],
+              "posterior": [str(ROOT / "fixtures" / "fillto_two_messages.json")]}
+    out = tmp_path / "out"
+    argv = [command.partition("-")[0], *inputs.get(command, []), "--config", cfg,
+            "--seed", "3", "--out", str(out)]
     code = ("import sys\n"
             "import lpwanleak.cli\n"
             f"assert lpwanleak.cli.main({argv!r}) == 0\n"
-            "assert 'scipy.special' in sys.modules, 'threshold not computed'\n"
-            "assert 'scipy.stats' not in sys.modules, 'loaded by analyze'\n")
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, f'loaded: {loaded}'\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
-    assert len((tmp_path / "v.csv").read_text().splitlines()) >= 3
+    if command == "analyze":
+        header, row = out.read_text().splitlines()[1:3]
+        assert header.endswith(",threshold") and row.endswith(",16.918977604620448")
 
 
 def test_sweep_command_json(tmp_path):
@@ -869,9 +858,15 @@ def test_analyze_data_errors(tmp_path):
     short.write_text("timestamp_s,device_id\n1.0,a\n")
     # one message cannot fill an interval
     assert main(["analyze", str(short), "--seed", "0"]) == 3
-    # the slot width is checked before the trace is opened
-    cfg = _write(tmp_path, "nan.cfg", "[analyze]\nslot_width = nan\n")
-    assert main(["analyze", str(tmp_path / "missing.csv"), "--config", cfg, "--seed", "0"]) == 2
+    # the slot width, alpha and slot count are checked before the trace is
+    # opened and before --out is created
+    for text in ("slot_width = nan", "alpha = 1.5", "slots = 1"):
+        cfg = _write(tmp_path, "bad.cfg", f"[analyze]\n{text}\n")
+        out = tmp_path / "out.csv"
+        for trace in (tmp_path / "missing.csv", bad):
+            assert main(["analyze", str(trace), "--config", cfg, "--seed", "0",
+                         "--out", str(out)]) == 2, text
+            assert not out.exists()
 
 
 def test_posterior_command(tmp_path, repo_root):

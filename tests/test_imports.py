@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and the
+package's runtime dependencies are exactly what it imports.
 
 A name is used when the module reads it (``np.array`` reads ``np``) or
 lists it in ``__all__``. Star imports and ``__future__`` imports bind no
@@ -6,6 +7,8 @@ checked name.
 """
 
 import ast
+import re
+import sys
 
 import pytest
 
@@ -47,3 +50,41 @@ def test_unused_imports_finds_what_it_should():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == KEPT.get(path.stem, set())
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level modules outside the standard library that ``source`` imports absolutely."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+    return found - set(sys.stdlib_module_names)
+
+
+def declared_dependencies(pyproject: str) -> set[str]:
+    """Distribution names in the ``dependencies`` array of the ``[project]``
+    table (read by hand: tomllib is 3.11+ and the package supports 3.10)."""
+    table = ("\n" + pyproject).partition("\n[project]\n")[2].partition("\n[")[0]
+    array = re.search(r'^dependencies\s*=\s*\[((?:"[^"]*"|[^]"])*)\]', table, re.M).group(1)
+    return {re.match(r"[\w.-]+", spec).group(0).lower()
+            for spec in re.findall(r'"([^"]+)"', array)}
+
+
+def test_dependency_readers_find_what_they_should():
+    assert third_party_imports("import os.path\nimport numpy.linalg as la\nfrom scipy import "
+                               "special\nfrom . import cli\nfrom .traffic import Run\n"
+                               "from __future__ import annotations\n") == {"numpy", "scipy"}
+    pyproject = ('[project]\nname = "x"\ndependencies = [\n    "numpy>=1.22",\n'
+                 '    "Foo_bar[extra] ; python_version < \'4\'",\n]\n\n'
+                 '[project.optional-dependencies]\ntest = [\n    "pytest>=7",\n]\n')
+    assert declared_dependencies(pyproject) == {"numpy", "foo_bar"}
+    assert declared_dependencies('[project]\ndependencies = ["numpy"]\n') == {"numpy"}
+
+
+def test_runtime_dependencies_are_the_package_imports():
+    imported = set().union(*(third_party_imports(p.read_text(encoding="utf-8"))
+                             for p in MODULES))
+    declared = declared_dependencies((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert imported == declared == {"numpy"}
