@@ -380,13 +380,24 @@ def guessing_error_se(err: float, n_anomalies: int) -> float:
     return float(np.sqrt(max(err * (1.0 - err), 0.0) / n_anomalies))
 
 
-def _mean_se(table, index) -> tuple[float, float]:
-    """Mean of the values ``table[index]`` and its standard error std(ddof=1) / sqrt(n)
-    (nan for one value): the one estimator behind every Monte-Carlo mean and SE."""
-    vals = np.array(table)[index]
-    n = vals.size
-    se = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else np.nan
-    return float(vals.mean()), se
+def _mean_se(values, counts) -> tuple[float, float]:
+    """The one Monte-Carlo estimator: mean and SE std(ddof=1) / sqrt(n) of a sample holding
+    each of ``values`` ``counts`` times. Doubles are integers over powers of two, so mean and
+    variance are exact integer ratios, each rounded once by int true division. The SE is nan
+    for one value, inf past the double range; no values give (nan, nan), a non-finite one
+    numpy's mean and a nan SE."""
+    sample = [(float(v), int(c)) for v, c in zip(values, counts) if c]
+    n = sum(c for _, c in sample)
+    if not n or not all(math.isfinite(v) for v, _ in sample):
+        return (sum(v for v, _ in sample) if n else math.nan), math.nan
+    ratios = [(*v.as_integer_ratio(), c) for v, c in sample]
+    q = max(d for _, d, _ in ratios)  # a power of two, so every d divides it
+    s1, s2 = (sum(c * (p * (q // d)) ** k for p, d, c in ratios) for k in (1, 2))
+    try:  # n S2 - S1^2 is n (n - 1) times the sample variance, never negative
+        var = (n * s2 - s1 * s1) / (n * (n - 1) * q * q)
+    except (OverflowError, ZeroDivisionError):  # past the double range; n = 1
+        var = math.inf if n > 1 else math.nan
+    return s1 / (n * q), math.sqrt(var) / math.sqrt(n)
 
 
 def bin_timestamps(timestamps, slot_width: float, slots: int) -> np.ndarray:

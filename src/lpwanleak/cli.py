@@ -581,8 +581,9 @@ def cmd_analyze(args, cfg: Config, seed: int) -> int:
         if fmt == "csv":
             # all rows as one string, formatted once; binning yields at least
             # one interval, so it is never empty
+            end = f",{thr!r}"  # the one threshold of every row, formatted once
             write_csv(out, _provenance(cfg, seed), ",".join(_ANALYZE_NAMES),
-                      ["\n".join(f"{i},{di!r},{int(fi)},{t!r}" for i, di, fi, t in rows)])
+                      ["\n".join(f"{i},{di!r},{int(fi)}{end}" for i, di, fi, _ in rows)])
         else:
             _emit_json(cfg, seed, "rows", [dict(zip(_ANALYZE_NAMES, row)) for row in rows], out)
     return 0

@@ -118,10 +118,10 @@ def realized_cost(action: np.ndarray, cost_model: CostModel) -> tuple[float, flo
     over that action's normalizer. The SE is that of these per-interval
     values. A code outside ACTIONS is a ValueError.
     """
-    action = np.asarray(action)
-    if action.size and not (action.min() >= 0 and action.max() <= 2):
+    n = [int(np.count_nonzero(np.equal(action, code))) for code in (0, 1, 2)]
+    if sum(n) != np.size(action):
         raise ValueError("action codes must be 0, 1 or 2 (indices into ACTIONS)")
-    return _mean_se([0.0, cost_model.waterfill_cost, cost_model.fake_cost], action)
+    return _mean_se([0.0, cost_model.waterfill_cost, cost_model.fake_cost], n)
 
 
 def _score(truth: np.ndarray, flagged: np.ndarray, cfg: DetectorConfig,
@@ -130,31 +130,25 @@ def _score(truth: np.ndarray, flagged: np.ndarray, cfg: DetectorConfig,
     flag columns.
 
     The guesses are :func:`guess_run`'s on ``seed``: an interval is guessed
-    anomalous when its uniform is below the posterior of its flag. So one
-    bincount over the (truth, flag) classes and the two miss bits (uniform
-    >= either posterior) counts every class and every miss. ce_bits is the
-    plug-in H(truth | flag): the mean of -log2 p_hat(truth | flag), gathered
-    per interval so that its SE is that of the per-interval values.
+    anomalous when its uniform is below the posterior of its flag; bool masks count
+    the (truth, flag) joint and the misses. ce_bits is the plug-in H(truth | flag), the
+    mean of -log2 p_hat(truth | flag) over the intervals, with their SE, from the joint.
     """
     p_flag, p_unflag, _ = class_posteriors(cfg.anomaly_rate, 1.0 - cfg.flag_rate_anomaly,
                                            cfg.flag_rate_baseline)
-    cls = 2 * truth.view(np.int8) + flagged.view(np.int8)
-    u = as_rng(seed).random(cls.size)
-    key = 4 * cls + 2 * (u >= p_flag).view(np.int8) + (u >= p_unflag).view(np.int8)
-    del u
-    # axes: truth, flag, miss bit if flagged, miss bit if unflagged
-    k = np.bincount(key, minlength=16).reshape(2, 2, 2, 2)
-    del key
-    joint = k.sum(axis=(2, 3)).tolist()  # intervals by (truth, flag)
-    n_flag = [joint[0][f] + joint[1][f] for f in (0, 1)]
-    n_anom = sum(joint[1])
-    if n_anom == 0 or any(n and math.isnan(p) for n, p in zip(n_flag, (p_unflag, p_flag))):
+    u = as_rng(seed).random(truth.size)
+    hit, hidden = truth & flagged, truth & ~flagged  # anomalies flagged, unflagged
+    n11, n10, nf = (int(np.count_nonzero(m)) for m in (hit, hidden, flagged))
+    n_flag = [truth.size - nf, nf]
+    joint = [n_flag[0] - n10, nf - n11, n10, n11]  # intervals by (truth, flag), flag fastest
+    if n10 + n11 == 0 or any(n and math.isnan(p) for n, p in zip(n_flag, (p_unflag, p_flag))):
         guess_err = guess_se = _NAN
     else:
-        guess_err = int(k[1, 1, 1].sum() + k[1, 0, :, 1].sum()) / n_anom
-        guess_se = guessing_error_se(guess_err, n_anom)
-    ce, ce_se = _mean_se([-math.log2(joint[t][f] / n_flag[f]) if joint[t][f] else 0.0
-                          for t in (0, 1) for f in (0, 1)], cls)
+        misses = np.count_nonzero(hit & (u >= p_flag)) + np.count_nonzero(hidden & (u >= p_unflag))
+        guess_err = int(misses) / (n10 + n11)
+        guess_se = guessing_error_se(guess_err, n10 + n11)
+    ce, ce_se = _mean_se([-math.log2(j / n_flag[k % 2]) if j else 0.0
+                          for k, j in enumerate(joint)], joint)
     return guess_err, guess_se, ce, ce_se
 
 
@@ -166,7 +160,7 @@ def simulate_run(model: IntervalModel, knowledge: KnowledgeModel, budget: float,
     the cell seed tuple ``base`` (a contract the tests pin): base + (0,)
     generates, its first n draws being the anomaly coins; base + (1,)
     obfuscates, its first 2n draws being the prediction coins and then the
-    action coins. An idealized :func:`run_cell` draws those 3n coins and no
+    action coins. An idealized :func:`run_cell` takes those coins and no
     counts; every cell guesses on base + (2,), and the chi-square detector
     calibrates on base + (3,) and base + (4,).
     """
@@ -187,10 +181,9 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel = KnowledgeModel(),
     and action codes from the first draws of base + (0,) and base + (1,),
     which equal the columns of the run :func:`simulate_run` builds, and
     flags them with :func:`idealized_verdicts`, so every metric field
-    equals that run's bit for bit. Both modes score the truth and flag
-    columns with one bincount that also counts the guesses drawn on
-    base + (2,). ``realized_cost`` is :func:`realized_cost` of the action
-    codes in both modes.
+    equals that run's bit for bit. Both modes score the counts of the
+    classes of the truth, flag and action columns (:func:`_score` with the
+    guesses drawn on base + (2,), and :func:`realized_cost`).
 
     The chi-square detector reads the counts of the full run. Its
     class-conditional flag rates are not analytic, so that mode first
@@ -201,7 +194,7 @@ def run_cell(model: IntervalModel, knowledge: KnowledgeModel = KnowledgeModel(),
 
     Degenerate anomaly rates produce a flagged record: with no anomalies
     (or no baselines) the strategy is a no-op and guessing error on
-    anomalies can be undefined (nan).
+    anomalies can be undefined (nan), as is every metric of no intervals.
     """
     base = _seed_tuple(seed)
     cm = costs(model)

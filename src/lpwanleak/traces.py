@@ -342,8 +342,8 @@ def _sample_pairs(prior: TracePrior, mech: Mechanism, budget: int, rng):
 
 
 def _sample_mean(p_idx: np.ndarray, pairs: list[tuple[int, int]], value) -> tuple[float, float]:
-    """Mean of value(r, x) over the samples and its SE, one call per pair."""
-    return _mean_se([value(r, x) for r, x in pairs], p_idx)
+    """Mean and SE of value(r, x) over the samples: one call per pair, weighted by its count."""
+    return _mean_se([value(r, x) for r, x in pairs], np.bincount(p_idx, minlength=len(pairs)))
 
 
 def average_error_mc(prior: TracePrior, mech: Mechanism, dist,

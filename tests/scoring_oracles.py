@@ -1,10 +1,12 @@
 """Reference forms of a cell's labels and metrics, one mask at a time.
 
 These are the forms ``lpwanleak`` used before a cell was scored in one
-pass; the tests hold the package to them bit for bit.
+pass, each reducing its per-sample values with :func:`exact_mean_se`; the
+tests hold the package to them bit for bit.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,18 +43,37 @@ def empirical_ce_bits(truth: np.ndarray, cls: np.ndarray) -> tuple[float, float]
             nt = int(mask.sum())
             if nt:
                 vals[mask] = -math.log2(nt / nc)
-    ce = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
-    return ce, se
+    return exact_mean_se(vals)
 
 
 def select_realized_cost(action: np.ndarray, cost_model) -> tuple[float, float]:
     """Mean and SE of C_wf, C_f or 0 per interval, chosen by np.select."""
     contrib = np.select([action == 1, action == 2],
                         [cost_model.waterfill_cost, cost_model.fake_cost], 0.0)
-    n = contrib.size
-    se = float(contrib.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
-    return float(contrib.mean()), se
+    return exact_mean_se(contrib)
+
+
+def exact_mean_se(sample) -> tuple[float, float]:
+    """Mean of finite per-sample values and std(ddof=1) / sqrt(n), in exact
+    rational arithmetic with the mean and the two-pass variance each rounded
+    once: nan SE for one value, (nan, nan) for none, and an infinite SE for a
+    variance past the double range. Equal values are grouped (np.unique) only
+    so that a large sample stays fast; c copies of v sum to exactly c * v.
+    """
+    values, counts = np.unique(np.asarray(sample, dtype=float), return_counts=True)
+    n = int(counts.sum())
+    if n == 0:
+        return math.nan, math.nan
+    terms = [(Fraction(v), int(c)) for v, c in zip(values.tolist(), counts.tolist())]
+    mean = sum(c * v for v, c in terms) / n
+    if n == 1:
+        return float(mean), math.nan
+    var = sum(c * (v - mean) ** 2 for v, c in terms) / (n - 1)
+    try:
+        var_double = float(var)
+    except OverflowError:
+        var_double = math.inf
+    return float(mean), math.sqrt(var_double) / math.sqrt(n)
 
 
 def where_draw_actions(is_anomaly, strategy, knowledge, rng) -> np.ndarray:

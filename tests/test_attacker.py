@@ -3,11 +3,12 @@
 import itertools
 import math
 import time
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -31,9 +32,10 @@ from lpwanleak import (
     run_dispersion,
     test_run as classify_run,
 )
+from lpwanleak.attacker import _mean_se
 from lpwanleak.traffic import Run
 
-from scoring_oracles import guessing_error
+from scoring_oracles import exact_mean_se, guessing_error
 
 
 def test_dispersion_matches_numpy():
@@ -230,6 +232,69 @@ def test_guess_run_rules():
     assert abs(frac - 0.3) < 0.02
     with pytest.raises(ValueError):
         guess_run(np.array([0.1, np.nan]), 0)
+
+
+_EDGE_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                1e300, -1e300, 0.1, -1.5])
+
+
+@settings(max_examples=80, deadline=None)
+@given(sample=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False) | _EDGE_VALUES,
+                                 st.integers(0, 3) | st.integers(0, 250_000)), max_size=4))
+@example(sample=[])                                   # n = 0
+@example(sample=[(0.1, 0), (-1e300, 0)])              # zero counts only: n = 0
+@example(sample=[(-0.0, 1)])                          # n = 1
+@example(sample=[(1e300, 1), (-1e300, 1)])            # n = 2, variance past the double range
+@example(sample=[(5e-324, 3), (-5e-324, 2)])          # subnormals
+@example(sample=[(0.1, 999_999), (1e300, 0), (0.7, 1)])  # n = 10^6
+@example(sample=[(69726.45908599006, 3), (0.1, 150_119), (7.854327186247505e-301, 83_968)])
+def test_mean_se_is_the_exact_mean_rounded_once(sample):
+    # from counts, bit for bit the exact rational mean and variance of the
+    # expanded sample, each rounded once
+    values, counts = [v for v, _ in sample], [c for _, c in sample]
+    got = _mean_se(values, counts)
+    x = np.repeat(np.array(values, dtype=float), counts)
+    assert [g.hex() for g in got] == [w.hex() for w in exact_mean_se(x)]
+    n = x.size
+    if n < 2:
+        return
+    # numpy's pairwise sums round about log2(n) + 25 times, each by up to half
+    # an ulp of the magnitude summed, so its mean and SE are held to 4 ulp plus
+    # that bound: 3 of 69726.46, 150 119 of 0.1 and 83 968 of 7.9e-301 take
+    # numpy's mean 12 ulp from the exact one
+    with np.errstate(all="ignore"):
+        np_mean, np_se = float(x.mean()), float(x.std(ddof=1) / math.sqrt(n))
+        scale = float(np.abs(x).mean())
+    slack = (math.ceil(math.log2(n)) + 25) * 2.0**-53
+    mean, se = got
+    if math.isfinite(np_mean):
+        assert abs(mean - np_mean) <= 4 * math.ulp(mean) + slack * scale, (mean, np_mean)
+    if math.isfinite(np_se) and math.isfinite(se):
+        # numpy's deviations are from its own mean, off by |mean - np_mean|, and
+        # their squares lose up to half a subnormal each below the normal range
+        tol = (4 * math.ulp(se) + slack * se + math.sqrt(5e-324) / math.sqrt(n)
+               + (1 + slack) * abs(mean - np_mean) / math.sqrt(n - 1))
+        assert abs(se - np_se) <= tol, (se, np_se)
+
+
+@pytest.mark.parametrize("values, counts, want", [
+    ([], [], (math.nan, math.nan)),
+    ([math.nan, 1.0], [0, 2], (1.0, 0.0)),  # a value counted zero times is no sample
+    ([math.inf], [1], (math.inf, math.nan)),
+    ([math.inf, 1.0], [2, 3], (math.inf, math.nan)),
+    ([-math.inf, 2.0, math.inf], [1, 1, 1], (math.nan, math.nan)),
+    ([math.nan, 1.0], [1, 1], (math.nan, math.nan)),
+])
+def test_mean_se_of_empty_and_non_finite_samples(values, counts, want):
+    # what numpy's mean and std(ddof=1) give, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _mean_se(values, counts)
+    assert np.array_equal(got, want, equal_nan=True)
+    x = np.repeat(np.array(values, dtype=float), counts)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert np.array_equal(got, (x.mean(), x.std(ddof=1) / math.sqrt(x.size)), equal_nan=True)
 
 
 def test_guessing_error():

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import math
 import re
+import warnings
 from contextlib import nullcontext
 from types import SimpleNamespace
 from unittest import mock
@@ -131,7 +132,7 @@ def _full_path_metrics(model, knowledge, budget, n, seed):
     except DegenerateMetricError:
         err = err_se = math.nan
     return ((err, err_se) + empirical_ce_bits(obf.is_anomaly, flagged)
-            + realized_cost(obf.action, cm))
+            + select_realized_cost(obf.action, cm))
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,6 +242,13 @@ def test_score_equals_the_mask_oracles(columns, mode, rp, flag_rates, forced, co
     rates=st.tuples(*[st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)] * 4),
     seed=st.integers(0, 2**32 - 1),
 )
+# complete knowledge with every (P_wf, P_f) in {0, 1}^2: no coin decides
+# anything and both draws are stepped past; then one mixed case
+@example(truth=[True, False, True, False], rates=(1.0, 1.0, 0.0, 0.0), seed=1)
+@example(truth=[True, False, True, False], rates=(1.0, 1.0, 0.0, 1.0), seed=2)
+@example(truth=[True, False, True, False], rates=(1.0, 1.0, 1.0, 0.0), seed=3)
+@example(truth=[True, False, True, False], rates=(1.0, 1.0, 1.0, 1.0), seed=4)
+@example(truth=[True, False, True, False], rates=(1.0, 1.0, 0.5, 1.0), seed=5)
 def test_draw_actions_equals_the_where_oracle(truth, rates, seed):
     # same codes, and the generator left where two draws of n leave it
     tpr, tnr, pw, pf = rates
@@ -252,6 +260,16 @@ def test_draw_actions_equals_the_where_oracle(truth, rates, seed):
     assert got.dtype == want.dtype == np.int8
     assert np.array_equal(got, want)
     assert rng.random() == oracle_rng.random()
+
+
+@pytest.mark.parametrize("mode", DETECTOR_MODES)
+def test_run_cell_of_no_intervals_is_nan_without_warnings(mode):
+    # an empty sample has no mean: nan metrics, and no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = run_cell(FEASIBLE, detector_mode=mode, n_intervals=0, seed=1)
+    assert all(math.isnan(v) for v in (r.guess_err, r.guess_err_se, r.ce_bits, r.ce_bits_se,
+                                       r.realized_cost, r.realized_cost_se))
 
 
 def test_idealized_cells_draw_no_counts(monkeypatch):

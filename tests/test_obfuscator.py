@@ -28,6 +28,7 @@ from lpwanleak import (
     solve_waterfill_rate,
     strategy_json,
 )
+from lpwanleak.obfuscator import _uniforms
 
 from conftest import runs_equal
 
@@ -491,3 +492,27 @@ def test_solve_strategy_over_budget_guard_keeps_the_least_bias():
     assert power_cost(s.p_waterfill, s.p_fake, cm, model.anomaly_rate) <= budget
     assert s.p_waterfill == 1.0
     assert s.epsilon == 3.186036161109378e43
+
+
+@pytest.mark.parametrize("thresholds, buffered, bit_generator, skips", [
+    ((0.0, 1.0), False, np.random.PCG64, True),
+    ((1.0, 1.0, 0.0), False, np.random.PCG64, True),
+    ((1.0, 0.5), False, np.random.PCG64, False),         # a coin can decide
+    ((0.0, 1.0), True, np.random.PCG64, False),          # a buffered 32-bit half
+    ((0.0, 1.0), False, np.random.Philox, False),        # advance(n) is not n doubles
+])
+def test_uniforms_step_past_coins_that_decide_nothing(thresholds, buffered, bit_generator,
+                                                      skips):
+    # either the n uniforms or, where none can change a comparison with the
+    # thresholds, 0.5; the generator ends where a draw of n leaves it
+    rng, oracle = (np.random.Generator(bit_generator(7)) for _ in range(2))
+    if buffered:
+        rng.integers(0, 10)
+        oracle.integers(0, 10)
+    got, want = _uniforms(rng, 50, thresholds), oracle.random(50)
+    if skips:
+        assert got == 0.5
+        assert all(np.all((want < t) == (got < t)) for t in thresholds)
+    else:
+        assert np.array_equal(got, want)
+    assert rng.integers(0, 10, 20).tolist() == oracle.integers(0, 10, 20).tolist()

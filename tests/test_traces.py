@@ -27,6 +27,7 @@ from lpwanleak import (
     posterior_table,
 )
 from lpwanleak.traces import _sample_mean, _sample_pairs
+from scoring_oracles import exact_mean_se
 from trace_oracles import flatnonzero_sample_pairs
 
 WINDOW = (0.0, 3.0)
@@ -409,7 +410,7 @@ def sampler_cases(draw):
 def test_sampler_equals_the_per_real_oracle(case):
     # the grouped sampler draws the same stream and writes the same (real,
     # observation) per sample as the per-real flatnonzero loop, and the
-    # gathered mean keeps every bit of the mean over per-sample values
+    # mean and SE from pair counts are the exact ones over per-sample values
     prior, mech, budget, seed = case
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     p_idx, pairs, observations = _sample_pairs(prior, mech, budget, rng)
@@ -426,8 +427,9 @@ def test_sampler_equals_the_per_real_oracle(case):
         mean, se = _sample_mean(p_idx, pairs, lambda r, x: calls.append((r, x)) or value(r, x))
         assert calls == pairs
         vals = np.array([value(r, x) for r, x in zip(want_r.tolist(), want_x.tolist())])
-        assert mean == float(vals.mean())
+        want_mean, want_se = exact_mean_se(vals)
+        assert mean == want_mean
         if budget == 1:
-            assert math.isnan(se)
+            assert math.isnan(se) and math.isnan(want_se)
         else:
-            assert se == float(np.std(vals, ddof=1) / math.sqrt(budget))
+            assert se == want_se
