@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traffic import Run, as_rng
+from .traffic import Run, _action_codes, as_rng
 
 __all__ = [
     "DETECTOR_MODES",
@@ -105,8 +105,16 @@ def chi_square_threshold(slots: int, alpha: float) -> float:
     target of ``scipy.stats.chi2.ppf(1 - alpha, slots - 1)``, which it
     equals at slots = 10, alpha = 0.05 (16.918977604620448) and which can
     be some ulp off elsewhere. It is inf when fl(1 - alpha) = 1, as in
-    scipy. Computed with the standard library alone: Newton steps in double
-    precision, then in ``decimal``, with ln Gamma from Stirling's series.
+    scipy.
+
+    Computed with the standard library alone: one Newton loop in ``decimal``
+    and in log y, y = x/2, on log P when fl(1 - alpha) <= 1/2, else on
+    log Q = log(1 - P), with ln Gamma from Stirling's series. Both logs are
+    concave in log y (the log of a gamma variable has a log-concave
+    density), so from a start on the near side of the root the steps never
+    overshoot: P(a, y) <= y^a / Gamma(a+1) puts the first start below the
+    root, and the Chernoff bound Q(a, y) <= (e y / a)^a e^-y the second
+    above it.
     """
     if slots < 2:
         raise ValueError("slots must be >= 2")
@@ -119,25 +127,33 @@ def chi_square_threshold(slots: int, alpha: float) -> float:
     from decimal import Decimal, localcontext
 
     k = slots - 1
-    y = _gamma_quantile_double(k, p)
+    upper = p > 0.5
     with localcontext() as ctx:
-        # P - p cancels about as many digits as 1 - p has leading zeros, and
+        # Q cancels about as many digits of P as 1 - p has leading zeros, and
         # a ln y and ln Gamma(a + 1) carry about len(str(k)) before the point
         ctx.prec = 40 + max(0, math.ceil(-math.log10(1.0 - p))) + len(str(k))
         a = Decimal(k) / 2
         eps = Decimal(10) ** -ctx.prec
         log_gamma = _decimal_log_gamma(a + 1, Decimal(_PI), eps)
-        target = Decimal(p)
-        y = Decimal(y)
+        if upper:
+            log_target = (1 - Decimal(p)).ln()
+            ly = (a - log_target + (log_target * (log_target - 2 * a)).sqrt()).ln()
+        else:
+            log_target = Decimal(p).ln()
+            ly = (log_target + log_gamma) / a
         while True:
-            # Newton on P(a, y) - p; y * density is a * w, P is w * series
-            w = (a * y.ln() - y - log_gamma).exp()
-            step = y * (_gamma_series(a, y, eps) - target / w) / a
-            y -= step
-            # from a double-precision start the second step is under 1e-20 of
-            # y: Newton then has y to the context's precision
-            if abs(step) * 10**20 < y:
-                return float(2 * y)  # float(Decimal) rounds correctly
+            y = ly.exp()
+            w = (a * ly - y - log_gamma).exp()
+            tail = w * _gamma_series(a, y, eps)  # P
+            slope = a * w  # dP / d log y: y * density is a * w
+            if upper:
+                tail, slope = 1 - tail, -slope
+            # Newton on log tail, whose derivative in log y is slope / tail
+            step = (log_target - tail.ln()) * tail / slope
+            ly += step
+            # quadratic convergence: after a step under 1e-20, log y is good to the precision
+            if abs(step) * 10**20 < 1:
+                return float(2 * ly.exp())  # float(Decimal) rounds correctly
 
 
 def _decimal_log_gamma(z, pi, eps):
@@ -159,67 +175,15 @@ def _decimal_log_gamma(z, pi, eps):
 
 
 def _gamma_series(a, y, eps):
-    """Sum over n >= 0 of y^n / ((a+1)(a+2)...(a+n)) to relative ``eps``,
-    in the type of ``y`` (float or Decimal); P(a, y) is
-    y^a e^-y / Gamma(a+1) times it. Every term is positive."""
+    """Sum over n >= 0 of y^n / ((a+1)(a+2)...(a+n)) for Decimal ``a`` and
+    ``y``, to relative ``eps``; P(a, y) is y^a e^-y / Gamma(a+1) times it.
+    Every term is positive."""
     term = total = 1
     while term > total * eps:
         a += 1
         term *= y / a
         total += term
     return total
-
-
-def _log_upper_gamma(k, y, ly):
-    """log Q(k/2, y) in double precision from its closed form: e^-y y^s /
-    Gamma(s+1) summed over s = k/2 - 1, k/2 - 2, ... down to 0 or 1/2, plus
-    erfc(sqrt y) for odd k. ``ly`` is log y. On the upper tail y > k/2 - 1,
-    so the terms fall from the first on; the sum stops once they are below
-    1e-17 of it, and erfc, under 1/(2y) of the s = 1/2 term, counts only if
-    the sum ran to its end."""
-    s = k / 2 - 1
-    log_first = s * ly - y - math.lgamma(s + 1)
-    term, total = 1.0, 0.0
-    while s >= 0 and term > total * 1e-17:
-        total += term
-        term *= s / y
-        s -= 1
-    logs = [log_first + math.log(total)] if total else []  # k = 1 has no Poisson term
-    if k % 2 and s < 0 and y < 700:  # beyond 700, erfc underflows
-        logs.append(math.log(math.erfc(math.sqrt(y))))
-    top = max(logs)
-    return top + math.log(math.fsum(math.exp(v - top) for v in logs))
-
-
-def _gamma_quantile_double(k, p):
-    """y with P(k/2, y) = p, to about double precision.
-
-    Newton steps in log y on log P when p <= 1/2, else on log Q = log(1 - P).
-    Both are concave in log y (the log of a gamma variable has a log-concave
-    density), so from a start on the near side of the root the steps never
-    overshoot: P(a, y) <= y^a / Gamma(a+1) puts the first start below the
-    root, and the Chernoff bound Q(a, y) <= (e y / a)^a e^-y puts the second
-    above it.
-    """
-    a = k / 2
-    upper = p > 0.5
-    if upper:
-        log_q = math.log1p(-p)
-        y = a - log_q + math.sqrt(log_q * (log_q - 2 * a))
-    else:
-        y = math.exp((math.log(p) + math.lgamma(a + 1)) / a)
-    step = 1.0
-    while abs(step) >= 1e-9:
-        ly = math.log(y)
-        log_w = a * ly - y - math.lgamma(a + 1)  # y * density is a * w
-        if upper:
-            log_tail = _log_upper_gamma(k, y, ly)
-            step = (log_tail - log_q) * math.exp(log_tail - log_w) / a
-        else:
-            s = _gamma_series(a, y, 1e-17)
-            step = (math.log(p) - log_w - math.log(s)) * s / a
-        y *= math.exp(step)
-    return y
 
 
 @dataclass(frozen=True)
@@ -340,9 +304,7 @@ def idealized_verdicts(is_anomaly, action) -> np.ndarray:
     drawing them. A real anomaly is flagged unless it was waterfilled; a
     baseline interval is flagged exactly when it received a fake anomaly.
     """
-    action = np.asarray(action)
-    if action.size and not (action.min() >= 0 and action.max() <= 2):
-        raise ValueError("action codes must be 0, 1 or 2 (indices into ACTIONS)")
+    action = _action_codes(action)
     # ACTIONS indices: 0 "none", 2 "fake-anomaly" (bool algebra: np.where on
     # bool columns takes about twenty times as long)
     return (action == 2) | (np.asarray(is_anomaly, dtype=bool) & (action == 0))

@@ -29,6 +29,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import astuple
 from itertools import product, repeat
@@ -385,33 +386,43 @@ def _resolve_seed(args, cfg: Config) -> int:
     return seed
 
 
-def _open_out(path):
-    """Open an output path for writing; None is stdout. Commands check every
-    output with _check_outputs, then open it before they run a cell or read
-    a trace, so an unwritable path fails before the work (and a run that
-    fails later leaves the file empty, as a shell redirect does)."""
-    if path is None:
-        return contextlib.nullcontext(sys.stdout)
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot open output {path}: {exc.strerror}") from exc
+@contextlib.contextmanager
+def _open_outs(args, outputs=(), reads=()):
+    """Refuse what _check_outputs refuses, then open the paths of ``outputs`` and --out or
+    run.out, None as stdout. Commands open them before any work, so a bad path fails first.
+    No file is truncated until all are open, so one that cannot be opened spares the
+    others' bytes (and a run that fails later leaves them empty, as a shell redirect does)."""
+    _check_outputs(args, outputs, reads)
+    with contextlib.ExitStack() as stack:
+        try:
+            files = [sys.stdout if p is None else stack.enter_context(
+                         open(os.open(p, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8"))
+                     for p in (*(path for _, path in outputs), args.out)]
+        except OSError as exc:
+            raise ConfigError(f"cannot open output {exc.filename}: {exc.strerror}") from exc
+        for fh in files:  # as O_TRUNC would: regular files only
+            if fh is not sys.stdout and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+        yield files
 
 
 def _same_file(a, b) -> bool:
-    """Whether paths ``a`` and ``b`` name one existing file."""
+    """Whether paths ``a`` and ``b`` name one file, existing or yet to be created."""
     try:
         return os.path.samefile(a, b)
     except OSError:  # a path that names no file
-        return False
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _check_outputs(args, outputs=(), reads=()) -> None:
-    """Refuse an output (--out or run.out, and ``outputs``) that names the config or a file
-    the command reads (``reads``, (kind, path) pairs): opening it would truncate that file."""
-    for out, (kind, path) in product((args.out, *outputs), (("config", args.config), *reads)):
-        if out is not None and path is not None and _same_file(out, path):
-            raise ConfigError(f"output {out} is the {kind} {path}")
+    """Refuse an output (--out or run.out, and ``outputs``) that names the config, a file
+    the command reads (``reads``) or another output (both (kind, path) pairs): opening it
+    would truncate that file."""
+    outs = [("output", args.out), *outputs]
+    for i, (_, out) in enumerate(outs):
+        for kind, path in (("config", args.config), *reads, *outs[i + 1:]):
+            if out is not None and path is not None and _same_file(out, path):
+                raise ConfigError(f"output {out} is the {kind} {path}")
 
 
 def _resolve_format(args, cfg: Config, default: str) -> str:
@@ -521,8 +532,7 @@ def cmd_solve(args, cfg: Config, seed: int) -> int:
     strat = _wrap_value_error(lambda: solve_strategy(model, knowledge, budget), "solver.budget")
     doc = strategy_json(strat, model, knowledge)
     doc["meta"] = _meta(cfg, seed)
-    _check_outputs(args)
-    with _open_out(args.out) as out:
+    with _open_outs(args) as [out]:
         out.write(json.dumps(doc, indent=2) + "\n")
     return 0
 
@@ -535,10 +545,7 @@ def cmd_sweep(args, cfg: Config, seed: int) -> int:
     if single_cell and (len(spec.anomaly_rates) != 1 or len(spec.intensities) != 1):
         raise ConfigError("simulate needs a single-cell grid (one anomaly rate, one intensity)")
     dump = cfg.get("simulate", "dump_run", None) if single_cell else None
-    _check_outputs(args, [dump])
-    with _open_out(args.out) as out, _open_out(dump) as dump_fh:
-        if dump is not None and args.out is not None and _same_file(args.out, dump):
-            raise ConfigError(f"config key 'simulate.dump_run' names the output file {dump}")
+    with _open_outs(args, [("simulate.dump_run", dump)]) as [dump_fh, out]:
         records = run_sweep(spec)
         if fmt == "csv":
             sweep_to_csv(records, out, comment=_provenance(cfg, seed))
@@ -568,8 +575,7 @@ def cmd_analyze(args, cfg: Config, seed: int) -> int:
     slots = cfg.get("analyze", "slots", 10)
     alpha = cfg.get("analyze", "alpha", 0.05)
     thr = _wrap_value_error(lambda: chi_square_threshold(slots, alpha), "analyze")
-    _check_outputs(args, reads=[("input trace", path)])
-    with _open_out(args.out) as out:
+    with _open_outs(args, reads=[("input trace", path)]) as [out]:
         timestamps = read_trace_csv(path, device)
         try:
             counts = bin_timestamps(timestamps, slot_width, slots)
@@ -612,7 +618,7 @@ def cmd_posterior(args, cfg: Config, seed: int) -> int:
         except InconsistentObservationError as exc:
             raise DataError(f"{path}: {exc}") from exc
         tables.append((obs, table))
-    with _open_out(args.out) as out:
+    with _open_outs(args) as [out]:
         if fmt == "json":
             _emit_json(cfg, seed, "tables",
                        [{"observed": list(obs),
@@ -637,8 +643,7 @@ def cmd_costs(args, cfg: Config, seed: int) -> int:
                                 f"costs model (lambda={lam}, I={inten})")
               for lam, inten in product(base_rates, intensities)]
     points = _wrap_value_error(lambda: cost_curves(models, shifts), "costs")
-    _check_outputs(args)
-    with _open_out(args.out) as out:
+    with _open_outs(args) as [out]:
         if fmt == "csv":
             cost_curves_to_csv(points, out, comment=_provenance(cfg, seed))
         else:

@@ -24,7 +24,8 @@ from .obfuscator import (CostModel, InfeasibleTargetError,
                          KnowledgeModel, Strategy, apply_strategy, costs,
                          draw_actions, solve_fake_rate, solve_strategy,
                          solve_waterfill_rate)
-from .traffic import IntervalModel, Run, as_rng, draw_anomaly_flags, gen_run, write_csv
+from .traffic import (IntervalModel, Run, _action_codes, as_rng, draw_anomaly_flags, gen_run,
+                      write_csv)
 
 __all__ = [
     "SWEEP_CSV_HEADER",
@@ -118,9 +119,8 @@ def realized_cost(action: np.ndarray, cost_model: CostModel) -> tuple[float, flo
     over that action's normalizer. The SE is that of these per-interval
     values. A code outside ACTIONS is a ValueError.
     """
-    n = [int(np.count_nonzero(np.equal(action, code))) for code in (0, 1, 2)]
-    if sum(n) != np.size(action):
-        raise ValueError("action codes must be 0, 1 or 2 (indices into ACTIONS)")
+    action = _action_codes(action)
+    n = [int(np.count_nonzero(action == code)) for code in (0, 1, 2)]
     return _mean_se([0.0, cost_model.waterfill_cost, cost_model.fake_cost], n)
 
 

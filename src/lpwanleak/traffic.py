@@ -38,6 +38,19 @@ ACTIONS = ("none", "waterfilled", "fake-anomaly")
 RUN_CSV_HEADER = "interval,slot,count,dummy_count,is_anomaly,anomaly_slot,obf_action"
 
 
+def _action_codes(action) -> np.ndarray:
+    """``action`` as an array; a value that is no index into ACTIONS is a ValueError.
+    An integer column costs one min and one max."""
+    action = np.asarray(action)
+    if action.dtype.kind in "iu":
+        ok = not action.size or (action.min() >= 0 and action.max() < len(ACTIONS))
+    else:
+        ok = np.isin(action, range(len(ACTIONS))).all()
+    if not ok:
+        raise ValueError("action codes must be 0, 1 or 2 (indices into ACTIONS)")
+    return action
+
+
 def as_rng(seed) -> np.random.Generator:
     """Normalize ``seed`` to a numpy Generator.
 
@@ -112,7 +125,7 @@ class Run:
         dummy_counts = np.asarray(dummy_counts, dtype=np.int64)
         is_anomaly = np.asarray(is_anomaly, dtype=bool)
         anomaly_slot = np.asarray(anomaly_slot, dtype=np.int64)
-        action = np.asarray(action, dtype=np.int8)
+        action = _action_codes(action).astype(np.int8, copy=False)
         if dummy_counts.shape != (n, s) or is_anomaly.shape != (n,) \
                 or anomaly_slot.shape != (n,) or action.shape != (n,):
             raise ValueError("column shapes inconsistent")
@@ -120,8 +133,6 @@ class Run:
             raise ValueError("dummy_counts must satisfy 0 <= dummy <= count")
         if np.any(is_anomaly != (anomaly_slot >= 0)) or np.any(anomaly_slot >= s):
             raise ValueError("anomaly_slot must be in [0, slots) for anomalies, -1 otherwise")
-        if np.any(action < 0) or np.any(action >= len(ACTIONS)):
-            raise ValueError("unknown action code")
         self.counts = _readonly(counts)
         self.dummy_counts = _readonly(dummy_counts)
         self.is_anomaly = _readonly(is_anomaly)

@@ -586,7 +586,9 @@ n_intervals = 1000
                                      "simulate", "analyze", "posterior", "costs"])
 def test_no_command_loads_scipy(tmp_path, command):
     # importing scipy takes longer than most commands run; the chi-square
-    # threshold is computed in the package, so no command loads any of it
+    # threshold is computed in the package, so no command loads any of it.
+    # Importing decimal takes about 2 ms, so only the commands that compute
+    # a threshold load it
     trace = tmp_path / "trace.csv"
     write_trace_csv(trace, to_timestamps(gen_run(IntervalModel(10, 1.0, 40.0, 0.3), 5, 4)))
     cfg = _write(tmp_path, "run.cfg", {
@@ -603,7 +605,8 @@ def test_no_command_loads_scipy(tmp_path, command):
             "import lpwanleak.cli\n"
             f"assert lpwanleak.cli.main({argv!r}) == 0\n"
             "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-            "assert not loaded, f'loaded: {loaded}'\n")
+            "assert not loaded, f'loaded: {loaded}'\n"
+            f"assert ('decimal' in sys.modules) == {command in ('analyze', 'sweep-chi-square')}\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
@@ -1041,6 +1044,17 @@ def test_unopenable_output_is_config_error_before_the_work(tmp_path, monkeypatch
     assert f"cannot open output {out}: No such file or directory" in capsys.readouterr().err
 
 
+def test_simulate_that_cannot_open_out_keeps_its_dump(tmp_path, capsys):
+    # no output is truncated until every one is open: the dump keeps its bytes
+    dump = tmp_path / "dump.csv"
+    dump.write_text("kept\n")
+    cfg = _write(tmp_path, "cell.cfg", f'[sweep]\n{SWEEP_CELL}[simulate]\ndump_run = "{dump}"\n')
+    out = tmp_path / "missing" / "out.csv"
+    assert main(["simulate", "--config", cfg, "--seed", "0", "--out", str(out)]) == 2
+    assert f"cannot open output {out}: No such file or directory" in capsys.readouterr().err
+    assert dump.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("command", ["solve", *SIMULATING, "costs"])
 def test_other_cost_normalizer_fails_before_the_work(tmp_path, monkeypatch, capsys, command):
     def never(*args, **kwargs):
@@ -1139,9 +1153,15 @@ def test_every_file_the_cli_touches_fails_with_its_exit_code(tmp_path, capsys, r
     assert main([*argv, "--seed", "0", *flags]) == rc
     err = capsys.readouterr().err
     assert str(bad) in err
+    if how == "same as --out":
+        assert f"output {out} is the simulate.dump_run {bad}" in err
     if role == "dump_run":
-        # both outputs are opened before the cell runs, so nothing was written
-        assert out.read_text() == ""
+        # a refused or unopenable dump stops the command before --out is
+        # opened: it was not created, and a file already there keeps its bytes
+        assert not out.exists()
+        out.write_text("kept\n")
+        assert main([*argv, "--seed", "0", *flags]) == rc
+        assert out.read_text() == "kept\n"
     if output:
         # refused before any file is opened: the input keeps its bytes and
         # the other output was not created

@@ -15,7 +15,10 @@ from lpwanleak import (
     IntervalModel,
     Run,
     bin_timestamps,
+    costs,
     gen_run,
+    idealized_verdicts,
+    realized_cost,
     run_to_csv,
 )
 
@@ -127,6 +130,20 @@ def test_run_validation():
     with pytest.raises(ValueError):
         Run(counts, np.zeros((3, 3), dtype=int), np.zeros(3, dtype=bool),
             np.full(3, -1), np.zeros(3, dtype=int))  # dummy shape differs from counts
+
+
+@pytest.mark.parametrize("code", [1.5, -0.5, 256.0])
+@pytest.mark.parametrize("entry", ["Run", "idealized_verdicts", "realized_cost"])
+def test_every_reader_of_action_codes_refuses_one_outside_actions(entry, code):
+    # a fractional, negative or too large code is the documented error, never
+    # truncated, wrapped or read as a plausible action
+    action = [0, code]
+    call = {"Run": lambda: Run(np.ones((2, 3), dtype=int), np.zeros((2, 3), dtype=int),
+                               np.zeros(2, dtype=bool), np.full(2, -1), action),
+            "idealized_verdicts": lambda: idealized_verdicts(np.zeros(2, dtype=bool), action),
+            "realized_cost": lambda: realized_cost(action, costs(MODEL))}[entry]
+    with pytest.raises(ValueError, match=r"action codes must be 0, 1 or 2 \(indices into ACTIONS\)"):
+        call()
 
 
 def test_csv_roundtrip():
