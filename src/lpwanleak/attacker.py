@@ -85,11 +85,8 @@ def ensemble_dispersion(counts_2d) -> float:
     return float(s2.mean()) / m
 
 
-# pi to 60 digits, for ln sqrt(2 pi) in Stirling's series
+# pi to 60 digits, for Gamma(1/2) = sqrt(pi)
 _PI = "3.14159265358979323846264338327950288419716939937510582097494"
-# Stirling's series for ln Gamma(z): B_2n / (2n (2n - 1)) times z^(1 - 2n)
-_STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360),
-             (1, 156), (-3617, 122400), (43867, 244188), (-174611, 125400))
 
 
 def chi_square_threshold(slots: int, alpha: float) -> float:
@@ -109,7 +106,8 @@ def chi_square_threshold(slots: int, alpha: float) -> float:
 
     Computed with the standard library alone: one Newton loop in ``decimal``
     and in log y, y = x/2, on log P when fl(1 - alpha) <= 1/2, else on
-    log Q = log(1 - P), with ln Gamma from Stirling's series. Both logs are
+    log Q = log(1 - P), with Gamma(a + 1) as the finite product of j/2 over
+    j = slots-1, slots-3, ..., times sqrt(pi) when slots-1 is odd. Both logs are
     concave in log y (the log of a gamma variable has a log-concave
     density), so from a start on the near side of the root the steps never
     overshoot: P(a, y) <= y^a / Gamma(a+1) puts the first start below the
@@ -124,17 +122,22 @@ def chi_square_threshold(slots: int, alpha: float) -> float:
     if p == 1.0:
         return math.inf
     # imported here: only analyze and chi-square sweeps need a threshold
-    from decimal import Decimal, localcontext
+    from decimal import MAX_EMAX, Decimal, localcontext
 
     k = slots - 1
     upper = p > 0.5
     with localcontext() as ctx:
-        # Q cancels about as many digits of P as 1 - p has leading zeros, and
-        # a ln y and ln Gamma(a + 1) carry about len(str(k)) before the point
-        ctx.prec = 40 + max(0, math.ceil(-math.log10(1.0 - p))) + len(str(k))
+        # fl(1 - alpha) < 1 puts 1 - p at 2^-53 or more, so Q = 1 - P cancels at
+        # most 16 digits and at least 24 remain; a ln y and ln Gamma(a + 1)
+        # carry about len(str(k)) digits before the point
+        ctx.prec = 40 + len(str(k))
+        ctx.Emax = MAX_EMAX  # Gamma(a + 1) passes 10^999999 from about 4e5 slots
         a = Decimal(k) / 2
         eps = Decimal(10) ** -ctx.prec
-        log_gamma = _decimal_log_gamma(a + 1, Decimal(_PI), eps)
+        gamma = Decimal(_PI).sqrt() if k % 2 else Decimal(1)
+        for j in range(k, 0, -2):
+            gamma *= Decimal(j) / 2
+        log_gamma = gamma.ln()
         if upper:
             log_target = (1 - Decimal(p)).ln()
             ly = (a - log_target + (log_target * (log_target - 2 * a)).sqrt()).ln()
@@ -154,24 +157,6 @@ def chi_square_threshold(slots: int, alpha: float) -> float:
             # quadratic convergence: after a step under 1e-20, log y is good to the precision
             if abs(step) * 10**20 < 1:
                 return float(2 * ly.exp())  # float(Decimal) rounds correctly
-
-
-def _decimal_log_gamma(z, pi, eps):
-    """ln Gamma(z) for a Decimal z > 0, to absolute ``eps`` or better.
-
-    Stirling's series, on z first raised by whole steps (Gamma(z + 1) =
-    z Gamma(z)) to where its first omitted term, B_22 / (22 * 21 z^21) <
-    100 z^-21, is below eps.
-    """
-    from decimal import Decimal
-
-    shift = Decimal(1)
-    low = float(100 / eps) ** (1 / 21)
-    while z < low:
-        shift *= z
-        z += 1
-    series = sum(num / (den * z ** (2 * n - 1)) for n, (num, den) in enumerate(_STIRLING, 1))
-    return (z - Decimal("0.5")) * z.ln() - z + (2 * pi).ln() / 2 + series - shift.ln()
 
 
 def _gamma_series(a, y, eps):

@@ -391,14 +391,20 @@ def _open_outs(args, outputs=(), reads=()):
     """Refuse what _check_outputs refuses, then open the paths of ``outputs`` and --out or
     run.out, None as stdout. Commands open them before any work, so a bad path fails first.
     No file is truncated until all are open, so one that cannot be opened spares the
-    others' bytes (and a run that fails later leaves them empty, as a shell redirect does)."""
+    others' bytes and removes those this call created (and a run that fails later leaves
+    them empty, as a shell redirect does)."""
     _check_outputs(args, outputs, reads)
+    paths = [*(path for _, path in outputs), args.out]
+    created = [p for p in paths if p is not None and not os.path.lexists(p)]
     with contextlib.ExitStack() as stack:
         try:
             files = [sys.stdout if p is None else stack.enter_context(
                          open(os.open(p, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8"))
-                     for p in (*(path for _, path in outputs), args.out)]
+                     for p in paths]
         except OSError as exc:
+            for p in created:  # the failed open and those after it created nothing
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(p)
             raise ConfigError(f"cannot open output {exc.filename}: {exc.strerror}") from exc
         for fh in files:  # as O_TRUNC would: regular files only
             if fh is not sys.stdout and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):

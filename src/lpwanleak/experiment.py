@@ -36,7 +36,6 @@ __all__ = [
     "run_cell",
     "SweepSpec",
     "run_sweep",
-    "feasible_region",
     "sweep_to_csv",
     "CostPoint",
     "cost_curves",
@@ -311,16 +310,6 @@ def run_sweep(spec: SweepSpec) -> list[MetricsReport]:
                     error=f"{type(exc).__name__}: {exc}")
             records.append(rec)
     return records
-
-
-def feasible_region(records: Sequence[MetricsReport]) -> dict[float, list[float]]:
-    """Anomaly rates with a feasible-optimal strategy, keyed by intensity."""
-    region: dict[float, list[float]] = {}
-    for rec in records:
-        region.setdefault(rec.intensity, [])
-        if rec.feasible_optimal and not rec.error:
-            region[rec.intensity].append(rec.r_p)
-    return {i: sorted(rs) for i, rs in region.items()}
 
 
 def _fmt(v) -> str:

@@ -37,7 +37,6 @@ __all__ = [
     "costs",
     "KnowledgeModel",
     "Strategy",
-    "epsilon_of",
     "power_cost",
     "solve_strategy",
     "draw_actions",
@@ -206,13 +205,6 @@ class Strategy:
         for name, v in (("p_waterfill", self.p_waterfill), ("p_fake", self.p_fake)):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-
-
-def epsilon_of(anomaly_rate: float, p_waterfill: float, p_fake: float,
-               tpr: float = 1.0, tnr: float = 1.0) -> float:
-    """Signed relative bias between the attacker's two class posteriors
-    under a strategy; see :func:`lpwanleak.attacker.class_posteriors`."""
-    return float(class_posteriors(anomaly_rate, tpr * p_waterfill, tnr * p_fake)[2])
 
 
 def power_cost(p_waterfill: float, p_fake: float, cost_model: CostModel,

@@ -32,15 +32,14 @@ from lpwanleak import (
     average_error_mc,
     binary_entropy_bits,
     chi_square_threshold,
+    class_posteriors,
     conditional_entropy,
     conditional_entropy_mc,
     costs,
     ensemble_dispersion,
     enumerate_observables,
-    epsilon_of,
     expected_dispersion_fake,
     expected_dispersion_waterfill,
-    feasible_region,
     gen_run,
     load_fixture,
     posterior_table,
@@ -220,7 +219,7 @@ def test_criterion_3_posterior_balance_identities():
         lhs, rhs = _balance_sides(rp, p_wf, p_f)
         if abs(lhs - rhs) > 1e-12:
             failures.append(f"complete draw {i}: |lhs-rhs|={abs(lhs - rhs):.2e}")
-        if abs(epsilon_of(rp, p_wf, p_f)) > 1e-12:
+        if abs(class_posteriors(rp, p_wf, p_f)[2]) > 1e-12:
             failures.append(f"complete draw {i}: epsilon != 0")
     for i in range(100):
         tpr = 1.0 - rng.random()
@@ -242,7 +241,7 @@ def test_criterion_3_posterior_balance_identities():
             failures.append(
                 f"incomplete draw {i}: |lhs-rhs|={abs(lhs - rhs):.2e} "
                 f"(tpr={tpr:.4f} tnr={tnr:.4f})")
-        if abs(epsilon_of(rp, p_wf, p_f, tpr, tnr)) > 1e-12:
+        if abs(class_posteriors(rp, tpr * p_wf, tnr * p_f)[2]) > 1e-12:
             failures.append(f"incomplete draw {i}: epsilon != 0")
     _verdict(3, not failures, "100 complete + 100 incomplete draws at 1e-12")
     assert not failures, failures
@@ -260,8 +259,8 @@ def test_criterion_4_feasibility_regions(complete_sweep, incomplete_sweep):
     errors = [(r.r_p, r.intensity, r.error) for r in records_c + records_i if r.error]
     if errors:
         failures.append(f"sweep cells errored: {errors}")
-    region = feasible_region(records_c)
-    widths = [len(region.get(i, [])) for i in GRID_I]
+    widths = [sum(r.intensity == i and r.feasible_optimal and not r.error for r in records_c)
+              for i in GRID_I]
     if not all(a >= b for a, b in zip(widths, widths[1:])):
         failures.append(f"feasible widths increase with intensity: {widths}")
     offenders = [(r.r_p, r.intensity) for r in records_i

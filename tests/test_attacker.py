@@ -66,11 +66,11 @@ def test_ensemble_dispersion_pools_moments():
 
 
 # the alphas span both tails, out to the extreme inputs of the precision rule
-# (1e-15 and 2^-53 cancel 15 and 16 digits of P, 1 - 1e-15 puts the root
-# near 0), though none of them needs the rule's cancellation digits;
-# the slot counts cover 2 to 200, odd and even degrees of freedom and the
-# shipped 10 and 20, and 2000 and a million slots take ln Gamma and the
-# series far past any exact integer Gamma or double-precision e^-x/2
+# (1e-15 and 2^-53 cancel 15 and 16 digits of P, the most fl(1 - alpha) < 1
+# allows; 1 - 1e-15 puts the root near 0); the slot counts cover 2 to 200,
+# odd and even degrees of freedom and the shipped 10 and 20, a million slots
+# take the Gamma(a + 1) product past decimal's default exponent limit, and
+# 2000 and a million the series far past double-precision e^-x/2
 THRESHOLD_ALPHAS = [1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.025, 0.05, 0.1, 0.5, 0.9, 0.99, 1 - 1e-6,
                     *np.logspace(-11, -0.01, 20).tolist(), 1e-15, 2.0**-53, 1 - 1e-15]
 THRESHOLD_CASES = [*itertools.product((*range(2, 13), 16, 20, 21, 33, 64, 100, 101, 200),

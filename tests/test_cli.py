@@ -1044,15 +1044,18 @@ def test_unopenable_output_is_config_error_before_the_work(tmp_path, monkeypatch
     assert f"cannot open output {out}: No such file or directory" in capsys.readouterr().err
 
 
-def test_simulate_that_cannot_open_out_keeps_its_dump(tmp_path, capsys):
-    # no output is truncated until every one is open: the dump keeps its bytes
+@pytest.mark.parametrize("present", [True, False])
+def test_simulate_that_cannot_open_out_keeps_its_dump(tmp_path, capsys, present):
+    # no output is truncated until every one is open: a dump that was there keeps its
+    # bytes, and one that was not is not left behind
     dump = tmp_path / "dump.csv"
-    dump.write_text("kept\n")
+    if present:
+        dump.write_text("kept\n")
     cfg = _write(tmp_path, "cell.cfg", f'[sweep]\n{SWEEP_CELL}[simulate]\ndump_run = "{dump}"\n')
     out = tmp_path / "missing" / "out.csv"
     assert main(["simulate", "--config", cfg, "--seed", "0", "--out", str(out)]) == 2
     assert f"cannot open output {out}: No such file or directory" in capsys.readouterr().err
-    assert dump.read_text() == "kept\n"
+    assert dump.read_text() == "kept\n" if present else not dump.exists()
 
 
 @pytest.mark.parametrize("command", ["solve", *SIMULATING, "costs"])

@@ -34,7 +34,6 @@ from lpwanleak import (
     cost_curves_to_csv,
     costs,
     draw_actions,
-    feasible_region,
     guess_run,
     guessing_error_se,
     idealized_verdicts,
@@ -397,22 +396,6 @@ def test_run_sweep_deterministic():
     spec = SweepSpec(anomaly_rates=(0.2, 0.5), intensities=(10.0,),
                      n_intervals=1000, seed=8)
     assert run_sweep(spec) == run_sweep(spec)
-
-
-def test_feasible_region():
-    recs = [
-        MetricsReport(r_p=0.2, intensity=10.0, slots=10, base_rate=1.0,
-                      tpr=1.0, tnr=1.0, budget=1.0, feasible_optimal=True),
-        MetricsReport(r_p=0.5, intensity=10.0, slots=10, base_rate=1.0,
-                      tpr=1.0, tnr=1.0, budget=1.0, feasible_optimal=False),
-        MetricsReport(r_p=0.1, intensity=10.0, slots=10, base_rate=1.0,
-                      tpr=1.0, tnr=1.0, budget=1.0, feasible_optimal=True),
-        MetricsReport(r_p=0.2, intensity=40.0, slots=10, base_rate=1.0,
-                      tpr=1.0, tnr=1.0, budget=1.0, feasible_optimal=True,
-                      error="boom"),
-    ]
-    region = feasible_region(recs)
-    assert region == {10.0: [0.1, 0.2], 40.0: []}
 
 
 def test_sweep_csv_format():

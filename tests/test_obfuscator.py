@@ -18,7 +18,6 @@ from lpwanleak import (
     class_posteriors,
     costs,
     ensemble_dispersion,
-    epsilon_of,
     expected_dispersion_fake,
     expected_dispersion_waterfill,
     gen_run,
@@ -133,18 +132,17 @@ def test_posterior_ratios_hand_value():
     assert p_f == pytest.approx(5.0 / 9.0, rel=1e-12)
     assert p_u == pytest.approx(5.0 / 41.0, rel=1e-12)
     assert eps == pytest.approx(32.0 / 9.0, rel=1e-12)
-    assert epsilon_of(0.2, 0.5, 0.1) == eps
 
 
 def test_epsilon_degenerate_partition_is_zero():
     # flagging probability 0 or 1 leaves a single class carrying the prior
-    assert epsilon_of(0.3, 1.0, 0.0) == 0.0
-    assert epsilon_of(0.3, 0.0, 1.0) == 0.0
+    assert class_posteriors(0.3, 1.0, 0.0)[2] == 0.0
+    assert class_posteriors(0.3, 0.0, 1.0)[2] == 0.0
 
 
 def test_epsilon_infinite():
     # unflagged class empty of anomalies while flagged class has them
-    assert epsilon_of(0.2, 0.0, 0.5) == math.inf
+    assert class_posteriors(0.2, 0.0, 0.5)[2] == math.inf
 
 
 def test_power_cost_and_budget_boundary():
@@ -204,7 +202,7 @@ def test_solve_strategy_constrained_cell():
     assert s.p_fake == pytest.approx(0.088879, abs=2e-6)
     assert s.epsilon == pytest.approx(3.663549, abs=2e-6)
     assert s.epsilon == pytest.approx(
-        epsilon_of(M40.anomaly_rate, s.p_waterfill, s.p_fake), rel=1e-12)
+        class_posteriors(M40.anomaly_rate, s.p_waterfill, s.p_fake)[2], rel=1e-12)
 
 
 def test_solve_strategy_empty_zero_bias_family():
@@ -214,7 +212,7 @@ def test_solve_strategy_empty_zero_bias_family():
     assert not s.feasible_optimal
     assert abs(s.epsilon) > 0.0
     assert s.epsilon == pytest.approx(
-        epsilon_of(0.3, s.p_waterfill, s.p_fake, 0.3, 0.3), rel=1e-12)
+        class_posteriors(0.3, 0.3 * s.p_waterfill, 0.3 * s.p_fake)[2], rel=1e-12)
 
 
 def test_solve_strategy_rejects_negative_budget():
@@ -346,7 +344,7 @@ def test_complete_zero_bias_family(rp, pf):
     # build an exactly complementary pair; a raw 1 - pf can round to 1.0
     # for subnormal pf, which leaves the family entirely
     pw = 1.0 - pf
-    assert epsilon_of(rp, pw, 1.0 - pw) == pytest.approx(0.0, abs=1e-12)
+    assert class_posteriors(rp, pw, 1.0 - pw)[2] == pytest.approx(0.0, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -358,10 +356,9 @@ def test_complete_zero_bias_family(rp, pf):
     tnr=st.floats(0.0, 1.0),
 )
 def test_posteriors_bounded(rp, pw, pf, tpr, tnr):
-    p_f, p_u, _ = class_posteriors(rp, tpr * pw, tnr * pf)
+    p_f, p_u, eps = class_posteriors(rp, tpr * pw, tnr * pf)
     assert 0.0 <= p_f <= 1.0
     assert 0.0 <= p_u <= 1.0
-    eps = epsilon_of(rp, pw, pf, tpr, tnr)
     assert eps >= -1.0 or eps == math.inf
 
 
@@ -445,7 +442,7 @@ def test_solve_strategy_matches_scan_oracles(slots, lam, intensity, rp, tpr, tnr
     assert power_cost(s.p_waterfill, s.p_fake, cm, rp) <= budget
     # the endpoint path reports the analytic zero, the search path its score
     assert s.epsilon == (0.0 if s.feasible_optimal
-                         else epsilon_of(rp, s.p_waterfill, s.p_fake, tpr, tnr))
+                         else class_posteriors(rp, tpr * s.p_waterfill, tnr * s.p_fake)[2])
     if math.isinf(s.epsilon):
         # every affordable strategy leaks infinitely; the free one wins the tie
         assert (s.p_waterfill, s.p_fake, s.cost) == (0.0, 0.0, 0.0)

@@ -117,9 +117,9 @@ PUBLIC_NAMES = [
     "average_error_mc", "bin_timestamps", "binary_entropy_bits", "chi_square_threshold",
     "class_posteriors", "conditional_entropy", "conditional_entropy_mc", "cost_curves",
     "cost_curves_to_csv", "costs", "draw_actions", "draw_anomaly_flags",
-    "ensemble_dispersion", "entry", "enumerate_observables", "epsilon_of",
+    "ensemble_dispersion", "entry", "enumerate_observables",
     "expected_dispersion_fake", "expected_dispersion_waterfill", "experiment",
-    "feasible_region", "gen_run", "guess_run", "guessing_error_se", "idealized_metrics",
+    "gen_run", "guess_run", "guessing_error_se", "idealized_metrics",
     "idealized_verdicts", "load_config", "load_fixture", "main", "obfuscator",
     "optimal_guess", "parse_config", "posterior_table", "power_cost", "read_trace_csv",
     "realized_cost", "run_cell", "run_dispersion", "run_sweep", "run_to_csv",
