@@ -90,12 +90,13 @@ _TRACE_CSV_HEADER = "timestamp_s,device_id"
 # analyze's output: its CSV columns and its JSON keys
 _ANALYZE_NAMES = ("interval", "D", "flagged", "threshold")
 # characters per read of a trace CSV; bounds the reader's working memory
-_READ_BLOCK = 1 << 16
-_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
-# the ASCII characters, besides "\n", that end a line, that str.strip removes or that
-# start a comment: a block holding none of them needs no splitting, stripping or
-# skipping ("\r" never reaches it: reading text turns "\r" and "\r\n" into "\n")
-_NOT_PLAIN = "\x0b\x0c\x1c\x1d\x1e\x1f\t #"
+_READ_BLOCK = 1 << 18
+# every ASCII character that ends a line, that str.strip removes or that starts a
+# comment is below "$" ("\r" never reaches the reader: reading text turns "\r" and
+# "\r\n" into "\n")
+_PLAIN_FROM = ord("$")
+# the bytes of the longest head the reader decodes itself: 18 digits and a point
+_HEAD = 19
 
 
 def _parse_scalar(tok: str):
@@ -258,15 +259,6 @@ def _text_blocks(path):
             yield tail
 
 
-def _row_separators(body: str, n: int) -> list[bytes] | None:
-    """None when each of the ``n`` rows of ``body``, joined by newlines, holds
-    exactly one comma; else each row's commas."""
-    # the commas and newlines in order (UTF-8 never encodes another character
-    # with either byte)
-    seps = body.encode().translate(None, _NOT_SEPARATOR)
-    return None if seps == b",\n" * (n - 1) + b"," else seps.split(b"\n")
-
-
 def _timestamp(text: str) -> float:
     try:
         return float(text)
@@ -274,30 +266,82 @@ def _timestamp(text: str) -> float:
         return math.nan
 
 
-def _parse_rows(path, body: str, row_seps: list[bytes] | None, lines: np.ndarray):
-    """The timestamps and device fields of the rows of ``body``, joined by newlines.
+def _decoded(window: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The doubles of heads of at most 18 ASCII digits, at most one point and an
+    integer part in [1, 2**53), each the one ``float`` reads; nan for any other head.
+    A head is the last ``width`` bytes of its row of ``window`` (``_HEAD`` bytes each)."""
+    digit = window - 48  # a byte that is not a digit wraps past 9
+    is_digit = digit < 10
+    digit *= is_digit
+    w = np.minimum(width, _HEAD)
+    # a bit per byte that is not a digit and per point, the lowest for the last byte
+    # (exact float32 sums); the head's are the lowest w
+    bits = 2.0 ** np.arange(_HEAD - 1, -1, -1, dtype=np.float32)
+    other = (~is_digit @ bits).astype(np.int64) & (1 << w) - 1
+    point = ((window == 46) @ bits).astype(np.int64) & (1 << w) - 1
+    e = np.frexp(point)[1]  # with a point, k + 1 for the k digits after it; else 0
+    # the window's digits as one integer, from four exact float32 sums of 5 or fewer;
+    # its lowest w, the head's, are q * 10**e + f (the point's digit is 0)
+    p10 = np.uint64(10) ** np.arange(_HEAD + 1, dtype=np.uint64)
+    place = np.arange(_HEAD - 1, -1, -1)
+    places = np.zeros((_HEAD, 4), np.float32)
+    places[np.arange(_HEAD), place // 5] = 10.0 ** (place % 5)
+    v, f = np.divmod((digit @ places).astype(np.uint64) @ p10[::5], p10[e])
+    q = (v % p10[w - e]).astype(np.int64)
+    fast = ((other == point) & (point & (point - 1) == 0) & (width <= _HEAD)
+            & (q >= 1) & (q < 1 << 53))
+    q = np.where(fast, q, 1)  # any other row computes on a harmless stand-in
+    f, den = f.astype(np.int64), p10[e - (point > 0)].astype(np.int64)
+    # q + f / den lies in [2**e, 2**(e + 1)) for e = floor(log2 q), so its double is
+    # m * 2**-s for s = 52 - e and m = q * 2**s + f * 2**s / den, rounded half to even
+    s = 53 - np.frexp(q)[1]
+    # f * 2**s / den by long division, t bits a step: r < den < 2**bits keeps r << t
+    # below 2**63 for t <= 63 - bits
+    step = 63 - np.frexp(den)[1]
+    m, r, left = q << s, f, s.copy()
+    while left.any():
+        t = np.minimum(step, left)
+        left -= t
+        d, r = np.divmod(r << t, den)
+        m += d << left
+    m += 2 * r + (m & 1) > den
+    return np.where(fast, np.ldexp(m.astype(float), -s), math.nan)
 
-    ``row_seps`` is ``_row_separators(body, n)`` and ``lines`` holds each
-    row's line number. The first row that does not hold exactly one comma,
-    or whose timestamp is not a finite number, raises DataError naming its line.
-    """
-    n = len(lines)
-    # the rows before the first one without exactly one comma pair up as
-    # (timestamp, device) in fields; only a body with such a row is scanned by row
-    paired = n if row_seps is None else next(k for k, s in enumerate(row_seps) if s != b",")
-    fields = body.replace("\n", ",").split(",")
-    heads = fields[0:2 * paired:2]
-    try:
-        ts = np.fromiter(map(float, heads), float, paired)
-    except ValueError:  # a head that is not a number reads as nan
-        ts = np.fromiter(map(_timestamp, heads), float, paired)
+
+def _rows(raw: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bytes of ``raw``, rows each ended by a newline, and the positions of the
+    comma and the newline of each row before the first one without exactly one comma."""
+    buf = np.frombuffer(raw, np.uint8)
+    # the commas and newlines in order (UTF-8 never encodes another character
+    # with either byte): row r holds one comma while seps[2r] is a comma and
+    # seps[2r + 1] a newline
+    seps = np.flatnonzero((buf == 44) | (buf == 10))
+    ok = (buf[seps[0:-1:2]] == 44) & (buf[seps[1::2]] == 10)
+    paired = ok.size if ok.all() else int(ok.argmin())
+    return buf, seps[0:2 * paired:2], seps[1:2 * paired:2]
+
+
+def _parse_rows(path, rows: tuple[np.ndarray, ...], lines: np.ndarray) -> np.ndarray:
+    """The timestamps of the rows ``_rows`` split, whose line numbers ``lines`` holds.
+    The first row that does not hold exactly one comma, or whose timestamp is not a
+    finite number, raises DataError naming its line."""
+    buf, commas, ends = rows
+    starts = np.concatenate(([0], ends + 1))
+    # the _HEAD bytes before each comma, over the bytes with _HEAD newlines in front
+    window = np.ndarray((buf.size + 1, _HEAD), np.uint8, strides=(1, 1), buffer=np.concatenate(
+        (np.full(_HEAD, 10, np.uint8), buf)))[commas]
+    ts = _decoded(window, commas - starts[:-1])
+    slow = np.flatnonzero(np.isnan(ts))  # a head that is not a number reads as nan
+    ts[slow] = [_timestamp(buf[a:b].tobytes().decode())
+                for a, b in zip(starts[slow].tolist(), commas[slow].tolist())]
     finite = np.isfinite(ts)
-    k = paired if finite.all() else int(finite.argmin())  # the first bad row, if any
-    if k < n:
-        rule = (f"bad timestamp {heads[k]!r}" if k < paired else
-                f"expected 2 fields, got {len(row_seps[k]) + 1}")
+    k = commas.size if finite.all() else int(finite.argmin())  # the first bad row, if any
+    if k < len(lines):
+        row = buf[starts[k]:].tobytes().split(b"\n", 1)[0]
+        rule = (f"bad timestamp {row.split(b',', 1)[0].decode()!r}" if k < commas.size else
+                f"expected 2 fields, got {row.count(b',') + 1}")
         raise DataError(f"{path} line {lines[k]}: {rule}")
-    return ts, fields[1::2]
+    return ts
 
 
 def _normalized(block: str) -> tuple[list[str], list[int], int]:
@@ -317,7 +361,8 @@ def read_trace_csv(path, device: str | None = None) -> np.ndarray:
     bad, the first one is, and a row that cannot be read comes before any
     out-of-order timestamp. The timestamps come back non-decreasing.
     """
-    names: dict[str, None] = {}  # every device named, stripped, in order of appearance
+    wanted = device  # with no device named, the first one read; another is an error below
+    others: set[str] = set()  # with no device named, every device named but that one
     picked = []  # per block, the selected device's timestamps
     out_of_order = None  # the line and timestamp of the first one
     last = -math.inf
@@ -325,35 +370,42 @@ def read_trace_csv(path, device: str | None = None) -> np.ndarray:
     lineno = 0
     for block in _text_blocks(path):
         first = lineno + 1
-        # a plain block is its rows as they stand: one comma each, nothing to
-        # strip or skip, no line end but "\n"; any other is normalized first
-        body = block.removesuffix("\n")
-        n = body.count("\n") + 1
-        plain = header_seen and body.isascii() and not any(map(body.__contains__, _NOT_PLAIN))
-        if plain and (row_seps := _row_separators(body, n)) is None:
+        # a plain block is its rows as they stand: one comma each, ASCII, no character
+        # below "$" but "\n" (nothing to strip or skip); any other is normalized first
+        rows = _rows((block if block[-1] == "\n" else block + "\n").encode())
+        n = rows[2].size
+        plain = (header_seen and block.isascii() and n and rows[2][-1] == rows[0].size - 1
+                 and np.count_nonzero(rows[0] < _PLAIN_FROM) == n)
+        if plain:
             lines = np.arange(first, first + n)
         else:
-            rows, keep, n = _normalized(block)
-            if rows and not header_seen:
-                if rows[0] != _TRACE_CSV_HEADER:
+            texts, keep, n = _normalized(block)
+            if texts and not header_seen:
+                if texts[0] != _TRACE_CSV_HEADER:
                     raise DataError(f"{path} line {first + keep[0]}: "
                                     f"expected header {_TRACE_CSV_HEADER}")
                 header_seen = True
-                del rows[0], keep[0]
-            body = "\n".join(rows)
-            row_seps = _row_separators(body, len(rows))
+                del texts[0], keep[0]
+            # each device field stripped too, as its line is
+            rows = _rows("".join(f"{head}{comma}{dev.strip()}\n" for head, comma, dev in
+                                 (text.partition(",") for text in texts)).encode())
             lines = np.array(keep, np.int64) + first
         lineno += n
         if not lines.size:
             continue
-        ts, devices = _parse_rows(path, body, row_seps, lines)
-        # strip each distinct device field once
-        name_of = {raw: raw.strip() for raw in dict.fromkeys(devices)}
-        names.update(dict.fromkeys(name_of.values()))
-        # with no device named, the first one is read; a second is an error below
-        wanted = next(iter(names)) if device is None else device
-        is_wanted = {raw: name == wanted for raw, name in name_of.items()}
-        mask = np.fromiter(map(is_wanted.__getitem__, devices), bool, len(devices))
+        ts = _parse_rows(path, rows, lines)
+        buf, commas, ends = rows
+        if wanted is None:
+            wanted = buf[commas[0] + 1:ends[0]].tobytes().decode()
+        # the rows whose device field matches wanted's length, then its bytes
+        name = wanted.encode()
+        mask = ends - commas - 1 == len(name)
+        if name and mask.any():  # then buf holds at least len(name) bytes
+            fields = np.ndarray(buf.size - len(name) + 1, f"V{len(name)}", buf, strides=(1,))
+            mask[mask] = fields[commas[mask] + 1] == np.void(name)
+        if device is None and not mask.all():
+            others.update(buf[a + 1:b].tobytes().decode()
+                          for a, b in zip(commas[~mask].tolist(), ends[~mask].tolist()))
         ts = ts[mask]
         if ts.size and out_of_order is None:
             back = np.flatnonzero(ts < np.concatenate(([last], ts[:-1])))
@@ -363,12 +415,12 @@ def read_trace_csv(path, device: str | None = None) -> np.ndarray:
         picked.append(ts)
     if not header_seen:
         raise DataError(f"{path}: empty trace file")
-    if device is None:
-        if len(names) > 1:
-            raise DataError(f"{path}: multiple devices {sorted(names)}; set analyze.device")
-        if not names:
-            raise DataError(f"{path}: no data rows")
-    elif device not in names:
+    if others:
+        raise DataError(f"{path}: multiple devices {sorted({wanted, *others})}; "
+                        "set analyze.device")
+    if wanted is None:
+        raise DataError(f"{path}: no data rows")
+    if not any(ts.size for ts in picked):
         raise DataError(f"{path}: no messages for device {device!r}")
     if out_of_order is not None:
         raise DataError(f"{path} line {out_of_order[0]}: out-of-order timestamp {out_of_order[1]}")
@@ -597,7 +649,15 @@ def cmd_analyze(args, cfg: Config, seed: int) -> int:
             write_csv(out, _provenance(cfg, seed), ",".join(_ANALYZE_NAMES),
                       ["\n".join(f"{i},{di!r},{int(fi)}{end}" for i, di, fi, _ in rows)])
         else:
-            _emit_json(cfg, seed, "rows", [dict(zip(_ANALYZE_NAMES, row)) for row in rows], out)
+            # json.dumps(indent=2)'s bytes, which it writes with its pure-Python encoder:
+            # JSON's float spellings, the rows formatted as the CSV's are
+            row = "    {{\n" + ",\n".join(f'      "{name}": {{}}' for name in _ANALYZE_NAMES)
+            spell = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+            end = spell.get(repr(thr), repr(thr))
+            doc = json.dumps({"meta": _meta(cfg, seed), "rows": []}, indent=2)
+            out.write(doc.removesuffix("[]\n}") + "[\n" + "\n    },\n".join(
+                row.format(i, spell.get(r := repr(di), r), ("false", "true")[fi], end)
+                for i, di, fi, _ in rows) + "\n    }\n  ]\n}\n")
     return 0
 
 

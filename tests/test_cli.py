@@ -8,13 +8,14 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpwanleak import cli
+from lpwanleak import __version__, cli
 
 from lpwanleak import (
     SWEEP_CSV_HEADER,
@@ -450,6 +451,20 @@ def plain_trace_texts(draw):
 @example(text=_plain_text("#note,a", at=150), device="a", block=512)
 @example(text=_plain_text("150.0\u2028,a", at=150), device="a", block=512)
 @example(text=_plain_text(" zap,a", at=150), device="a", block=512)
+@example(text=_plain_text("4503599627370496.5,a", at=299), device="a", block=512)
+@example(text=_plain_text("4503599627370497.5,a", at=299), device="a", block=512)
+@example(text=_plain_text("2251799813685248.25,a", at=299), device="a", block=512)
+@example(text=_plain_text("9007199254740991.5,a", at=299), device="a", block=512)
+@example(text=_plain_text("9007199254740992,a", at=299), device="a", block=512)
+@example(text=_plain_text("9007199254740993,a", at=299), device="a", block=512)
+@example(text=_plain_text("150.000000000000001,a", at=150), device="a", block=512)
+@example(text=_plain_text("150.0000000000000001,a", at=150), device="a", block=512)
+@example(text=_plain_text("150,a", at=150), device="a", block=512)
+@example(text=_plain_text("0150.5,a", at=150), device="a", block=512)
+@example(text=_plain_text("+150.5,a", at=150), device="a", block=512)
+@example(text=_plain_text("150.,a", at=150), device="a", block=512)
+@example(text=_plain_text("0.25,a", at=0), device="a", block=512)
+@example(text=_plain_text("\u0661\u0665\u0660,a", at=150), device="a", block=512)
 def test_plain_blocks_match_line_reference(text, device, block):
     _matches_line_reference(text, device, block)
 
@@ -469,6 +484,78 @@ def test_plain_blocks_are_never_normalized(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_READ_BLOCK", 1024)
     assert read_trace_csv(path).tobytes() == ts.tobytes()
     assert len(normalized) <= 1 < path.stat().st_size // 1024
+
+
+def _decimal(x: Fraction) -> str:
+    """The exact decimal of a fraction whose denominator is a power of 2."""
+    places = x.denominator.bit_length() - 1
+    digits = str(x.numerator * 5 ** places).rjust(places + 1, "0")
+    return f"{digits[:len(digits) - places]}.{digits[len(digits) - places:]}" if places else digits
+
+
+@st.composite
+def ties(draw):
+    """A head halfway between two adjacent doubles of [1, 2**53), or one as close
+    to that as 18 digits come, from below or above."""
+    x = draw(st.one_of(st.floats(2.0 ** 51, 2.0 ** 53, exclude_max=True),
+                       st.floats(1.0, 2.0 ** 53, exclude_max=True)))
+    tie = _decimal((Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2)
+    near = tie[:19].rstrip(".")
+    return draw(st.sampled_from([tie, near, near[:-1] + str(min(int(near[-1]) + 1, 9))]))
+
+
+# heads at the edges of the reader's own decoding, and next to them: too many
+# digits, 2**53 and past it, below 1, and what float() takes besides digits
+_EDGE_HEADS = ["+1.5", "1.", "007.5", "0.25", ".5", "1_0", "\u0661\u0662", "1" * 19,
+               "1" * 25, "0000000000000000001", "12345678901234567.8", "9007199254740991.5",
+               "9007199254740992", "9007199254740993", "4503599627370496.5"]
+_head_texts = st.one_of(
+    st.floats(1.0, 2.0 ** 53).map(repr),
+    st.floats(0.0, 1e30).map(repr),
+    ties(),
+    st.builds(str.__add__, st.text("0123456789", min_size=1, max_size=19),
+              st.sampled_from(["", "."]).flatmap(
+                  lambda point: st.text("0123456789", max_size=19).map(point.__add__))),
+    st.sampled_from(_EDGE_HEADS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(heads=st.lists(_head_texts, min_size=1, max_size=200), block=st.integers(64, 4096))
+@example(heads=["4503599627370496.5", "4503599627370497.5", "4503599627370498.5"], block=64)
+@example(heads=["1.2345678901234567", "7.5", "12.5", "99.999999999999999"], block=64)
+def test_plain_heads_read_as_float(heads, block):
+    # rows ordered by value, so that every one is read and returned
+    heads = sorted(heads, key=float)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/trace.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("timestamp_s,device_id\n" + "".join(f"{h},a\n" for h in heads))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_READ_BLOCK", block)
+            got = read_trace_csv(path)
+    assert got.tobytes() == np.array([float(h) for h in heads]).tobytes()
+
+
+def test_benchmark_shaped_heads_never_reach_float(tmp_path, monkeypatch):
+    # epoch-scale timestamps as repr writes them, from two devices
+    rng = np.random.default_rng(5)
+    ts = 1.596e9 + np.cumsum(rng.exponential(5.0, 3000))
+    devices = np.where(rng.random(ts.size) < 0.3, "gateway-b", "sensor-a")
+    path = tmp_path / "trace.csv"
+    path.write_text("# two devices\ntimestamp_s,device_id\n" + "".join(
+        f"{t!r},{d}\n" for t, d in zip(ts.tolist(), devices.tolist())))
+    heads = []  # the heads read by float(): none
+    real = cli._timestamp
+
+    def counting(text):
+        heads.append(text)
+        return real(text)
+
+    monkeypatch.setattr(cli, "_timestamp", counting)
+    monkeypatch.setattr(cli, "_READ_BLOCK", 1024)
+    got = read_trace_csv(path, "sensor-a")
+    assert heads == []
+    assert got.tobytes() == reference_read_trace_csv(path, "sensor-a").tobytes()
 
 
 def test_header_only_trace_has_no_data_rows(tmp_path, capsys):
@@ -848,6 +935,26 @@ def test_analyze_empty_interval_is_never_flagged(tmp_path):
                      (int(r[0]), float(r[1]), r[2] == "1", float(r[3])))) for r in rows]
     assert text == json.dumps({"meta": doc["meta"], "rows": want}, indent=2) + "\n"
     assert '"D": NaN,' in text
+
+
+def test_analyze_json_at_an_infinite_threshold(tmp_path):
+    # at alpha = 1e-17, 1 - alpha rounds to 1 and the threshold is inf; the empty
+    # interval gives D = nan
+    trace = tmp_path / "trace.csv"
+    write_trace_csv(trace, [0.5] * 30 + [9.5] + [20.5 + i for i in range(10)])
+    cfg = _write(tmp_path, "an.cfg", "[analyze]\nalpha = 1e-17\n")
+    out = tmp_path / "verdicts.json"
+    assert main(["analyze", str(trace), "--config", cfg, "--seed", "3", "--format", "json",
+                 "--out", str(out)]) == 0
+    _, _, d = run_dispersion(bin_timestamps(read_trace_csv(trace), 1.0, 10))
+    assert chi_square_threshold(10, 1e-17) == math.inf
+    rows = [dict(zip(("interval", "D", "flagged", "threshold"), (i, di, False, math.inf)))
+            for i, di in enumerate(d.tolist())]
+    meta = {"tool": "lpwanleak", "version": __version__,
+            "config_hash": cli.load_config(cfg).hash(), "seed": 3}
+    text = out.read_text()
+    assert text == json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+    assert '"D": NaN,' in text and '"threshold": Infinity\n' in text
 
 
 def test_analyze_data_errors(tmp_path):
